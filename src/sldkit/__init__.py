@@ -2,24 +2,20 @@
 
 Solves the defining equation drho = 1/2 {rho, L} for arbitrary n-level mixed
 states by expanding everything on a generalized Gell-Mann basis and solving
-the resulting structure-constant linear system, with closed-form two- and
-three-level paths, an independent spectral cross-check, and Fisher
+the resulting structure-constant linear system, with a closed form at
+diagonal base points, an independent spectral cross-check, and Fisher
 index/tensor computation on the isospectral orbits.
 """
 
 from .fisher import (FisherTensorResult, FlagChartU3, chart_tangents_u3,
-                     closed_form_deviation, closed_form_fisher_u2,
-                     closed_form_fisher_u3, closed_form_fisher_u3_rank2,
-                     fisher_tensor, horizontal_transversal_split_check,
-                     qfi_index)
+                     closed_form_deviation, closed_form_fisher, fisher_tensor,
+                     horizontal_transversal_split_check, qfi_index)
 from .lie_basis import (GeneratorBasis, StructureConstants, StructureTensor,
                         build_basis, compute_structure_constants, verify_basis)
-from .oracle import KernelInconsistentError, qfi_eigenbasis, sld_eigenbasis
+from .oracle import qfi_eigenbasis, sld_eigenbasis
 from .sld_solver import (DegenerateWeightsError, InconsistentSystemError,
-                         NonTangentFormError, NumericalError, SLDSolution,
-                         SLDSystem, assemble, closed_form_u2, closed_form_u3,
-                         closed_form_u3_degenerate, closed_form_u3_rank2,
-                         solve, transversal_sld)
+                         KernelInconsistentError, NumericalError, SLDSolution,
+                         SLDSystem, assemble, closed_form, solve)
 from .state_space import (DensityState, MixingWeights, TangentForm,
                           adjoint_transport, base_point, expand,
                           numeric_tangent, reconstruct,
@@ -33,14 +29,11 @@ __all__ = [
     "MixingWeights", "DensityState", "TangentForm",
     "base_point", "expand", "reconstruct", "adjoint_transport",
     "tangent_from_generator", "numeric_tangent", "transversal_tangent",
-    "SLDSystem", "SLDSolution", "assemble", "solve",
-    "closed_form_u2", "closed_form_u3", "closed_form_u3_rank2",
-    "closed_form_u3_degenerate", "transversal_sld",
+    "SLDSystem", "SLDSolution", "assemble", "solve", "closed_form",
     "NumericalError", "InconsistentSystemError", "DegenerateWeightsError",
-    "NonTangentFormError", "KernelInconsistentError",
+    "KernelInconsistentError",
     "sld_eigenbasis", "qfi_eigenbasis",
     "FisherTensorResult", "FlagChartU3", "qfi_index", "fisher_tensor",
     "horizontal_transversal_split_check", "chart_tangents_u3",
-    "closed_form_fisher_u3", "closed_form_fisher_u3_rank2",
-    "closed_form_fisher_u2", "closed_form_deviation",
+    "closed_form_fisher", "closed_form_deviation",
 ]

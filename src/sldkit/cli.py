@@ -8,6 +8,11 @@ qfi     Tabulate the quantum Fisher information over a theta sweep.
 tensor  Six-direction Fisher tensor of a three-level state with closed-form
         comparison.
 
+``sld`` and ``qfi`` take ``--method``: ``general`` (structure-constant
+solve), ``oracle`` (spectral), or ``closed-u2`` / ``closed-u3``, which both
+apply the pair-rule closed form at the diagonal base point of an n = 2 or
+n = 3 exp_generator family and transport the result to theta.
+
 Families are described by a kind-tagged JSON object:
 
     {"kind": "exp_generator", "n": 2, "weights": [0.75, 0.25],
@@ -29,7 +34,9 @@ for transversal weight variation rho(theta) = diag(k + theta dk).
 
 Exit status: 0 success, 1 usage error, 2 numerical error; diagnostics are a
 single stderr line prefixed "error:".  SLDKIT_TOL overrides the default
-tolerance 1e-10 (an explicit --tol wins over the environment).
+tolerance 1e-10 (an explicit --tol wins over the environment); a tolerance
+that is not finite and positive, and any non-finite number in a family, a
+theta or the tensor weights, is a usage error.
 """
 
 from __future__ import annotations
@@ -47,9 +54,9 @@ import numpy as np
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
 from .sld_solver import (DEFAULT_TOL, DegenerateWeightsError, NumericalError,
-                         SLDSolution)
+                         SLDSolution, check_tolerance)
 from .state_space import (DEFAULT_FD_STEP, DensityState, MixingWeights,
-                          TangentForm, base_point, numeric_tangent,
+                          TangentForm, base_point, expand, numeric_tangent,
                           reconstruct, tangent_from_generator,
                           transversal_tangent)
 
@@ -67,6 +74,13 @@ class FamilySpec:
     matrices: list | None = None
     weight_rates: np.ndarray | None = None
     fd_step: float = DEFAULT_FD_STEP
+
+
+def _finite(field: str, values, dtype=float) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{field} must be finite")
+    return arr
 
 
 def parse_family(data: dict) -> FamilySpec:
@@ -101,7 +115,7 @@ def parse_family(data: dict) -> FamilySpec:
     if "weights" in required:
         spec.weights = MixingWeights(data["weights"], n)
     if kind == "exp_generator":
-        coeffs = np.asarray(data["generator_coeffs"], dtype=float)
+        coeffs = _finite("generator_coeffs", data["generator_coeffs"])
         if coeffs.shape != (n * n - 1,):
             raise ValueError(
                 f"generator_coeffs must have length {n * n - 1}, "
@@ -117,14 +131,16 @@ def parse_family(data: dict) -> FamilySpec:
             if matrix.shape != (n, n):
                 raise ValueError(f"sample matrix has shape {matrix.shape}, "
                                  f"expected ({n}, {n})")
-            samples.append((float(theta), matrix))
+            samples.append((float(_finite("sample theta", theta)),
+                            _finite("matrices", matrix, complex)))
         if len(samples) < 2:
             raise ValueError("explicit_matrices needs at least two samples")
         samples.sort(key=lambda s: s[0])
         spec.matrices = samples
-        spec.fd_step = float(data.get("fd_step", DEFAULT_FD_STEP))
+        spec.fd_step = float(_finite("fd_step",
+                                     data.get("fd_step", DEFAULT_FD_STEP)))
     else:
-        rates = np.asarray(data["weight_rates"], dtype=float)
+        rates = _finite("weight_rates", data["weight_rates"])
         if rates.shape != (n,):
             raise ValueError(f"weight_rates must have length {n}, "
                              f"got shape {rates.shape}")
@@ -195,16 +211,6 @@ def _solve_general(state, form, tol) -> SLDSolution:
     return sld_solver.solve(system, state, tol)
 
 
-def _dispatch_closed_u3(weights: MixingWeights, form: TangentForm,
-                        tol: float) -> SLDSolution:
-    k1, k2, k3 = weights.values
-    if k3 == 0.0 and k1 > 0.0 and k2 > 0.0:
-        return sld_solver.closed_form_u3_rank2(weights, form, tol)
-    if k2 == k3 and k2 > 0.0 and k1 != k2:
-        return sld_solver.closed_form_u3_degenerate(weights, form, tol)
-    return sld_solver.closed_form_u3(weights, form, tol)
-
-
 def _solve_family(spec: FamilySpec, theta: float, method: str, tol: float, *,
                   fd_step: float | None = None):
     """Return (state, form, solution) at theta for the selected method."""
@@ -227,17 +233,11 @@ def _solve_family(spec: FamilySpec, theta: float, method: str, tol: float, *,
     K = reconstruct(0.0, spec.generator_coeffs, basis)
     U = _expm_generator(K, theta)
     form0 = TangentForm.from_matrix(U.conj().T @ form.matrix @ U, basis)
-    if method == "closed-u2":
-        sol0 = sld_solver.closed_form_u2(spec.weights, form0, tol)
-    else:
-        sol0 = _dispatch_closed_u3(spec.weights, form0, tol)
+    sol0 = sld_solver.closed_form(spec.weights, form0, tol)
     L = U @ sol0.matrix @ U.conj().T
-    tf = TangentForm.from_matrix(L, basis)
-    gauge = tuple(U @ g @ U.conj().T for g in sol0.gauge_basis)
-    residual = float(np.linalg.norm(
-        form.matrix - 0.5 * (state.matrix @ L + L @ state.matrix)))
-    solution = SLDSolution(tf.coeff_identity, tf.coeffs, tf.matrix, gauge,
-                           residual)
+    gauge = [U @ g @ U.conj().T for g in sol0.gauge_basis]
+    solution = sld_solver._finalize(L, *expand(L, basis), state.matrix,
+                                    form.matrix, gauge)
     return state, form, solution
 
 
@@ -270,10 +270,10 @@ def _load_family(path: str) -> FamilySpec:
 
 def _tolerance(args) -> float:
     if args.tol is not None:
-        return args.tol
+        return check_tolerance(args.tol)
     env = os.environ.get("SLDKIT_TOL")
     if env is not None:
-        return float(env)
+        return check_tolerance(env)
     return DEFAULT_TOL
 
 
@@ -296,7 +296,8 @@ def cmd_sld(args) -> int:
     _require_json_format(args)
     spec = _load_family(args.input)
     tol = _tolerance(args)
-    _, _, solution = _solve_family(spec, args.theta, args.method, tol,
+    theta = float(_finite("theta", args.theta))
+    _, _, solution = _solve_family(spec, theta, args.method, tol,
                                    fd_step=args.fd_step)
     _emit(_dump_json(solution.to_json_dict()), args.output)
     return 0
@@ -313,13 +314,14 @@ def _theta_values(args) -> list:
         parts = args.theta_range.split(":")
         if len(parts) != 3:
             raise ValueError("theta range must be START:STOP:COUNT")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _finite("theta", parts[:2])
+        count = int(parts[2])
         if count < 1:
             raise ValueError("theta range count must be at least 1")
         values.extend(np.linspace(start, stop, count).tolist())
     if not values:
         raise ValueError("no theta values given; use --thetas or --theta-range")
-    return sorted(values)
+    return sorted(_finite("theta", values).tolist())
 
 
 def cmd_qfi(args) -> int:
@@ -368,11 +370,7 @@ def cmd_tensor(args) -> int:
         raise DegenerateWeightsError(
             "repeated weights collapse the chart; pass --allow-degenerate "
             "for the closed-form coefficients")
-
-    if abs(k[2]) <= 1e-12 and not degenerate:
-        closed = fisher.closed_form_fisher_u3_rank2(weights)
-    else:
-        closed = fisher.closed_form_fisher_u3(weights)
+    closed = fisher.closed_form_fisher(weights)
     payload = {
         "weights": [float(v) for v in k],
         "closed_form": {"pairs": [[float(g), float(w)] for g, w in closed]},

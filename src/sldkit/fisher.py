@@ -1,4 +1,4 @@
-"""Quantum Fisher information index, Fisher tensor, and three-level closed forms.
+"""Quantum Fisher information index, Fisher tensor, and closed-form coefficients.
 
 The scalar index along one direction is I = Tr(rho L^2).  Over several
 directions the complex tensor
@@ -10,22 +10,27 @@ scalar index on the diagonal, and its imaginary part omega is antisymmetric
 (1/2 Tr(rho {L_m, L_n}) is real symmetric; 1/2 Tr(rho [L_m, L_n]) is imaginary
 antisymmetric).
 
+At a diagonal base point each level pair (a, b) contributes an SU(2) copy of
+the tensor with coefficients
+
+    g     = 4 (k_a - k_b)^2 / (k_a + k_b)
+    omega = -4 (k_a - k_b)^3 / (k_a + k_b)^2
+
+for every n; a 0/0 pair (k_a = k_b = 0) contributes zero because the
+corresponding coordinate direction collapses.
+
 The three-level chart exponentiates the off-diagonal generators,
 U(z1, z2, z3) = exp(i sum x_k t_k) with z1 = x1 + i x2 pairing levels (1,2),
 z2 pairing (1,3) and z3 pairing (2,3).  At the diagonal base point the
 coordinate tangents are r-weighted pair generators with gaps
-r1 = k1 - k2, r2 = k1 - k3, r3 = k2 - k3, and the Fisher tensor degenerates
-pairwise into SU(2) copies with coefficients
-
-    g_i     = 4 (k_a - k_b)^2 / (k_a + k_b)
-    omega_i = -4 (k_a - k_b)^3 / (k_a + k_b)^2
-
-for pairs (a, b) in ((1,2), (1,3), (2,3)); a 0/0 pair (k_a = k_b = 0)
-contributes zero because the corresponding coordinate direction collapses.
+r1 = k1 - k2, r2 = k1 - k3, r3 = k2 - k3, so the six-direction tensor is
+block diagonal with the pair coefficients above on the blocks (1,2), (1,3),
+(2,3).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,47 +169,18 @@ def _pair_coefficients(ka: float, kb: float):
     return 4.0 * r * r / s, -4.0 * r ** 3 / (s * s)
 
 
-def closed_form_fisher_u3(weights: MixingWeights) -> tuple:
-    """Per-pair (g, omega) coefficients of the three-level Fisher tensor.
+def closed_form_fisher(weights: MixingWeights) -> tuple:
+    """Per-pair (g, omega) Fisher coefficients at a diagonal base point.
 
-    Returns three (g_i, omega_i) pairs for the level pairs (1,2), (1,3),
-    (2,3).  Degenerate weights are handled by continuity: a repeated pair
-    gives zero coefficients, and k_a = k_b = 0 is defined as zero.
+    Returns one (g, omega) pair for every level pair a < b in lexicographic
+    order, which at n = 3 is (1,2), (1,3), (2,3).  The values are those of a
+    unit chart factor; a caller with chart factor |mu|^2 scales both.
+    Degenerate weights are handled by continuity: a repeated pair gives
+    zero coefficients, and k_a = k_b = 0 is defined as zero.
     """
-    if weights.dimension != 3:
-        raise ValueError("closed_form_fisher_u3 applies to three-level systems only")
     k = weights.values
-    return tuple(_pair_coefficients(k[a], k[b]) for a, b in _LEVEL_PAIRS)
-
-
-def closed_form_fisher_u3_rank2(weights: MixingWeights) -> tuple:
-    """Fisher coefficients for rank-2 weights (k1, k2, 0).
-
-    The (1,2) pair keeps the generic coefficients; the pairs coupling the
-    empty third level degenerate to (4 k1, -4 k1) and (4 k2, -4 k2).
-    """
-    if weights.dimension != 3:
-        raise ValueError(
-            "closed_form_fisher_u3_rank2 applies to three-level systems only")
-    k1, k2, k3 = weights.values
-    if abs(k3) > 1e-12:
-        raise ValueError(f"closed_form_fisher_u3_rank2 requires k3 = 0, got {k3!r}")
-    return (_pair_coefficients(k1, k2),
-            (4.0 * k1, -4.0 * k1),
-            (4.0 * k2, -4.0 * k2))
-
-
-def closed_form_fisher_u2(weights: MixingWeights, mu_sq: float = 1.0):
-    """Two-level Fisher coefficients (g, omega) with chart factor |mu|^2.
-
-    g = 4 |mu|^2 (k1-k2)^2 / (k1+k2), omega = -4 |mu|^2 (k1-k2)^3 / (k1+k2)^2.
-    The factor |mu|^2 depends on the chart point and defaults to 1 (base
-    point); it is supplied by the caller rather than derived from a chart.
-    """
-    if weights.dimension != 2:
-        raise ValueError("closed_form_fisher_u2 applies to two-level systems only")
-    g, omega = _pair_coefficients(weights.values[0], weights.values[1])
-    return mu_sq * g, mu_sq * omega
+    return tuple(_pair_coefficients(k[a], k[b])
+                 for a, b in itertools.combinations(range(k.size), 2))
 
 
 def closed_form_deviation(tensor: FisherTensorResult, coefficients) -> float:

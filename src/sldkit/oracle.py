@@ -2,7 +2,8 @@
 
 Works entirely in the eigenbasis of the state and never touches the
 structure-constant machinery, so it serves as an independent cross-check of
-the linear-system solver.  With rho = sum_i lambda_i |i><i|,
+the linear-system solver.  With rho = sum_i lambda_i |i><i|, the SLD is the
+pair rule shared with :func:`sld_solver.closed_form`, applied in that frame:
 
     L_ij = 2 <i|drho|j> / (lambda_i + lambda_j)   if lambda_i + lambda_j > tol
     L_ij = 0                                      otherwise
@@ -17,28 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .lie_basis import GeneratorBasis
-from .sld_solver import DEFAULT_TOL, NumericalError, SLDSolution, _sld_residual
+from .sld_solver import (DEFAULT_TOL, SLDSolution, _finalize, _kept_pairs,
+                         _pair_rule)
 from .state_space import DensityState, TangentForm, _resolve_basis, expand
 
 
-class KernelInconsistentError(NumericalError):
-    """The tangent couples kernel directions the state cannot support."""
-
-
-def _spectral_data(state: DensityState, form: TangentForm, tol: float):
+def _eigenframe(state: DensityState, form: TangentForm):
     lam, vectors = np.linalg.eigh(state.matrix)
-    dtil = vectors.conj().T @ form.matrix @ vectors
-    pair_sums = lam[:, None] + lam[None, :]
-    kept = pair_sums > tol
-    blocked = np.abs(dtil) * (~kept)
-    limit = tol * max(1.0, float(np.linalg.norm(form.matrix)))
-    if blocked.max() > limit:
-        i, j = np.unravel_index(np.argmax(blocked), blocked.shape)
-        raise KernelInconsistentError(
-            f"kernel-inconsistent tangent: <{i}|drho|{j}> = "
-            f"{dtil[i, j]:.3e} but eigenvalue pair sum is "
-            f"{pair_sums[i, j]:.3e}")
-    return lam, vectors, dtil, pair_sums, kept
+    return lam, vectors, vectors.conj().T @ form.matrix @ vectors
 
 
 def sld_eigenbasis(state: DensityState, form: TangentForm,
@@ -51,38 +38,18 @@ def sld_eigenbasis(state: DensityState, form: TangentForm,
     supported on the kernel of the state.
     """
     basis = _resolve_basis(state.dimension, basis)
-    lam, vectors, dtil, pair_sums, kept = _spectral_data(state, form, tol)
-    Ltil = np.where(kept, 2.0 * dtil / np.where(kept, pair_sums, 1.0), 0.0)
+    lam, vectors, dtil = _eigenframe(state, form)
+    Ltil, gauge = _pair_rule(lam, dtil, tol)
     L = vectors @ Ltil @ vectors.conj().T
     L = 0.5 * (L + L.conj().T)
-
-    kernel = [i for i in range(lam.size) if lam[i] <= 0.5 * tol]
-    gauge = []
-    for ai, a in enumerate(kernel):
-        v = vectors[:, a]
-        g = np.outer(v, v.conj())
-        g = 0.5 * (g + g.conj().T)
-        g.setflags(write=False)
-        gauge.append(g)
-        for b in kernel[ai + 1:]:
-            w = vectors[:, b]
-            g = (np.outer(v, w.conj()) + np.outer(w, v.conj())) / np.sqrt(2.0)
-            g.setflags(write=False)
-            gauge.append(g)
-            g = (-1j * np.outer(v, w.conj()) + 1j * np.outer(w, v.conj())) / np.sqrt(2.0)
-            g.setflags(write=False)
-            gauge.append(g)
-
-    coeff_identity, coeffs = expand(L, basis)
-    residual = _sld_residual(state.matrix, form.matrix, L)
-    L.setflags(write=False)
-    coeffs.setflags(write=False)
-    return SLDSolution(coeff_identity, coeffs, L, tuple(gauge), residual)
+    gauge = [vectors @ g @ vectors.conj().T for g in gauge]
+    return _finalize(L, *expand(L, basis), state.matrix, form.matrix, gauge)
 
 
 def qfi_eigenbasis(state: DensityState, form: TangentForm,
                    tol: float = DEFAULT_TOL) -> float:
     """Quantum Fisher information from the eigendecomposition of the state."""
-    _, _, dtil, pair_sums, kept = _spectral_data(state, form, tol)
+    lam, _, dtil = _eigenframe(state, form)
+    pair_sums, kept = _kept_pairs(lam, dtil, tol)
     terms = 2.0 * np.abs(dtil) ** 2 / np.where(kept, pair_sums, 1.0)
     return float(np.sum(terms[kept]))

@@ -13,12 +13,13 @@ Hermitian matrices anticommuting with rho (the gauge subspace), and the solver
 returns the minimum-Frobenius-norm representative together with a
 Frobenius-orthonormal basis of the gauge subspace.
 
-Closed forms for two- and three-level systems at a diagonal base point
-decouple into SU(2) blocks:
+At a diagonal base point diag(k) every level pair decouples into an SU(2)
+block, and the SLD has the closed form
 
-    L_l = 2 D_l / (k_a + k_b)
+    L_ab = 2 D_ab / (k_a + k_b)
 
-for the off-diagonal pair generator l coupling levels a and b.
+for any n; :func:`closed_form` applies it there, and the spectral oracle
+applies the same pair rule in the eigenframe of an arbitrary state.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .lie_basis import GeneratorBasis, StructureConstants, matrix_to_pairs
 from .state_space import (DensityState, MixingWeights, TangentForm,
-                          _resolve_basis, base_point, expand, reconstruct)
+                          _resolve_basis, expand, reconstruct)
 
 DEFAULT_TOL = 1e-10
 
@@ -42,12 +43,12 @@ class InconsistentSystemError(NumericalError):
     """The right-hand side has a component outside the operator range."""
 
 
+class KernelInconsistentError(InconsistentSystemError):
+    """The tangent couples kernel directions the state cannot support."""
+
+
 class DegenerateWeightsError(NumericalError):
-    """Weights are repeated or vanish where a closed form needs them distinct."""
-
-
-class NonTangentFormError(NumericalError):
-    """The supplied form is not tangent to the orbit the operation assumes."""
+    """Repeated weights collapse the three-level flag chart (a zero gap)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,20 +111,15 @@ def _frobenius_weights(n: int) -> np.ndarray:
     return w
 
 
-def _sld_residual(state_matrix: np.ndarray, form_matrix: np.ndarray,
-                  L: np.ndarray) -> float:
-    recon = 0.5 * (state_matrix @ L + L @ state_matrix)
-    return float(np.linalg.norm(form_matrix - recon))
-
-
-def _finalize(coeff_identity: float, coeffs: np.ndarray,
+def _finalize(L: np.ndarray, coeff_identity: float, coeffs: np.ndarray,
               state_matrix: np.ndarray, form_matrix: np.ndarray,
-              gauge: tuple, basis: GeneratorBasis) -> SLDSolution:
+              gauge) -> SLDSolution:
+    """Freeze L, its coefficients and the gauge basis; attach the residual."""
     coeffs = np.asarray(coeffs, dtype=float).copy()
-    L = reconstruct(coeff_identity, coeffs, basis)
-    residual = _sld_residual(state_matrix, form_matrix, L)
-    L.setflags(write=False)
-    coeffs.setflags(write=False)
+    recon = 0.5 * (state_matrix @ L + L @ state_matrix)
+    residual = float(np.linalg.norm(form_matrix - recon))
+    for array in (L, coeffs, *gauge):
+        array.setflags(write=False)
     return SLDSolution(float(coeff_identity), coeffs, L, tuple(gauge), residual)
 
 
@@ -162,6 +158,8 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not finite and positive.
     InconsistentSystemError
         If the right-hand side has a component outside the range of M
         exceeding ``tol`` (relative to max(1, ||d||)); this signals a form
@@ -171,6 +169,7 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     n = system.dimension
     if state.dimension != n:
         raise ValueError("state dimension does not match system")
+    tol = check_tolerance(tol)
     basis = _resolve_basis(n, basis)
     weights = _frobenius_weights(n)
     scaled = system.matrix / weights  # column scaling: unknowns y = w * x
@@ -192,213 +191,98 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
 
     # vh rows are orthonormal in the scaled coordinates, so the mapped
     # matrices are already Frobenius-orthonormal.
-    gauge = []
-    for row in vh[rank:]:
-        g = row / weights
-        gmat = reconstruct(g[0], g[1:], basis)
-        gmat.setflags(write=False)
-        gauge.append(gmat)
-
+    gauge = [reconstruct(g[0], g[1:], basis) for g in vh[rank:] / weights]
     form_matrix = reconstruct(rhs[0], rhs[1:], basis)
-    return _finalize(x[0], x[1:], state.matrix, form_matrix, gauge, basis)
+    L = reconstruct(x[0], x[1:], basis)
+    return _finalize(L, x[0], x[1:], state.matrix, form_matrix, gauge)
 
 
-def _check_orbit_tangency(form: TangentForm, diagonal_indices, tol: float):
-    worst = abs(form.coeff_identity)
-    for i in diagonal_indices:
-        worst = max(worst, abs(form.coeffs[i]))
-    if worst > tol:
-        raise NonTangentFormError(
-            f"non-tangent form: diagonal components must vanish for a "
-            f"closed-form orbit solution (max {worst:.3e})")
+def check_tolerance(tol) -> float:
+    """Return ``tol`` as a float; reject NaN, infinities and values <= 0."""
+    tol = float(tol)
+    if not np.isfinite(tol) or tol <= 0.0:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    return tol
 
 
-def closed_form_u2(weights: MixingWeights, form: TangentForm,
-                   tol: float = DEFAULT_TOL) -> SLDSolution:
-    """Two-level closed form L = (2/(k1+k2)) (D_1 t_1 + D_2 t_2).
+def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
+    """Pair sums lam_a + lam_b and the mask of pairs the SLD keeps.
 
-    Requires a mixed diagonal state (k1, k2 > 0) and an orbit-tangent form;
-    pure states are delegated to the general solver.
+    ``form`` is drho in the frame where the state is diag(lam).  A pair is
+    kept when lam_a + lam_b > tol; on a dropped pair the equation
+    D_ab = (lam_a + lam_b) L_ab / 2 has a solution only if D_ab vanishes.
+
+    Raises
+    ------
+    KernelInconsistentError
+        If ``form`` exceeds ``tol * max(1, ||form||_F)`` on a dropped pair.
     """
-    basis = _resolve_basis(2, None)
-    if form.dimension != 2 or weights.dimension != 2:
-        raise ValueError("closed_form_u2 applies to two-level systems only")
-    k1, k2 = weights.values
-    if k1 <= 0.0 or k2 <= 0.0:
-        raise DegenerateWeightsError(
-            "closed_form_u2 requires strictly positive weights; "
-            "use the general solver for pure states")
-    _check_orbit_tangency(form, basis.diagonal_indices, tol)
-    coeffs = np.zeros(3)
-    coeffs[0] = 2.0 * form.coeffs[0] / (k1 + k2)
-    coeffs[1] = 2.0 * form.coeffs[1] / (k1 + k2)
-    state = base_point(weights, basis)
-    return _finalize(0.0, coeffs, state.matrix, form.matrix, (), basis)
+    tol = check_tolerance(tol)
+    pair_sums = lam[:, None] + lam[None, :]
+    kept = pair_sums > tol
+    blocked = np.abs(form) * (~kept)
+    limit = tol * max(1.0, float(np.linalg.norm(form)))
+    if blocked.max() > limit:
+        i, j = np.unravel_index(np.argmax(blocked), blocked.shape)
+        raise KernelInconsistentError(
+            f"kernel-inconsistent tangent: <{i}|drho|{j}> = "
+            f"{form[i, j]:.3e} but eigenvalue pair sum is "
+            f"{pair_sums[i, j]:.3e}")
+    return pair_sums, kept
 
 
-def closed_form_u3(weights: MixingWeights, form: TangentForm,
-                   tol: float = DEFAULT_TOL) -> SLDSolution:
-    """Three-level closed form at a full-rank diagonal base point.
+def _pair_rule(lam: np.ndarray, form: np.ndarray, tol: float):
+    """Minimum-norm SLD and kernel gauge basis in the eigenframe of the state.
 
-    The system splits into three SU(2) blocks coupling level pairs
-    (1,2), (1,3), (2,3):
-
-        L_{1,2} = 2 D_{1,2} / (k1 + k2)
-        L_{4,5} = 2 D_{4,5} / (k1 + k3)
-        L_{6,7} = 2 D_{6,7} / (k2 + k3)
-
-    Repeated or zero weights are rejected (those cases are delegated to the
-    general solver or the dedicated degenerate forms).
+    With the state diag(lam) and ``form`` = drho in the same frame,
+    L_ab = 2 D_ab / (lam_a + lam_b) on kept pairs and 0 on dropped ones.  The
+    gauge basis spans the Hermitian matrices supported on the kernel indices
+    lam_a <= tol / 2, Frobenius-orthonormal: E_aa, then (E_ab + E_ba)/sqrt(2)
+    and i(E_ba - E_ab)/sqrt(2) for each kernel pair a < b.
     """
-    basis = _resolve_basis(3, None)
-    if form.dimension != 3 or weights.dimension != 3:
-        raise ValueError("closed_form_u3 applies to three-level systems only")
-    k1, k2, k3 = weights.values
-    if min(k1, k2, k3) <= 1e-12:
-        raise DegenerateWeightsError("closed_form_u3 requires full-rank weights")
-    if min(abs(k1 - k2), abs(k1 - k3), abs(k2 - k3)) <= 1e-12:
-        raise DegenerateWeightsError("closed_form_u3 requires distinct weights")
-    _check_orbit_tangency(form, basis.diagonal_indices, tol)
-    D = form.coeffs
-    coeffs = np.zeros(8)
-    coeffs[0] = 2.0 * D[0] / (k1 + k2)
-    coeffs[1] = 2.0 * D[1] / (k1 + k2)
-    coeffs[3] = 2.0 * D[3] / (k1 + k3)
-    coeffs[4] = 2.0 * D[4] / (k1 + k3)
-    coeffs[5] = 2.0 * D[5] / (k2 + k3)
-    coeffs[6] = 2.0 * D[6] / (k2 + k3)
-    state = base_point(weights, basis)
-    return _finalize(0.0, coeffs, state.matrix, form.matrix, (), basis)
-
-
-def closed_form_u3_rank2(weights: MixingWeights, form: TangentForm,
-                         tol: float = DEFAULT_TOL) -> SLDSolution:
-    """Three-level closed form for rank-2 weights (k1, k2, 0).
-
-        L_{1,2} = 2 D_{1,2} / (k1 + k2)
-        L_{4,5} = 2 D_{4,5} / k1
-        L_{6,7} = 2 D_{6,7} / k2
-
-    The representative has no diagonal components; the one-dimensional gauge
-    subspace is spanned by diag(0, 0, 1).
-    """
-    basis = _resolve_basis(3, None)
-    if form.dimension != 3 or weights.dimension != 3:
-        raise ValueError("closed_form_u3_rank2 applies to three-level systems only")
-    k1, k2, k3 = weights.values
-    if abs(k3) > 1e-12:
-        raise ValueError(f"closed_form_u3_rank2 requires k3 = 0, got {k3!r}")
-    if k1 <= 0.0 or k2 <= 0.0:
-        raise DegenerateWeightsError(
-            "closed_form_u3_rank2 requires k1, k2 > 0")
-    _check_orbit_tangency(form, basis.diagonal_indices, tol)
-    D = form.coeffs
-    coeffs = np.zeros(8)
-    coeffs[0] = 2.0 * D[0] / (k1 + k2)
-    coeffs[1] = 2.0 * D[1] / (k1 + k2)
-    coeffs[3] = 2.0 * D[3] / k1
-    coeffs[4] = 2.0 * D[4] / k1
-    coeffs[5] = 2.0 * D[5] / k2
-    coeffs[6] = 2.0 * D[6] / k2
-    gauge = _kernel_gauge_basis(weights.values)
-    state = base_point(weights, basis)
-    return _finalize(0.0, coeffs, state.matrix, form.matrix, gauge, basis)
-
-
-def closed_form_u3_degenerate(weights: MixingWeights, form: TangentForm,
-                              tol: float = DEFAULT_TOL) -> SLDSolution:
-    """Three-level closed form for degenerate weights (k1, k2, k2).
-
-    Orbit tangency forces D_6 = D_7 = 0 (the (2,3) directions collapse when
-    k2 = k3); L_6 = L_7 = 0 is chosen as the minimum-norm representative.
-    The state stays full rank, so there are no diagonal components and no
-    gauge freedom.
-    """
-    basis = _resolve_basis(3, None)
-    if form.dimension != 3 or weights.dimension != 3:
-        raise ValueError(
-            "closed_form_u3_degenerate applies to three-level systems only")
-    k1, k2, k3 = weights.values
-    if abs(k2 - k3) > 1e-12:
-        raise ValueError(
-            f"closed_form_u3_degenerate requires k2 = k3, got {k2!r}, {k3!r}")
-    if k2 <= 0.0:
-        raise DegenerateWeightsError(
-            "closed_form_u3_degenerate requires k2 = k3 > 0")
-    if abs(k1 - k2) <= 1e-12:
-        raise DegenerateWeightsError(
-            "maximally degenerate weights: use the general solver")
-    D = form.coeffs
-    if max(abs(D[5]), abs(D[6])) > tol:
-        raise NonTangentFormError(
-            f"non-tangent form: D_6, D_7 must vanish on the k2 = k3 orbit "
-            f"(got {D[5]!r}, {D[6]!r})")
-    _check_orbit_tangency(form, basis.diagonal_indices, tol)
-    coeffs = np.zeros(8)
-    coeffs[0] = 2.0 * D[0] / (k1 + k2)
-    coeffs[1] = 2.0 * D[1] / (k1 + k2)
-    coeffs[3] = 2.0 * D[3] / (k1 + k2)
-    coeffs[4] = 2.0 * D[4] / (k1 + k2)
-    state = base_point(weights, basis)
-    return _finalize(0.0, coeffs, state.matrix, form.matrix, (), basis)
-
-
-def _kernel_gauge_basis(weight_values: np.ndarray) -> tuple:
-    """Frobenius-orthonormal Hermitian basis of the anticommutant of diag(k).
-
-    {X, diag(k)} = 0 forces X_ij (k_i + k_j) = 0, so X is supported on the
-    kernel indices.
-    """
-    n = weight_values.size
-    kernel = [i for i in range(n) if weight_values[i] == 0.0]
+    pair_sums, kept = _kept_pairs(lam, form, tol)
+    L = np.where(kept, 2.0 * form / np.where(kept, pair_sums, 1.0), 0.0)
+    n = lam.size
+    kernel = np.flatnonzero(lam <= 0.5 * tol)
     gauge = []
-    for a in kernel:
+    for i, a in enumerate(kernel):
         g = np.zeros((n, n), dtype=complex)
         g[a, a] = 1.0
-        g.setflags(write=False)
         gauge.append(g)
-    for ai in range(len(kernel)):
-        for bi in range(ai + 1, len(kernel)):
-            a, b = kernel[ai], kernel[bi]
+        for b in kernel[i + 1:]:
             g = np.zeros((n, n), dtype=complex)
             g[a, b] = g[b, a] = 1.0 / np.sqrt(2.0)
-            g.setflags(write=False)
             gauge.append(g)
             g = np.zeros((n, n), dtype=complex)
             g[a, b] = -1j / np.sqrt(2.0)
             g[b, a] = 1j / np.sqrt(2.0)
-            g.setflags(write=False)
             gauge.append(g)
-    return tuple(gauge)
+    return L, gauge
 
 
-def transversal_sld(weight_rates, weights: MixingWeights,
-                    basis: GeneratorBasis | None = None) -> SLDSolution:
-    """Transversal SLD diag(dk_i / k_i) at a diagonal base point.
+def closed_form(weights: MixingWeights, form: TangentForm,
+                tol: float = DEFAULT_TOL) -> SLDSolution:
+    """Closed-form SLD at the diagonal base point diag(k_1, ..., k_n).
 
-    This is the unique diagonal solution of dk_i = k_i L_ii.  Rates must
-    vanish wherever the corresponding weight is zero.
+    Every level pair decouples into an SU(2) block, so
+
+        L_ab = 2 D_ab / (k_a + k_b)
+
+    for any n, any form and any weights, including repeated and zero ones.
+    The diagonal entries L_aa = D_aa / k_a are the transversal SLD; pairs
+    with k_a + k_b <= tol are set to zero (minimum norm) and the gauge basis
+    spans the Hermitian matrices on the kernel levels k_a <= tol / 2.
+
+    Raises
+    ------
+    KernelInconsistentError
+        If the form is nonzero on a pair of kernel levels, where no SLD
+        exists (e.g. a weight rate at a zero weight).
     """
     n = weights.dimension
-    basis = _resolve_basis(n, basis)
-    rates = np.asarray(weight_rates, dtype=float)
-    if rates.shape != (n,):
-        raise ValueError(f"expected {n} weight rates, got shape {rates.shape}")
-    k = weights.values
-    entries = np.zeros(n)
-    for i in range(n):
-        if k[i] > 0.0:
-            entries[i] = rates[i] / k[i]
-        elif rates[i] != 0.0:
-            raise InconsistentSystemError(
-                f"transversal rate dk_{i} = {rates[i]!r} at zero weight "
-                f"k_{i} = 0 has no SLD")
-    L = np.diag(entries).astype(complex)
-    coeff_identity, coeffs = expand(L, basis)
-    gauge = _kernel_gauge_basis(k)
-    state_matrix = np.diag(k).astype(complex)
-    form_matrix = np.diag(rates).astype(complex)
-    residual = _sld_residual(state_matrix, form_matrix, L)
-    L.setflags(write=False)
-    coeffs.setflags(write=False)
-    return SLDSolution(coeff_identity, coeffs, L, gauge, residual)
+    if form.dimension != n:
+        raise ValueError(f"dimension mismatch: weights {n}, form {form.dimension}")
+    basis = _resolve_basis(n, None)
+    L, gauge = _pair_rule(weights.values, form.matrix, tol)
+    state_matrix = np.diag(weights.values).astype(complex)
+    return _finalize(L, *expand(L, basis), state_matrix, form.matrix, gauge)

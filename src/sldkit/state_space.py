@@ -44,7 +44,7 @@ def _as_square(matrix) -> np.ndarray:
 class MixingWeights:
     """Ordered mixing weights k_1..k_m, zero-padded to the matrix dimension n.
 
-    Weights must be nonnegative and sum to one (within 1e-12).
+    Weights must be finite, nonnegative and sum to one (within 1e-12).
     """
 
     def __init__(self, values, n: int | None = None):
@@ -54,6 +54,8 @@ class MixingWeights:
         n = vals.size if n is None else int(n)
         if vals.size > n:
             raise ValueError(f"got {vals.size} weights for dimension {n}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("weights must be finite")
         if np.any(vals < 0):
             raise ValueError("weights must be nonnegative")
         total = vals.sum()
@@ -248,8 +250,8 @@ def numeric_tangent(family, theta: float, step: float = DEFAULT_FD_STEP,
     The difference quotient is Hermitized by averaging with its adjoint
     before expansion.  Exact (up to rounding) for families affine in theta.
     """
-    if step <= 0:
-        raise ValueError("finite-difference step must be positive")
+    if not np.isfinite(step) or step <= 0:
+        raise ValueError("finite-difference step must be finite and positive")
     plus = _as_square(family(theta + step))
     minus = _as_square(family(theta - step))
     diff = (plus - minus) / (2.0 * step)

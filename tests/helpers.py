@@ -45,3 +45,12 @@ def random_distinct_weights(rng, min_gap=0.02):
         gaps = [abs(k[0] - k[1]), abs(k[0] - k[2]), abs(k[1] - k[2])]
         if min(gaps) > min_gap:
             return k
+
+
+def assert_same_modulo_gauge(closed, general, atol=1e-10):
+    """Two SLD solutions agree up to the gauge span of ``general``."""
+    assert closed.gauge_dim == general.gauge_dim
+    diff = general.matrix - closed.matrix
+    for g in general.gauge_basis:
+        diff = diff - np.trace(g.conj().T @ diff) * g
+    assert np.abs(diff).max() < atol

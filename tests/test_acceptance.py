@@ -15,12 +15,11 @@ from helpers import (GELL_MANN, SQ3, haar_unitary, random_distinct_weights,
 
 from sldkit import (DensityState, FlagChartU3, MixingWeights, TangentForm,
                     adjoint_transport, assemble, base_point, build_basis,
-                    chart_tangents_u3, closed_form_deviation,
-                    closed_form_fisher_u3, closed_form_fisher_u3_rank2,
-                    closed_form_u2, closed_form_u3, compute_structure_constants,
+                    chart_tangents_u3, closed_form, closed_form_deviation,
+                    closed_form_fisher, compute_structure_constants,
                     fisher_tensor, horizontal_transversal_split_check,
                     qfi_eigenbasis, qfi_index, sld_eigenbasis, solve,
-                    tangent_from_generator, transversal_sld)
+                    tangent_from_generator, transversal_tangent)
 from sldkit.cli import main
 
 SU3_C = {
@@ -96,14 +95,14 @@ def test_criterion_03_closed_form_agreement(constants2, constants3):
         weights = MixingWeights(k)
         state = base_point(weights)
         form = tangent_from_generator(random_hermitian(2, rng), state)
-        closed = closed_form_u2(weights, form)
+        closed = closed_form(weights, form)
         general = general_sld(state, form, constants2)
         worst = max(worst, float(np.abs(closed.matrix - general.matrix).max()))
     for _ in range(100):
         weights = MixingWeights(random_distinct_weights(rng, min_gap=1e-3))
         state = base_point(weights)
         form = tangent_from_generator(random_hermitian(3, rng), state)
-        closed = closed_form_u3(weights, form)
+        closed = closed_form(weights, form)
         general = general_sld(state, form, constants3)
         worst = max(worst, float(np.abs(closed.matrix - general.matrix).max()))
     assert worst <= 1e-12
@@ -172,7 +171,7 @@ def test_criterion_06_qfi_values(constants2):
         form = tangent_from_generator(sigma2 / 2, state)
         sol = general_sld(state, form, constants2)
         assert abs(qfi_index(state, sol) - 0.25) <= 1e-9
-    trans = transversal_sld([1.0, -1.0], weights)
+    trans = closed_form(weights, transversal_tangent([1.0, -1.0], rho0))
     assert abs(qfi_index(rho0, trans) - 16 / 3) <= 1e-9
     mixed = base_point(MixingWeights([0.5, 0.5]))
     form = tangent_from_generator(sigma2 / 2, mixed)
@@ -188,7 +187,7 @@ def test_criterion_07_fisher_tensor_u3(constants3, basis3):
     tangents = chart_tangents_u3(FlagChartU3(weights), basis3)
     slds = [general_sld(state, f, constants3) for f in tangents]
     tensor = fisher_tensor(state, slds)
-    closed = closed_form_fisher_u3(weights)
+    closed = closed_form_fisher(weights)
     assert closed_form_deviation(tensor, closed) <= 1e-9
     assert abs(tensor.symmetric[0, 0] - 0.2) <= 1e-9
     # cross-block entries vanish
@@ -197,22 +196,23 @@ def test_criterion_07_fisher_tensor_u3(constants3, basis3):
             if i // 2 != j // 2:
                 assert abs(tensor.components[i, j]) <= 1e-9
 
-    cp2 = closed_form_fisher_u3(MixingWeights([1.0, 0.0, 0.0]))
+    cp2 = closed_form_fisher(MixingWeights([1.0, 0.0, 0.0]))
     assert np.allclose([g for g, _ in cp2], [4.0, 4.0, 0.0], atol=1e-9)
     assert np.allclose([abs(w) for _, w in cp2], [4.0, 4.0, 0.0], atol=1e-9)
 
     # k2 = k3 degeneration: first two pairs equal, third collapses
     k1 = 0.6
-    deg = closed_form_fisher_u3(MixingWeights([k1, 0.2, 0.2]))
+    deg = closed_form_fisher(MixingWeights([k1, 0.2, 0.2]))
     expected_g = 4 * (k1 - 0.2) ** 2 / (k1 + 0.2)
     assert abs(deg[0][0] - expected_g) <= 1e-9
     assert abs(deg[1][0] - expected_g) <= 1e-9
     assert deg[2] == (0.0, 0.0)
 
-    # k3 = 0 degeneration matches the dedicated rank-2 form and the pipeline
+    # k3 = 0 degeneration: (4 k, -4 k) on the pairs with the empty level,
+    # matching the pipeline
     weights_r2 = MixingWeights([0.6, 0.4, 0.0])
-    rank2 = closed_form_fisher_u3_rank2(weights_r2)
-    assert np.allclose(rank2, closed_form_fisher_u3(weights_r2), atol=1e-12)
+    rank2 = closed_form_fisher(weights_r2)
+    assert np.allclose(rank2[1:], [(2.4, -2.4), (1.6, -1.6)], atol=1e-12)
     assert abs(rank2[1][0] - 2.4) <= 1e-9 and abs(rank2[2][0] - 1.6) <= 1e-9
     state_r2 = base_point(weights_r2, basis3)
     tangents_r2 = chart_tangents_u3(FlagChartU3(weights_r2), basis3)
@@ -241,7 +241,8 @@ def test_criterion_08_split_orthogonality():
                          constants), state, basis=basis)
             rates = rng.normal(size=n)
             rates -= rates.mean()
-            trans = transversal_sld(rates, weights, basis)
+            trans = closed_form(weights,
+                                transversal_tangent(rates, state, basis))
             cross = horizontal_transversal_split_check(state, horizontal,
                                                        trans)
             worst = max(worst, abs(cross))

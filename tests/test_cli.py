@@ -282,6 +282,55 @@ class TestTensorCommand:
         assert data["max_deviation"] < 1e-9
 
 
+class TestInvalidNumbers:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_rejects_tolerance(self, tmp_path, capsys, monkeypatch, tol):
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        code, _, err = run(["sld", "--input", family, "--tol", tol], capsys)
+        assert code == 1
+        assert "tolerance" in err
+        monkeypatch.setenv("SLDKIT_TOL", tol)
+        code, _, err = run(["sld", "--input", family], capsys)
+        assert code == 1
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("field, value, family", [
+        ("weights", [float("nan"), 0.25], QUBIT_FAMILY),
+        ("generator_coeffs", [0.0, float("inf"), 0.0], QUBIT_FAMILY),
+        ("weight_rates", [float("nan"), -1.0], WEIGHT_PATH_FAMILY),
+        ("matrices", [[0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
+                      [0.1, matrix_to_pairs(np.diag([np.nan, 0.4]))]], None),
+        ("fd_step", float("nan"), None),
+    ])
+    def test_rejects_non_finite_family(self, tmp_path, capsys, field, value,
+                                       family):
+        if family is None:
+            family = {"kind": "explicit_matrices", "n": 2, "matrices": [
+                [0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
+                [0.1, matrix_to_pairs(np.diag([0.6, 0.4]))]]}
+        path = write_family(tmp_path, dict(family, **{field: value}))
+        code, _, err = run(["qfi", "--input", path, "--thetas", "0.05"],
+                           capsys)
+        assert code == 1
+        assert field in err and "finite" in err
+
+    @pytest.mark.parametrize("args", [
+        ["sld", "--theta", "nan"],
+        ["qfi", "--thetas", "0,nan"],
+        ["qfi", "--theta-range", "0:inf:3"],
+    ])
+    def test_rejects_non_finite_theta(self, tmp_path, capsys, args):
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        code, _, err = run(args[:1] + ["--input", family] + args[1:], capsys)
+        assert code == 1
+        assert "theta must be finite" in err
+
+    def test_rejects_non_finite_tensor_weights(self, capsys):
+        code, _, err = run(["tensor", "--weights", "0.5,0.3,nan"], capsys)
+        assert code == 1
+        assert "weights must be finite" in err
+
+
 class TestJsonRoundTrip:
     def test_emitted_json_reparses_identically(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)

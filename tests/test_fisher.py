@@ -8,18 +8,21 @@ from helpers import (haar_unitary, random_distinct_weights,
 
 from sldkit import (DegenerateWeightsError, DensityState, FlagChartU3,
                     MixingWeights, TangentForm, adjoint_transport, assemble,
-                    base_point, build_basis, chart_tangents_u3,
-                    closed_form_deviation, closed_form_fisher_u2,
-                    closed_form_fisher_u3, closed_form_fisher_u3_rank2,
+                    base_point, build_basis, chart_tangents_u3, closed_form,
+                    closed_form_deviation, closed_form_fisher,
                     compute_structure_constants, fisher_tensor,
                     horizontal_transversal_split_check, qfi_index, solve,
-                    tangent_from_generator, transversal_sld)
+                    tangent_from_generator, transversal_tangent)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def general_sld(state, form, constants):
     return solve(assemble(state, form, constants), state)
+
+
+def transversal_sld(rates, weights):
+    return closed_form(weights, transversal_tangent(rates, base_point(weights)))
 
 
 def chart_tensor(weights, constants, basis):
@@ -173,68 +176,69 @@ class TestChartTangents:
 
 class TestClosedFormU3:
     def test_pure_state_projective_limit(self):
-        coeffs = closed_form_fisher_u3(MixingWeights([1.0, 0.0, 0.0]))
+        coeffs = closed_form_fisher(MixingWeights([1.0, 0.0, 0.0]))
         assert [g for g, _ in coeffs] == pytest.approx([4.0, 4.0, 0.0],
                                                        abs=1e-12)
         assert [abs(w) for _, w in coeffs] == pytest.approx([4.0, 4.0, 0.0],
                                                             abs=1e-12)
 
     def test_generic_values(self):
-        coeffs = closed_form_fisher_u3(MixingWeights([0.5, 0.3, 0.2]))
+        coeffs = closed_form_fisher(MixingWeights([0.5, 0.3, 0.2]))
         assert coeffs[0][0] == pytest.approx(0.2, abs=1e-12)
         assert coeffs[0][1] == pytest.approx(-0.05, abs=1e-12)
 
     def test_degenerate_pair_collapses(self):
-        coeffs = closed_form_fisher_u3(MixingWeights([0.6, 0.2, 0.2]))
+        coeffs = closed_form_fisher(MixingWeights([0.6, 0.2, 0.2]))
         assert coeffs[2] == (0.0, 0.0)
         assert coeffs[0] == pytest.approx(coeffs[1], abs=1e-15)
 
     def test_maximally_mixed(self):
-        coeffs = closed_form_fisher_u3(MixingWeights([1 / 3, 1 / 3, 1 / 3]))
+        coeffs = closed_form_fisher(MixingWeights([1 / 3, 1 / 3, 1 / 3]))
         assert all(g == 0.0 and w == 0.0 for g, w in coeffs)
 
 
 class TestClosedFormU3Rank2:
     def test_values(self):
-        coeffs = closed_form_fisher_u3_rank2(MixingWeights([0.6, 0.4, 0.0]))
+        coeffs = closed_form_fisher(MixingWeights([0.6, 0.4, 0.0]))
         assert coeffs[0][0] == pytest.approx(0.16, abs=1e-12)
         assert coeffs[1] == pytest.approx((2.4, -2.4), abs=1e-12)
         assert coeffs[2] == pytest.approx((1.6, -1.6), abs=1e-12)
 
     def test_reduces_to_projective_case(self):
-        coeffs = closed_form_fisher_u3_rank2(MixingWeights([1.0, 0.0, 0.0]))
+        coeffs = closed_form_fisher(MixingWeights([1.0, 0.0, 0.0]))
         assert [g for g, _ in coeffs] == pytest.approx([4.0, 4.0, 0.0],
                                                        abs=1e-12)
 
-    def test_rejects_nonzero_k3(self):
-        with pytest.raises(ValueError):
-            closed_form_fisher_u3_rank2(MixingWeights([0.5, 0.3, 0.2]))
-
     def test_matches_generic_formula(self):
+        # pairs coupling the empty third level reduce to (4 k, -4 k)
         rng = np.random.default_rng(3)
         for _ in range(10):
             k1 = rng.uniform(0.55, 0.95)
-            weights = MixingWeights([k1, 1 - k1, 0.0])
-            rank2 = closed_form_fisher_u3_rank2(weights)
-            generic = closed_form_fisher_u3(weights)
-            assert np.allclose(rank2, generic, atol=1e-12)
+            k2 = 1 - k1
+            rank2 = closed_form_fisher(MixingWeights([k1, k2, 0.0]))
+            expected = ((4 * (k1 - k2) ** 2 / (k1 + k2),
+                         -4 * (k1 - k2) ** 3 / (k1 + k2) ** 2),
+                        (4 * k1, -4 * k1), (4 * k2, -4 * k2))
+            assert np.allclose(rank2, expected, atol=1e-12)
 
 
 class TestClosedFormU2:
     def test_base_point(self):
-        g, w = closed_form_fisher_u2(MixingWeights([0.75, 0.25]))
+        (g, w), = closed_form_fisher(MixingWeights([0.75, 0.25]))
         assert g == pytest.approx(1.0, abs=1e-12)
         assert w == pytest.approx(-0.5, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert closed_form_fisher_u2(MixingWeights([0.5, 0.5])) == (0.0, 0.0)
+        assert closed_form_fisher(MixingWeights([0.5, 0.5])) == ((0.0, 0.0),)
 
     def test_pure_is_fubini_study_normalized(self):
-        g, _ = closed_form_fisher_u2(MixingWeights([1.0, 0.0]))
+        (g, _), = closed_form_fisher(MixingWeights([1.0, 0.0]))
         assert g == pytest.approx(4.0, abs=1e-12)
 
     def test_chart_factor_scales(self):
-        g1, w1 = closed_form_fisher_u2(MixingWeights([0.75, 0.25]), mu_sq=0.25)
+        # callers scale the base-point coefficients by the chart factor
+        (g, w), = closed_form_fisher(MixingWeights([0.75, 0.25]))
+        g1, w1 = 0.25 * g, 0.25 * w
         assert g1 == pytest.approx(0.25, abs=1e-12)
         assert w1 == pytest.approx(-0.125, abs=1e-12)
 
@@ -243,7 +247,7 @@ class TestNumericAgainstClosedForm:
     def test_reference_weights(self, constants3, basis3):
         weights = MixingWeights([0.5, 0.3, 0.2])
         tensor = chart_tensor(weights, constants3, basis3)
-        closed = closed_form_fisher_u3(weights)
+        closed = closed_form_fisher(weights)
         assert closed_form_deviation(tensor, closed) < 1e-9
         assert tensor.symmetric[0, 0] == pytest.approx(0.2, abs=1e-9)
 
@@ -252,13 +256,13 @@ class TestNumericAgainstClosedForm:
         for _ in range(10):
             weights = MixingWeights(random_distinct_weights(rng))
             tensor = chart_tensor(weights, constants3, basis3)
-            closed = closed_form_fisher_u3(weights)
+            closed = closed_form_fisher(weights)
             assert closed_form_deviation(tensor, closed) < 1e-9
 
     def test_rank2_pipeline(self, constants3, basis3):
         weights = MixingWeights([0.6, 0.4, 0.0])
         tensor = chart_tensor(weights, constants3, basis3)
-        closed = closed_form_fisher_u3_rank2(weights)
+        closed = closed_form_fisher(weights)
         assert closed_form_deviation(tensor, closed) < 1e-9
 
     def test_su2_block_shape(self, constants3, basis3):

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import (haar_unitary, random_full_rank_weights,
-                     random_hermitian)
+from helpers import (assert_same_modulo_gauge, haar_unitary,
+                     random_full_rank_weights, random_hermitian)
 
-from sldkit import (DegenerateWeightsError, InconsistentSystemError,
-                    MixingWeights, NonTangentFormError, TangentForm,
+from sldkit import (InconsistentSystemError, MixingWeights, TangentForm,
                     adjoint_transport, assemble, base_point, build_basis,
-                    closed_form_u2, closed_form_u3, closed_form_u3_degenerate,
-                    closed_form_u3_rank2, compute_structure_constants,
+                    closed_form, compute_structure_constants, qfi_eigenbasis,
                     sld_eigenbasis, solve, tangent_from_generator,
-                    transversal_sld)
+                    transversal_tangent)
 
 
 def orbit_form(state, rng, basis=None):
@@ -22,6 +20,16 @@ def orbit_form(state, rng, basis=None):
 
 def zero_form(n, basis=None):
     return TangentForm.from_coefficients(0.0, np.zeros(n * n - 1), basis)
+
+
+def transversal_sld(rates, weights):
+    return closed_form(weights, transversal_tangent(rates, base_point(weights)))
+
+
+def assert_closed_form_agrees(weights, form, constants):
+    state = base_point(weights)
+    assert_same_modulo_gauge(closed_form(weights, form),
+                             solve(assemble(state, form, constants), state))
 
 
 class TestAssemble:
@@ -181,14 +189,17 @@ class TestClosedFormU2:
             weights = MixingWeights(k)
             state = base_point(weights)
             form = orbit_form(state, rng)
-            closed = closed_form_u2(weights, form)
+            closed = closed_form(weights, form)
             general = solve(assemble(state, form, constants2), state)
             assert np.abs(closed.matrix - general.matrix).max() < 1e-12
 
-    def test_rejects_pure(self):
+    def test_pure_agrees_with_solve(self, constants2):
+        rng = np.random.default_rng(12)
         weights = MixingWeights([1.0, 0.0])
-        with pytest.raises(DegenerateWeightsError):
-            closed_form_u2(weights, zero_form(2))
+        assert_closed_form_agrees(weights, zero_form(2), constants2)
+        for _ in range(10):
+            form = orbit_form(base_point(weights), rng)
+            assert_closed_form_agrees(weights, form, constants2)
 
 
 class TestClosedFormU3:
@@ -196,15 +207,15 @@ class TestClosedFormU3:
         weights = MixingWeights([0.5, 0.3, 0.2])
         coeffs = np.zeros(8)
         coeffs[0] = 1.0
-        sol = closed_form_u3(weights, TangentForm.from_coefficients(0.0, coeffs))
+        sol = closed_form(weights, TangentForm.from_coefficients(0.0, coeffs))
         assert sol.coeffs[0] == pytest.approx(2.5, abs=1e-12)
         coeffs = np.zeros(8)
         coeffs[5] = 1.0
-        sol = closed_form_u3(weights, TangentForm.from_coefficients(0.0, coeffs))
+        sol = closed_form(weights, TangentForm.from_coefficients(0.0, coeffs))
         assert sol.coeffs[5] == pytest.approx(4.0, abs=1e-12)
 
     def test_zero_form(self):
-        sol = closed_form_u3(MixingWeights([0.5, 0.3, 0.2]), zero_form(3))
+        sol = closed_form(MixingWeights([0.5, 0.3, 0.2]), zero_form(3))
         assert np.abs(sol.matrix).max() == 0
         assert sol.residual == 0
 
@@ -217,22 +228,28 @@ class TestClosedFormU3:
             weights = MixingWeights(k)
             state = base_point(weights)
             form = orbit_form(state, rng)
-            closed = closed_form_u3(weights, form)
+            closed = closed_form(weights, form)
             general = solve(assemble(state, form, constants3), state)
             assert np.abs(closed.matrix - general.matrix).max() < 1e-12
 
-    def test_rejects_repeated_or_zero_weights(self):
-        with pytest.raises(DegenerateWeightsError):
-            closed_form_u3(MixingWeights([0.4, 0.3, 0.3]), zero_form(3))
-        with pytest.raises(DegenerateWeightsError):
-            closed_form_u3(MixingWeights([0.6, 0.4, 0.0]), zero_form(3))
+    def test_repeated_or_zero_weights_agree_with_solve(self, constants3):
+        rng = np.random.default_rng(13)
+        for k in ([0.4, 0.3, 0.3], [0.6, 0.4, 0.0]):
+            weights = MixingWeights(k)
+            assert_closed_form_agrees(weights, zero_form(3), constants3)
+            for _ in range(5):
+                form = orbit_form(base_point(weights), rng)
+                assert_closed_form_agrees(weights, form, constants3)
 
-    def test_rejects_non_tangent_form(self):
+    def test_non_tangent_form_agrees_with_solve(self, constants3):
         coeffs = np.zeros(8)
         coeffs[2] = 1.0  # diagonal-generator component
-        with pytest.raises(NonTangentFormError):
-            closed_form_u3(MixingWeights([0.5, 0.3, 0.2]),
-                           TangentForm.from_coefficients(0.0, coeffs))
+        weights = MixingWeights([0.5, 0.3, 0.2])
+        form = TangentForm.from_coefficients(0.0, coeffs)
+        assert_closed_form_agrees(weights, form, constants3)
+        # L_aa = D_aa / k_a for D = diag(1, -1, 0)
+        assert np.allclose(np.diag(closed_form(weights, form).matrix),
+                           [2.0, -10 / 3, 0.0], atol=1e-12)
 
 
 class TestClosedFormU3Rank2:
@@ -240,18 +257,16 @@ class TestClosedFormU3Rank2:
         weights = MixingWeights([0.6, 0.4, 0.0])
         coeffs = np.zeros(8)
         coeffs[3] = 1.0
-        sol = closed_form_u3_rank2(weights,
-                                   TangentForm.from_coefficients(0.0, coeffs))
+        sol = closed_form(weights, TangentForm.from_coefficients(0.0, coeffs))
         assert sol.coeffs[3] == pytest.approx(10 / 3, abs=1e-12)
         coeffs = np.zeros(8)
         coeffs[5] = 1.0
-        sol = closed_form_u3_rank2(weights,
-                                   TangentForm.from_coefficients(0.0, coeffs))
+        sol = closed_form(weights, TangentForm.from_coefficients(0.0, coeffs))
         assert sol.coeffs[5] == pytest.approx(5.0, abs=1e-12)
 
     def test_gauge_direction(self):
         weights = MixingWeights([0.6, 0.4, 0.0])
-        sol = closed_form_u3_rank2(weights, zero_form(3))
+        sol = closed_form(weights, zero_form(3))
         assert sol.gauge_dim == 1
         assert np.allclose(sol.gauge_basis[0], np.diag([0, 0, 1.0]), atol=1e-15)
 
@@ -261,7 +276,7 @@ class TestClosedFormU3Rank2:
         state = base_point(weights)
         for _ in range(10):
             form = orbit_form(state, rng)
-            closed = closed_form_u3_rank2(weights, form)
+            closed = closed_form(weights, form)
             general = solve(assemble(state, form, constants3), state)
             diff = general.matrix - closed.matrix
             for g in general.gauge_basis:
@@ -274,7 +289,7 @@ class TestClosedFormU3Rank2:
         rng = np.random.default_rng(10)
         state = base_point(weights)
         form = orbit_form(state, rng, basis3)
-        sol = closed_form_u3_rank2(weights, form)
+        sol = closed_form(weights, form)
         assert sol.residual < 1e-12
         D = form.coeffs
         assert sol.matrix[0, 2] == pytest.approx(
@@ -282,11 +297,14 @@ class TestClosedFormU3Rank2:
         assert sol.matrix[1, 2] == pytest.approx(
             (D[5] - 1j * D[6]) * 2 / 0.4, abs=1e-12)
 
-    def test_rejects_zero_block_weights(self):
-        with pytest.raises(ValueError):
-            closed_form_u3_rank2(MixingWeights([0.6, 0.2, 0.2]), zero_form(3))
-        with pytest.raises(DegenerateWeightsError):
-            closed_form_u3_rank2(MixingWeights([1.0, 0.0, 0.0]), zero_form(3))
+    def test_other_degenerations_agree_with_solve(self, constants3):
+        rng = np.random.default_rng(14)
+        for k in ([0.6, 0.2, 0.2], [1.0, 0.0, 0.0]):
+            weights = MixingWeights(k)
+            assert_closed_form_agrees(weights, zero_form(3), constants3)
+            for _ in range(5):
+                form = orbit_form(base_point(weights), rng)
+                assert_closed_form_agrees(weights, form, constants3)
 
 
 class TestClosedFormU3Degenerate:
@@ -294,23 +312,22 @@ class TestClosedFormU3Degenerate:
         weights = MixingWeights([0.6, 0.2, 0.2])
         coeffs = np.zeros(8)
         coeffs[0] = 1.0
-        sol = closed_form_u3_degenerate(
-            weights, TangentForm.from_coefficients(0.0, coeffs))
+        sol = closed_form(weights, TangentForm.from_coefficients(0.0, coeffs))
         assert sol.coeffs[0] == pytest.approx(2.5, abs=1e-12)
         assert sol.coeffs[5] == 0.0 and sol.coeffs[6] == 0.0
         assert abs(sol.coeff_identity) < 1e-15
 
-    def test_rejects_collapsed_directions(self):
+    def test_collapsed_directions_agree_with_solve(self, constants3):
         weights = MixingWeights([0.6, 0.2, 0.2])
         coeffs = np.zeros(8)
         coeffs[5] = 0.1
-        with pytest.raises(NonTangentFormError):
-            closed_form_u3_degenerate(
-                weights, TangentForm.from_coefficients(0.0, coeffs))
+        form = TangentForm.from_coefficients(0.0, coeffs)
+        assert_closed_form_agrees(weights, form, constants3)
+        assert closed_form(weights, form).coeffs[5] == pytest.approx(
+            0.5, abs=1e-12)
 
     def test_zero_form(self):
-        sol = closed_form_u3_degenerate(MixingWeights([0.6, 0.2, 0.2]),
-                                        zero_form(3))
+        sol = closed_form(MixingWeights([0.6, 0.2, 0.2]), zero_form(3))
         assert np.abs(sol.matrix).max() == 0
 
     def test_agrees_with_solve(self, constants3):
@@ -319,7 +336,7 @@ class TestClosedFormU3Degenerate:
         state = base_point(weights)
         for _ in range(10):
             form = orbit_form(state, rng)  # D_6, D_7 vanish automatically
-            sol = closed_form_u3_degenerate(weights, form)
+            sol = closed_form(weights, form)
             general = solve(assemble(state, form, constants3), state)
             assert np.abs(sol.matrix - general.matrix).max() < 1e-12
 
@@ -348,6 +365,20 @@ class TestTransversalSLD:
         sol = transversal_sld([1.0, -1.0, 0.0], MixingWeights([0.6, 0.4, 0.0]))
         assert sol.gauge_dim == 1
         assert np.allclose(sol.gauge_basis[0], np.diag([0, 0, 1.0]), atol=1e-15)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_rejects_invalid_tolerance(constants2, tol):
+    weights = MixingWeights([0.75, 0.25])
+    state = base_point(weights)
+    form = tangent_from_generator(np.array([[0, -1j], [1j, 0]]) / 2, state)
+    system = assemble(state, form, constants2)
+    for call in (lambda: solve(system, state, tol),
+                 lambda: closed_form(weights, form, tol),
+                 lambda: sld_eigenbasis(state, form, tol),
+                 lambda: qfi_eigenbasis(state, form, tol)):
+        with pytest.raises(ValueError, match="tolerance"):
+            call()
 
 
 def test_solution_json_shape(constants2):

@@ -29,6 +29,12 @@ class TestMixingWeights:
         with pytest.raises(ValueError):
             MixingWeights([0.5, 0.3, 0.2], n=2)
 
+    @pytest.mark.parametrize("values", [[np.nan, 0.25], [np.inf, 0.0],
+                                        [0.5, 0.5, np.nan]])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            MixingWeights(values)
+
 
 class TestBasePoint:
     def test_two_level(self):
@@ -178,6 +184,8 @@ class TestNumericTangent:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             numeric_tangent(lambda theta: np.eye(2), 0.0, 0.0)
+        with pytest.raises(ValueError):
+            numeric_tangent(lambda theta: np.eye(2), 0.0, np.nan)
 
 
 class TestTransversalTangent:
