@@ -76,11 +76,21 @@ class FamilySpec:
     fd_step: float = DEFAULT_FD_STEP
 
 
-def _finite(field: str, values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+def _finite(field: str, values) -> np.ndarray:
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be numeric") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{field} must be finite")
     return arr
+
+
+def _number(field: str, value) -> float:
+    arr = _finite(field, value)
+    if arr.ndim != 0:
+        raise ValueError(f"{field} must be a single number")
+    return float(arr)
 
 
 def parse_family(data: dict) -> FamilySpec:
@@ -93,7 +103,10 @@ def parse_family(data: dict) -> FamilySpec:
                          f"expected one of {', '.join(_FAMILY_KINDS)}")
     if "n" not in data:
         raise ValueError("family description is missing 'n'")
-    n = int(data["n"])
+    n = _number("n", data["n"])
+    if not n.is_integer():
+        raise ValueError(f"n must be an integer, got {data['n']!r}")
+    n = int(n)
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
 
@@ -113,7 +126,7 @@ def parse_family(data: dict) -> FamilySpec:
 
     spec = FamilySpec(kind=kind, n=n)
     if "weights" in required:
-        spec.weights = MixingWeights(data["weights"], n)
+        spec.weights = MixingWeights(_finite("weights", data["weights"]), n)
     if kind == "exp_generator":
         coeffs = _finite("generator_coeffs", data["generator_coeffs"])
         if coeffs.shape != (n * n - 1,):
@@ -122,23 +135,23 @@ def parse_family(data: dict) -> FamilySpec:
                 f"got shape {coeffs.shape}")
         spec.generator_coeffs = coeffs
     elif kind == "explicit_matrices":
+        if not isinstance(data["matrices"], list):
+            raise ValueError("matrices must be a list of [theta, matrix] pairs")
         samples = []
         for entry in data["matrices"]:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ValueError("each sample must be a [theta, matrix] pair")
             theta, mat = entry
-            matrix = pairs_to_matrix(mat)
+            matrix = pairs_to_matrix(_finite("matrices", mat))
             if matrix.shape != (n, n):
                 raise ValueError(f"sample matrix has shape {matrix.shape}, "
                                  f"expected ({n}, {n})")
-            samples.append((float(_finite("sample theta", theta)),
-                            _finite("matrices", matrix, complex)))
+            samples.append((_number("sample theta", theta), matrix))
         if len(samples) < 2:
             raise ValueError("explicit_matrices needs at least two samples")
         samples.sort(key=lambda s: s[0])
         spec.matrices = samples
-        spec.fd_step = float(_finite("fd_step",
-                                     data.get("fd_step", DEFAULT_FD_STEP)))
+        spec.fd_step = _number("fd_step", data.get("fd_step", DEFAULT_FD_STEP))
     else:
         rates = _finite("weight_rates", data["weight_rates"])
         if rates.shape != (n,):
@@ -296,7 +309,7 @@ def cmd_sld(args) -> int:
     _require_json_format(args)
     spec = _load_family(args.input)
     tol = _tolerance(args)
-    theta = float(_finite("theta", args.theta))
+    theta = _number("theta", args.theta)
     _, _, solution = _solve_family(spec, theta, args.method, tol,
                                    fd_step=args.fd_step)
     _emit(_dump_json(solution.to_json_dict()), args.output)

@@ -8,14 +8,22 @@ the off-diagonal symmetric/antisymmetric pairs come first, ordered
 lexicographically by ``(j, k)``, with the ``n - 1`` diagonal generators
 appended; the ``labels`` field records the slot assignment.
 
-Structure constants are computed from traces of (anti)commutators,
+Structure constants are defined by traces of (anti)commutators,
 
     c_ijk = Tr([t_i, t_j] t_k) / (4i)      (totally antisymmetric)
     f_ijk = Tr({t_i, t_j} t_k) / 4         (totally symmetric)
 
 so that ``[t_i, t_j] = 2i sum_k c_ijk t_k`` and
-``{t_i, t_j} = (4/n) delta_ij 1 + 2 sum_k f_ijk t_k``.  They are stored
-sparsely by canonical (sorted) index triple.  All indices are 0-based.
+``{t_i, t_j} = (4/n) delta_ij 1 + 2 sum_k f_ijk t_k``.  Hermiticity gives
+``Tr(t_j t_i t_k) = conj Tr(t_i t_j t_k)``, so ``f_ijk = Re T_ijk / 2`` and
+``c_ijk = Im T_ijk / 2`` with ``T_ijk = Tr(t_i t_j t_k)``.  Each generator
+has at most two nonzero entries (n for a diagonal one), so T is summed over
+chains of nonzero entries ``t_i[a, b] t_j[b, d] t_k[d, a]`` found by sorting
+on the shared indices: O(n^4) work where the dense trace costs O(n^9).  Only
+sorted triples i <= j <= k are summed, and entries below ``DROP_TOL`` are
+dropped.  A :class:`StructureTensor` stores every nonzero entry of the full
+tensor, each orbit expanded from its sorted triple, as coordinate arrays.
+All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -44,67 +52,92 @@ def pairs_to_matrix(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _sort3(i: int, j: int, k: int):
-    """Sort an index triple, returning the canonical key and the swap parity."""
-    sign = 1
-    if i > j:
-        i, j, sign = j, i, -sign
-    if j > k:
-        j, k, sign = k, j, -sign
-    if i > j:
-        i, j, sign = j, i, -sign
-    return (i, j, k), sign
+#: the orderings of an index triple, each with its parity
+_PERMUTATIONS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                 ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1))
+
+
+def _join(left: np.ndarray, right: np.ndarray):
+    """All index pairs (p, q) with ``left[p] == right[q]``, for integer keys."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, "left")
+    counts = np.searchsorted(ordered, left, "right") - lo
+    p = np.repeat(np.arange(left.size), counts)
+    first = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return p, order[first + np.arange(p.size)]
 
 
 class StructureTensor:
     """Sparse rank-3 tensor that is totally symmetric or totally antisymmetric.
 
-    Only the canonical (sorted) index triple of each orbit is stored; lookups
-    apply the permutation rule of the declared symmetry class.
+    Built from the canonical (sorted) index triple and value of each nonzero
+    orbit.  It stores every nonzero entry of the full tensor in coordinate
+    form: ``keys`` holds the flat indices ``(i*size + j)*size + k`` in
+    ascending order and ``values`` the matching entries, each ordering of a
+    triple carrying its value (times the permutation parity when
+    antisymmetric).  ``items``, ``len`` and ``to_json_list`` report the
+    canonical triples only.
     """
 
-    def __init__(self, size: int, entries: dict, symmetric: bool,
-                 _dense: np.ndarray | None = None):
+    def __init__(self, size: int, triples, values, symmetric: bool):
         self.size = int(size)
         self.symmetric = bool(symmetric)
-        self._entries = {tuple(k): float(v) for k, v in entries.items()}
-        self._dense = _dense
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        values = np.asarray(values, dtype=float).reshape(-1)
+        i, j, k = triples.T
+        if not self.symmetric and np.any((i == j) | (j == k) | (i == k)):
+            raise ValueError("antisymmetric entries need distinct indices")
+        keys, signed = [], []
+        for perm, parity in _PERMUTATIONS:
+            i, j, k = triples[:, perm].T
+            keys.append((i * self.size + j) * self.size + k)
+            signed.append(values if self.symmetric else parity * values)
+        # orderings of a triple with a repeated index coincide; keep one
+        self.keys, first = np.unique(np.concatenate(keys), return_index=True)
+        self.values = np.concatenate(signed)[first]
+        self.keys.setflags(write=False)
+        self.values.setflags(write=False)
+
+    def _canonical(self):
+        i, j, k = np.unravel_index(self.keys, (self.size,) * 3)
+        canonical = (i <= j) & (j <= k)
+        return np.stack((i, j, k), axis=1)[canonical], self.values[canonical]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._canonical()[1])
 
-    def items(self):
-        """Iterate over (canonical triple, value) pairs."""
-        return self._entries.items()
+    def items(self) -> list:
+        """(canonical triple, value) pairs in ascending triple order."""
+        triples, values = self._canonical()
+        return list(zip(map(tuple, triples.tolist()), values.tolist()))
 
     def get(self, i: int, j: int, k: int) -> float:
-        key, sign = _sort3(i, j, k)
-        value = self._entries.get(key, 0.0)
-        if self.symmetric:
-            return value
-        if key[0] == key[1] or key[1] == key[2]:
-            return 0.0
-        return sign * value
+        if not all(0 <= x < self.size for x in (i, j, k)):
+            raise IndexError(f"index ({i}, {j}, {k}) out of range for size "
+                             f"{self.size}")
+        key = (int(i) * self.size + int(j)) * self.size + int(k)
+        pos = int(np.searchsorted(self.keys, key))
+        if pos < self.keys.size and self.keys[pos] == key:
+            return float(self.values[pos])
+        return 0.0
+
+    def contract(self, vector) -> np.ndarray:
+        """``sum_i vector[i] T[i, j, k]`` as a (size, size) array over (j, k)."""
+        i, jk = np.divmod(self.keys, self.size * self.size)
+        weights = np.asarray(vector, dtype=float)[i] * self.values
+        return np.bincount(jk, weights, minlength=self.size ** 2).reshape(
+            self.size, self.size)
 
     def to_dense(self) -> np.ndarray:
-        """Expand to a dense (size, size, size) array.  Cached."""
-        if self._dense is None:
-            dense = np.zeros((self.size,) * 3)
-            for key, value in self._entries.items():
-                for perm in set(itertools.permutations(key)):
-                    if self.symmetric:
-                        dense[perm] = value
-                    else:
-                        _, sign = _sort3(*perm)
-                        dense[perm] = sign * value
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
+        """Expand to a new dense (size, size, size) array."""
+        dense = np.zeros(self.size ** 3)
+        dense[self.keys] = self.values
+        return dense.reshape((self.size,) * 3)
 
     def to_json_list(self) -> list:
         """Canonical entries as [i, j, k, value] rows, sorted by triple."""
-        return [[int(i), int(j), int(k), float(v)]
-                for (i, j, k), v in sorted(self._entries.items())]
+        return [[i, j, k, v] for (i, j, k), v in self.items()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,43 +261,64 @@ def build_basis(n: int) -> GeneratorBasis:
 
 
 @lru_cache(maxsize=32)
-def compute_structure_constants(basis: GeneratorBasis,
-                                drop_tol: float = DROP_TOL) -> StructureConstants:
-    """Compute c and f tensors of a basis from (anti)commutator traces.
+def compute_structure_constants(basis: GeneratorBasis) -> StructureConstants:
+    """Compute the c and f tensors of a basis from triple-product traces.
 
-    Entries with magnitude below ``drop_tol`` are dropped from the sparse
-    storage; they arise only from rounding in the trace arithmetic.
+    ``T_abc = Tr(t_a t_b t_c)`` is summed over the generators' nonzero
+    entries for sorted triples a <= b <= c; then ``f = Re T / 2`` and
+    ``c = Im T / 2``.  Entries with magnitude below ``DROP_TOL`` arise only
+    from rounding and are not stored.
     """
     t = basis.generators
-    size = t.shape[0]
-    tr_abc = np.einsum("aij,bjk,cki->abc", t, t, t, optimize=True)
-    tr_bac = tr_abc.transpose(1, 0, 2)
-    c_dense = ((tr_abc - tr_bac) / 4j).real.copy()
-    f_dense = ((tr_abc + tr_bac) / 4.0).real.copy()
-    c_dense[np.abs(c_dense) < drop_tol] = 0.0
-    f_dense[np.abs(f_dense) < drop_tol] = 0.0
-    c_dense.setflags(write=False)
-    f_dense.setflags(write=False)
-
-    c_entries, f_entries = {}, {}
-    for i in range(size):
-        for j in range(i, size):
-            for k in range(j, size):
-                if i < j < k and c_dense[i, j, k] != 0.0:
-                    c_entries[(i, j, k)] = float(c_dense[i, j, k])
-                if f_dense[i, j, k] != 0.0:
-                    f_entries[(i, j, k)] = float(f_dense[i, j, k])
-
+    size, n, _ = t.shape
+    g, row, col = np.nonzero(t)
+    value = t[g, row, col]
+    # t_a[i, j] t_b[j, k]: a's column meets b's row, with a <= b ...
+    a, b = _join(col, row)
+    keep = g[a] <= g[b]
+    a, b = a[keep], b[keep]
+    # ... closed by t_c[k, i]: c's (row, column) is (b's column, a's row)
+    pair, c = _join(col[b] * n + row[a], row * n + col)
+    a, b = a[pair], b[pair]
+    keep = g[b] <= g[c]
+    a, b, c = a[keep], b[keep], c[keep]
+    keys, slot = np.unique((g[a] * size + g[b]) * size + g[c],
+                           return_inverse=True)
+    product = value[a] * value[b] * value[c]
+    trace = (np.bincount(slot, product.real)
+             + 1j * np.bincount(slot, product.imag))
+    triples = np.stack(np.unravel_index(keys, (size,) * 3), axis=1)
+    f_vals, c_vals = trace.real / 2.0, trace.imag / 2.0
+    f_keep = np.abs(f_vals) >= DROP_TOL
+    c_keep = ((np.abs(c_vals) >= DROP_TOL) & (triples[:, 0] < triples[:, 1])
+              & (triples[:, 1] < triples[:, 2]))
     return StructureConstants(
         dimension=basis.dimension,
-        c=StructureTensor(size, c_entries, symmetric=False, _dense=c_dense),
-        f=StructureTensor(size, f_entries, symmetric=True, _dense=f_dense),
+        c=StructureTensor(size, triples[c_keep], c_vals[c_keep],
+                          symmetric=False),
+        f=StructureTensor(size, triples[f_keep], f_vals[f_keep],
+                          symmetric=True),
         diagonal_indices=basis.diagonal_indices,
     )
 
 
-def _argmax_index(arr: np.ndarray) -> tuple:
-    return tuple(int(v) for v in np.unravel_index(np.argmax(np.abs(arr)), arr.shape))
+def _jacobi_sums(c: StructureTensor):
+    """Nonzero ``sum_m (c_ijm c_mkl + c_jkm c_mil + c_kim c_mjl)`` entries.
+
+    Returns flat (i, j, k, l) keys and the sums.  Each product c_ijm c_mkl
+    comes from a join of the stored entries on m, then is added at its
+    three cyclic placements of (i, j, k).
+    """
+    size = c.size
+    first, second, third = np.unravel_index(c.keys, (size,) * 3)
+    left, right = _join(third, first)  # c_ijm meets c_mkl on m
+    i, j = first[left], second[left]
+    k, l = second[right], third[right]
+    product = c.values[left] * c.values[right]
+    keys = np.concatenate([((x * size + y) * size + z) * size + l
+                           for x, y, z in ((i, j, k), (k, i, j), (j, k, i))])
+    keys, slot = np.unique(keys, return_inverse=True)
+    return keys, np.bincount(slot, np.tile(product, 3))
 
 
 def verify_basis(basis: GeneratorBasis, constants: StructureConstants,
@@ -274,7 +328,9 @@ def verify_basis(basis: GeneratorBasis, constants: StructureConstants,
     An empty list means all identities hold within ``tol``.  Each entry names
     the violated identity and the offending (0-based) indices; aggregate
     identities (symmetry, Jacobi, product reconstruction) report only the
-    worst offender.
+    worst offender.  The Jacobi sums come from the stored entries; the
+    symmetry and product checks expand c and f to dense m^3 arrays and form
+    all m^2 products t_i t_j (m = n^2 - 1), about 0.3 GB at n = 12.
     """
     if constants.dimension != basis.dimension:
         raise ValueError("basis and constants dimensions do not match")
@@ -320,12 +376,13 @@ def verify_basis(basis: GeneratorBasis, constants: StructureConstants,
                 f"symmetry of f violated under axes {axes} "
                 f"(max deviation {f_dev:.3e})")
 
-    cc = np.einsum("ijm,mkl->ijkl", c_dense, c_dense, optimize=True)
-    jacobi = cc + cc.transpose(1, 2, 0, 3) + cc.transpose(2, 0, 1, 3)
-    if np.abs(jacobi).max() > tol:
-        idx = _argmax_index(jacobi)
+    jacobi_keys, jacobi = _jacobi_sums(constants.c)
+    if jacobi.size and np.abs(jacobi).max() > tol:
+        worst = int(np.argmax(np.abs(jacobi)))
+        idx = tuple(int(v) for v in np.unravel_index(jacobi_keys[worst],
+                                                        (size,) * 4))
         report.append(
-            f"Jacobi identity violated at {idx}: {jacobi[idx]:.3e}")
+            f"Jacobi identity violated at {idx}: {jacobi[worst]:.3e}")
 
     for i, j, k in itertools.combinations_with_replacement(basis.diagonal_indices, 3):
         if abs(constants.c.get(i, j, k)) > tol:

@@ -138,8 +138,7 @@ def assemble(state: DensityState, form: TangentForm,
     M[0, 0] = rho_id
     M[0, 1:] = (2.0 / n) * rho
     M[1:, 0] = rho
-    M[1:, 1:] = rho_id * np.eye(m) + np.einsum(
-        "k,kjl->lj", rho, constants.f.to_dense())
+    M[1:, 1:] = rho_id * np.eye(m) + constants.f.contract(rho).T
     rhs = np.concatenate(([form.coeff_identity], form.coeffs))
     M.setflags(write=False)
     rhs.setflags(write=False)

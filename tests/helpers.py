@@ -1,4 +1,5 @@
-"""Shared test utilities: random draws and reference matrices."""
+"""Shared test utilities: random draws, reference matrices and reference
+computations."""
 
 import numpy as np
 
@@ -54,3 +55,47 @@ def assert_same_modulo_gauge(closed, general, atol=1e-10):
     for g in general.gauge_basis:
         diff = diff - np.trace(g.conj().T @ diff) * g
     assert np.abs(diff).max() < atol
+
+
+def dense_structure_constants(generators, drop_tol=1e-12):
+    """Reference c and f from the dense trace of every generator triple.
+
+    O(n^9): T_abc = Tr(t_a t_b t_c) for all triples, then
+    c = (T_abc - T_bac) / 4i and f = (T_abc + T_bac) / 4.  Returns dicts of
+    canonical triples (i < j < k for c, i <= j <= k for f) whose magnitude
+    is at least ``drop_tol``.
+    """
+    t = np.asarray(generators)
+    tr_abc = np.einsum("aij,bjk,cki->abc", t, t, t, optimize=True)
+    tr_bac = tr_abc.transpose(1, 0, 2)
+    c_dense = ((tr_abc - tr_bac) / 4j).real
+    f_dense = ((tr_abc + tr_bac) / 4.0).real
+    i, j, k = np.indices(c_dense.shape)
+    sorted_ = (i <= j) & (j <= k)
+    distinct = (i < j) & (j < k)
+
+    def entries(dense, mask):
+        keep = mask & (np.abs(dense) >= drop_tol)
+        return {(int(a), int(b), int(c)): float(dense[a, b, c])
+                for a, b, c in zip(*np.nonzero(keep))}
+
+    return entries(c_dense, distinct), entries(f_dense, sorted_)
+
+
+def anticommutator_matrix(rho, basis):
+    """The map x -> coefficients of 1/2 {rho, X} in generator coordinates.
+
+    Uses vec(1/2 {rho, X}) = 1/2 (I (x) rho + rho^T (x) I) vec(X) with
+    column-stacking vec, independent of the structure constants.  The
+    coordinates are (x_id, x_1, ..., x_m) with X = x_id 1 + sum x_k t_k, and
+    a matrix Y maps to (Tr Y / n, Tr(t_k Y) / 2).
+    """
+    n = rho.shape[0]
+    elements = np.concatenate([np.eye(n)[None], basis.generators])
+    eye = np.eye(n)
+    vec_map = 0.5 * (np.kron(eye, rho) + np.kron(rho.T, eye))
+    to_vec = np.stack([e.ravel(order="F") for e in elements], axis=1)
+    # Tr(A Y) = A.ravel() . vec(Y) for column-stacking vec
+    weights = np.array([1.0 / n] + [0.5] * (n * n - 1))
+    from_vec = weights[:, None] * np.stack([e.ravel() for e in elements])
+    return from_vec @ vec_map @ to_vec

@@ -29,6 +29,13 @@ WEIGHT_PATH_FAMILY = {
     "weight_rates": [1.0, -1.0],
 }
 
+SAMPLED_FAMILY = {
+    "kind": "explicit_matrices",
+    "n": 2,
+    "matrices": [[0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
+                 [0.1, matrix_to_pairs(np.diag([0.6, 0.4]))]],
+}
+
 PURE_QUTRIT_FAMILY = {
     "kind": "exp_generator",
     "n": 3,
@@ -304,15 +311,34 @@ class TestInvalidNumbers:
     ])
     def test_rejects_non_finite_family(self, tmp_path, capsys, field, value,
                                        family):
-        if family is None:
-            family = {"kind": "explicit_matrices", "n": 2, "matrices": [
-                [0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
-                [0.1, matrix_to_pairs(np.diag([0.6, 0.4]))]]}
-        path = write_family(tmp_path, dict(family, **{field: value}))
+        path = write_family(tmp_path, dict(family or SAMPLED_FAMILY,
+                                           **{field: value}))
         code, _, err = run(["qfi", "--input", path, "--thetas", "0.05"],
                            capsys)
         assert code == 1
         assert field in err and "finite" in err
+
+    @pytest.mark.parametrize("field, value, family, message", [
+        ("n", [2], QUBIT_FAMILY, "n must be a single number"),
+        ("n", 2.9, QUBIT_FAMILY, "n must be an integer"),
+        ("generator_coeffs", {"a": 1}, QUBIT_FAMILY,
+         "generator_coeffs must be numeric"),
+        ("matrices", [[[0.0], matrix_to_pairs(np.diag([0.7, 0.3]))],
+                      [[0.1], matrix_to_pairs(np.diag([0.6, 0.4]))]],
+         SAMPLED_FAMILY, "sample theta must be a single number"),
+        ("weights", {"a": 1}, QUBIT_FAMILY, "weights must be numeric"),
+        ("matrices", 5, SAMPLED_FAMILY, "matrices must be a list"),
+        ("fd_step", [1e-3, 1e-4], SAMPLED_FAMILY,
+         "fd_step must be a single number"),
+    ], ids=["n-list", "n-fraction", "coeffs-dict", "theta-list", "weights-dict",
+            "matrices-int", "fd_step-list"])
+    def test_rejects_wrong_types(self, tmp_path, capsys, field, value, family,
+                                 message):
+        path = write_family(tmp_path, dict(family, **{field: value}))
+        code, out, err = run(["sld", "--input", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("args", [
         ["sld", "--theta", "nan"],

@@ -2,15 +2,18 @@
 
 import itertools
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import GELL_MANN, PAULI, SQ3
+from helpers import GELL_MANN, PAULI, SQ3, dense_structure_constants
 
-from sldkit import (GeneratorBasis, build_basis, compute_structure_constants,
-                    verify_basis)
-from sldkit.lie_basis import matrix_to_pairs, pairs_to_matrix
+from sldkit import (GeneratorBasis, StructureConstants, StructureTensor,
+                    build_basis, compute_structure_constants, verify_basis)
+from sldkit.lie_basis import (DROP_TOL, _jacobi_sums, matrix_to_pairs,
+                              pairs_to_matrix)
 
 # 0-based canonical triples of the su(3) reference tables
 SU3_C = {
@@ -120,17 +123,72 @@ def test_symmetry_and_jacobi(n):
     assert np.abs(jacobi).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 16])
 def test_product_reconstruction_identity(n):
+    # t_i t_j = (2/n) delta_ij 1 + sum_l (f_ijl + i c_ijl) t_l; every pair
+    # up to n = 5, a seeded sample of pairs (a tenth on the diagonal) beyond
     basis = build_basis(n)
     constants = compute_structure_constants(basis)
     t = basis.generators
-    coeff = constants.f.to_dense() + 1j * constants.c.to_dense()
-    expected = np.einsum("ijl,lac->ijac", coeff, t)
-    for i in range(len(t)):
-        expected[i, i] += (2.0 / n) * np.eye(n)
-    products = np.einsum("iab,jbc->ijac", t, t)
-    assert np.abs(products - expected).max() < 1e-12
+    m = len(t)
+    if n <= 5:
+        pairs = list(itertools.product(range(m), repeat=2))
+    else:
+        rng = np.random.default_rng(n)
+        pairs = [tuple(p) for p in rng.integers(0, m, size=(36, 2))]
+        pairs += [(i, i) for i in rng.integers(0, m, size=4)]
+    for i, j in pairs:
+        coeff = np.array([constants.f.get(i, j, l) + 1j * constants.c.get(i, j, l)
+                          for l in range(m)])
+        expected = np.einsum("l,lac->ac", coeff, t)
+        if i == j:
+            expected += (2.0 / n) * np.eye(n)
+        assert np.abs(t[i] @ t[j] - expected).max() < 1e-12, (i, j)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_matches_dense_trace_reference(n):
+    basis = build_basis(n)
+    constants = compute_structure_constants(basis)
+    ref_c, ref_f = dense_structure_constants(basis.generators, DROP_TOL)
+    for tensor, ref in ((constants.c, ref_c), (constants.f, ref_f)):
+        got = dict(tensor.items())
+        assert got.keys() == ref.keys()
+        assert len(tensor) == len(ref)
+        assert max((abs(got[key] - ref[key]) for key in ref), default=0.0) < 1e-15
+
+
+def test_tensor_stores_coordinates_only():
+    constants = compute_structure_constants(build_basis(10))
+    for tensor in (constants.c, constants.f):
+        arrays = [v for v in vars(tensor).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.shape == tensor.keys.shape for a in arrays)
+        # every ordering of each canonical triple, one row per entry
+        assert len(tensor) < tensor.keys.size <= 6 * len(tensor)
+        dense = tensor.to_dense()
+        assert np.count_nonzero(dense) == tensor.keys.size
+        assert not np.shares_memory(dense, tensor.values)
+
+
+def test_tensor_lookup_follows_permutation_rule():
+    c = StructureTensor(4, [(0, 1, 3)], [0.5], symmetric=False)
+    f = StructureTensor(4, [(0, 0, 2), (1, 2, 3)], [0.25, -1.0], symmetric=True)
+    for perm in itertools.permutations((0, 1, 3)):
+        parity = 1 if perm in ((0, 1, 3), (1, 3, 0), (3, 0, 1)) else -1
+        assert c.get(*perm) == parity * 0.5
+    assert [f.get(*p) for p in ((0, 0, 2), (0, 2, 0), (2, 0, 0))] == [0.25] * 3
+    assert f.get(3, 1, 2) == -1.0
+    assert f.get(0, 2, 2) == 0.0
+    assert len(c) == 1 and len(f) == 2
+    assert f.to_json_list() == [[0, 0, 2, 0.25], [1, 2, 3, -1.0]]
+    v = np.array([0.3, -1.1, 0.7, 2.0])
+    for tensor in (c, f):
+        assert np.array_equal(tensor.contract(v),
+                              np.einsum("i,ijk->jk", v, tensor.to_dense()))
+    with pytest.raises(IndexError):
+        c.get(0, 1, 4)
+    with pytest.raises(ValueError, match="distinct"):
+        StructureTensor(4, [(0, 0, 2)], [1.0], symmetric=False)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -150,6 +208,42 @@ def test_verify_basis_clean(basis3, constants3):
     assert verify_basis(basis3, constants3, 1e-12) == []
     basis4 = build_basis(4)
     assert verify_basis(basis4, compute_structure_constants(basis4), 1e-10) == []
+
+
+def test_verify_basis_n10_is_sparse_and_fast():
+    basis = build_basis(10)
+    constants = compute_structure_constants(basis)
+    start = time.perf_counter()
+    assert verify_basis(basis, constants) == []
+    assert time.perf_counter() - start < 1.0
+    # a dense m^4 Jacobi tensor alone would take 768 MB at m = 99
+    tracemalloc.start()
+    try:
+        verify_basis(basis, constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_basis_detects_jacobi_violation(n):
+    basis = build_basis(n)
+    good = compute_structure_constants(basis)
+    triples, values = map(np.array, zip(*good.c.items()))
+    values[0] *= 1.01
+    bad_c = StructureTensor(good.c.size, triples, values, symmetric=False)
+    report = verify_basis(basis, StructureConstants(n, bad_c, good.f))
+    assert any("Jacobi identity violated" in msg for msg in report)
+    assert any("product reconstruction" in msg for msg in report)
+    # the sparse cyclic sum equals the dense one everywhere
+    dense = bad_c.to_dense()
+    cc = np.einsum("ijm,mkl->ijkl", dense, dense)
+    jacobi = (cc + cc.transpose(1, 2, 0, 3) + cc.transpose(2, 0, 1, 3)).ravel()
+    keys, sums = _jacobi_sums(bad_c)
+    assert np.abs(jacobi).max() > 1e-3
+    assert np.abs(jacobi[keys] - sums).max() < 1e-15
+    assert np.abs(np.delete(jacobi, keys)).max() < 1e-15
 
 
 def test_verify_basis_detects_scaled_generator(basis3, constants3):

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import (assert_same_modulo_gauge, haar_unitary,
-                     random_full_rank_weights, random_hermitian)
+from helpers import (anticommutator_matrix, assert_same_modulo_gauge,
+                     haar_unitary, random_full_rank_weights, random_hermitian)
 
-from sldkit import (InconsistentSystemError, MixingWeights, TangentForm,
-                    adjoint_transport, assemble, base_point, build_basis,
-                    closed_form, compute_structure_constants, qfi_eigenbasis,
-                    sld_eigenbasis, solve, tangent_from_generator,
-                    transversal_tangent)
+from sldkit import (DensityState, InconsistentSystemError, MixingWeights,
+                    TangentForm, adjoint_transport, assemble, base_point,
+                    build_basis, closed_form, compute_structure_constants,
+                    qfi_eigenbasis, sld_eigenbasis, solve,
+                    tangent_from_generator, transversal_tangent)
 
 
 def orbit_form(state, rng, basis=None):
@@ -88,6 +88,25 @@ class TestAssemble:
         det = np.linalg.det(assemble(state, zero_form(n), constants)
                             .diagonal_block())
         assert abs(det) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    def test_matches_vectorised_anticommutator(self, n, rank):
+        # Safranek, PRA 97, 042322 (2018): vec(1/2 {rho, X}) is linear in
+        # vec(X), which checks M without the structure constants
+        rng = np.random.default_rng(n)
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        r = n if rank == "full" else n // 2
+        k = np.zeros(n)
+        k[:r] = random_full_rank_weights(r, rng)
+        U = haar_unitary(n, rng)
+        rho = (U * k) @ U.conj().T
+        state = DensityState.from_matrix(rho, basis)
+        M = assemble(state, zero_form(n, basis), constants).matrix
+        expected = anticommutator_matrix(state.matrix, basis)
+        assert np.abs(expected.imag).max() < 1e-14
+        assert np.abs(M - expected.real).max() < 1e-14
 
 
 class TestSolve:
