@@ -53,11 +53,10 @@ import numpy as np
 
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
-from .sld_solver import (DEFAULT_TOL, DegenerateWeightsError, NumericalError,
-                         SLDSolution, check_tolerance)
-from .state_space import (DEFAULT_FD_STEP, DensityState, MixingWeights,
-                          TangentForm, base_point, expand, numeric_tangent,
-                          reconstruct, tangent_from_generator,
+from .sld_solver import DegenerateWeightsError, NumericalError, SLDSolution
+from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, DensityState,
+                          MixingWeights, base_point, check_tolerance, expand,
+                          numeric_tangent, reconstruct, tangent_from_generator,
                           transversal_tangent)
 
 _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
@@ -241,14 +240,11 @@ def _solve_family(spec: FamilySpec, theta: float, method: str, tol: float, *,
     if spec.n != expected_n:
         raise ValueError(f"method {method!r} requires n = {expected_n}")
     basis = build_basis(spec.n)
-    # Pull the form back to the diagonal base point, solve there, push the
-    # solution forward: the defining equation is conjugation equivariant.
-    K = reconstruct(0.0, spec.generator_coeffs, basis)
-    U = _expm_generator(K, theta)
-    form0 = TangentForm.from_matrix(U.conj().T @ form.matrix @ U, basis)
-    sol0 = sld_solver.closed_form(spec.weights, form0, tol)
-    L = U @ sol0.matrix @ U.conj().T
-    gauge = [U @ g @ U.conj().T for g in sol0.gauge_basis]
+    # rho(theta) = U diag(k) U^dag: the closed form at the base point, in the
+    # frame U, is the pair rule with the weights as eigenvalues.
+    U = _expm_generator(reconstruct(0.0, spec.generator_coeffs, basis), theta)
+    L, gauge = sld_solver._pair_rule(spec.weights.values, U,
+                                     U.conj().T @ form.matrix @ U, tol)
     solution = sld_solver._finalize(L, *expand(L, basis), state.matrix,
                                     form.matrix, gauge)
     return state, form, solution
@@ -376,25 +372,22 @@ def cmd_tensor(args) -> int:
         raise ValueError(f"tensor needs exactly 3 weights, got {len(values)}")
     weights = MixingWeights(values)
     tol = _tolerance(args)
-    k = weights.values
-    gaps = [abs(k[a] - k[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
-    degenerate = min(gaps) <= 1e-12
-    if degenerate and not args.allow_degenerate:
-        raise DegenerateWeightsError(
-            "repeated weights collapse the chart; pass --allow-degenerate "
-            "for the closed-form coefficients")
     closed = fisher.closed_form_fisher(weights)
     payload = {
-        "weights": [float(v) for v in k],
+        "weights": [float(v) for v in weights.values],
         "closed_form": {"pairs": [[float(g), float(w)] for g, w in closed]},
         "tensor": None,
         "max_deviation": None,
     }
-    if not degenerate:
-        basis = build_basis(3)
+    basis = build_basis(3)
+    try:
+        tangents = fisher.chart_tangents_u3(fisher.FlagChartU3(weights), basis)
+    except DegenerateWeightsError as exc:
+        if not args.allow_degenerate:
+            raise DegenerateWeightsError(
+                f"{exc}; --allow-degenerate gives the closed form") from None
+    else:
         state = base_point(weights, basis)
-        chart = fisher.FlagChartU3(weights)
-        tangents = fisher.chart_tangents_u3(chart, basis)
         slds = [_solve_general(state, form, tol) for form in tangents]
         tensor = fisher.fisher_tensor(state, slds)
         payload["tensor"] = tensor.to_json_dict()

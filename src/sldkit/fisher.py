@@ -40,6 +40,8 @@ from .sld_solver import DegenerateWeightsError, SLDSolution
 from .state_space import DensityState, MixingWeights, TangentForm, _resolve_basis
 
 _LEVEL_PAIRS = ((0, 1), (0, 2), (1, 2))
+#: eigenvalue gaps at or below this collapse the three-level chart
+GAP_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +143,8 @@ def chart_tangents_u3(chart: FlagChartU3,
     basis = _resolve_basis(3, basis)
     if chart.weights.dimension != 3:
         raise ValueError("chart_tangents_u3 applies to three-level systems only")
-    k = chart.weights.values
     gaps = chart.gaps
-    if min(abs(g) for g in gaps) <= 1e-12:
+    if min(abs(g) for g in gaps) <= GAP_FLOOR:
         raise DegenerateWeightsError(
             "repeated weights collapse the chart (vanishing eigenvalue gap)")
     forms = []

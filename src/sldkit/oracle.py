@@ -5,11 +5,13 @@ structure-constant machinery, so it serves as an independent cross-check of
 the linear-system solver.  With rho = sum_i lambda_i |i><i|, the SLD is the
 pair rule shared with :func:`sld_solver.closed_form`, applied in that frame:
 
-    L_ij = 2 <i|drho|j> / (lambda_i + lambda_j)   if lambda_i + lambda_j > tol
-    L_ij = 0                                      otherwise
+    L_ij = 0                                      if lambda_i, lambda_j <= tol
+    L_ij = 2 <i|drho|j> / (lambda_i + lambda_j)   otherwise
 
-which is the minimum-norm representative, matching the solver's pseudo-inverse
-convention.  The scalar Fisher information is
+An eigenvalue is kernel iff it is <= tol (:func:`state_space.kernel_mask`,
+the rule the solver uses too), and a pair is dropped exactly when both its
+levels are kernel.  This is the minimum-norm representative, matching the
+solver.  The scalar Fisher information is
 sum_ij 2 |<i|drho|j>|^2 / (lambda_i + lambda_j) over the kept pairs.
 """
 
@@ -18,14 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from .lie_basis import GeneratorBasis
-from .sld_solver import (DEFAULT_TOL, SLDSolution, _finalize, _kept_pairs,
+from .sld_solver import (SLDSolution, _eigenframe, _finalize, _kept_pairs,
                          _pair_rule)
-from .state_space import DensityState, TangentForm, _resolve_basis, expand
-
-
-def _eigenframe(state: DensityState, form: TangentForm):
-    lam, vectors = np.linalg.eigh(state.matrix)
-    return lam, vectors, vectors.conj().T @ form.matrix @ vectors
+from .state_space import (DEFAULT_TOL, DensityState, TangentForm,
+                          _resolve_basis, expand)
 
 
 def sld_eigenbasis(state: DensityState, form: TangentForm,
@@ -33,23 +31,20 @@ def sld_eigenbasis(state: DensityState, form: TangentForm,
                    basis: GeneratorBasis | None = None) -> SLDSolution:
     """SLD from the eigendecomposition of the state.
 
-    Matrix elements on eigenvalue pairs with lambda_i + lambda_j <= tol are
-    set to zero; the returned gauge basis spans the Hermitian matrices
-    supported on the kernel of the state.
+    Matrix elements on pairs of kernel eigenvalues (both <= tol) are set to
+    zero; the returned gauge basis spans the Hermitian matrices supported on
+    the kernel of the state.
     """
     basis = _resolve_basis(state.dimension, basis)
-    lam, vectors, dtil = _eigenframe(state, form)
-    Ltil, gauge = _pair_rule(lam, dtil, tol)
-    L = vectors @ Ltil @ vectors.conj().T
-    L = 0.5 * (L + L.conj().T)
-    gauge = [vectors @ g @ vectors.conj().T for g in gauge]
+    lam, vectors, dtil = _eigenframe(state.matrix, form.matrix)
+    L, gauge = _pair_rule(lam, vectors, dtil, tol)
     return _finalize(L, *expand(L, basis), state.matrix, form.matrix, gauge)
 
 
 def qfi_eigenbasis(state: DensityState, form: TangentForm,
                    tol: float = DEFAULT_TOL) -> float:
     """Quantum Fisher information from the eigendecomposition of the state."""
-    lam, _, dtil = _eigenframe(state, form)
-    pair_sums, kept = _kept_pairs(lam, dtil, tol)
+    lam, _, dtil = _eigenframe(state.matrix, form.matrix)
+    pair_sums, kept, _ = _kept_pairs(lam, dtil, tol)
     terms = 2.0 * np.abs(dtil) ** 2 / np.where(kept, pair_sums, 1.0)
     return float(np.sum(terms[kept]))

@@ -11,7 +11,9 @@ with f the symmetric structure constants.  For full-rank states the system is
 uniquely solvable; on rank-deficient states the solution is fixed only up to
 Hermitian matrices anticommuting with rho (the gauge subspace), and the solver
 returns the minimum-Frobenius-norm representative together with a
-Frobenius-orthonormal basis of the gauge subspace.
+Frobenius-orthonormal basis of the gauge subspace.  Every path decides the
+kernel by one rule, :func:`state_space.kernel_mask`: an eigenvalue of rho is
+kernel iff it is <= tol.
 
 At a diagonal base point diag(k) every level pair decouples into an SU(2)
 block, and the SLD has the closed form
@@ -29,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie_basis import GeneratorBasis, StructureConstants, matrix_to_pairs
-from .state_space import (DensityState, MixingWeights, TangentForm,
-                          _resolve_basis, expand, reconstruct)
-
-DEFAULT_TOL = 1e-10
+from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
+                          TangentForm, _resolve_basis, check_tolerance, expand,
+                          kernel_mask, reconstruct)
 
 
 class NumericalError(Exception):
@@ -104,13 +105,6 @@ class SLDSolution:
         }
 
 
-def _frobenius_weights(n: int) -> np.ndarray:
-    # Tr(X^2) = n x_id^2 + 2 sum_k x_k^2 for X = x_id 1 + sum x_k t_k
-    w = np.full(n * n, np.sqrt(2.0))
-    w[0] = np.sqrt(float(n))
-    return w
-
-
 def _finalize(L: np.ndarray, coeff_identity: float, coeffs: np.ndarray,
               state_matrix: np.ndarray, form_matrix: np.ndarray,
               gauge) -> SLDSolution:
@@ -149,66 +143,58 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
           basis: GeneratorBasis | None = None) -> SLDSolution:
     """Solve the assembled system for the SLD coefficients.
 
-    Full-rank states give the unique solution with an empty gauge basis.
-    Rank-deficient states give the minimum-Frobenius-norm representative via
-    a rank-revealing SVD with singular-value cutoff ``tol * sigma_max``; the
-    null space, mapped back through the generator expansion, spans the
-    Hermitian matrices anticommuting with rho.
+    The kernel is decided by :func:`state_space.kernel_mask` (an eigenvalue
+    of rho is kernel iff it is <= ``tol``); the gauge basis spans the
+    Hermitian matrices on the kernel block, built in rho's eigenframe as in
+    the oracle.  With Z those directions in Frobenius-scaled coordinates
+    y = W x, one LU solve of (W M W^-1 + Z^T Z) y = W d - Z^T Z W d gives the
+    minimum-norm representative: W M W^-1, the anticommutator in an
+    orthonormal basis, keeps the kernel block and its complement apart, so
+    the projector Z^T Z makes it invertible and leaves y zero on the block.
 
     Raises
     ------
     ValueError
         If ``tol`` is not finite and positive.
-    InconsistentSystemError
-        If the right-hand side has a component outside the range of M
-        exceeding ``tol`` (relative to max(1, ||d||)); this signals a form
-        that is not tangent where the state is rank deficient, e.g. a
-        trace-changing direction with no transversal handling.
+    KernelInconsistentError
+        If, in rho's eigenframe, the form exceeds ``tol * max(1, ||drho||_F)``
+        on a pair of kernel levels, where no SLD exists (e.g. a trace-changing
+        direction at a pure state).
     """
     n = system.dimension
     if state.dimension != n:
         raise ValueError("state dimension does not match system")
-    tol = check_tolerance(tol)
     basis = _resolve_basis(n, basis)
-    weights = _frobenius_weights(n)
-    scaled = system.matrix / weights  # column scaling: unknowns y = w * x
-    u, s, vh = np.linalg.svd(scaled)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax)) if smax > 0.0 else 0
     rhs = system.rhs
-    if rank:
-        y = vh[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
-    else:
-        y = np.zeros(n * n)
-    x = y / weights
-
-    misfit = float(np.linalg.norm(system.matrix @ x - rhs))
-    if misfit > tol * max(1.0, float(np.linalg.norm(rhs))):
-        raise InconsistentSystemError(
-            f"inconsistent system: rhs component outside the operator range "
-            f"(misfit {misfit:.3e}); the form is not tangent at this state")
-
-    # vh rows are orthonormal in the scaled coordinates, so the mapped
-    # matrices are already Frobenius-orthonormal.
-    gauge = [reconstruct(g[0], g[1:], basis) for g in vh[rank:] / weights]
     form_matrix = reconstruct(rhs[0], rhs[1:], basis)
+    lam, vectors, dtil = _eigenframe(state.matrix, form_matrix)
+    kernel = _kept_pairs(lam, dtil, tol)[2]
+    gauge = _kernel_gauge(vectors[:, kernel])
+
+    # Tr(X^2) = n x_id^2 + 2 sum_k x_k^2 for X = x_id 1 + sum x_k t_k
+    weights = np.sqrt(np.concatenate(([n], np.full(n * n - 1, 2.0))))
+    Z = weights * np.array([np.r_[expand(g, basis)] for g in gauge]
+                           ).reshape(-1, n * n)
+    projector = Z.T @ Z
+    wd = weights * rhs
+    operator = system.matrix * np.outer(weights, 1.0 / weights)
+    x = np.linalg.solve(operator + projector, wd - projector @ wd) / weights
     L = reconstruct(x[0], x[1:], basis)
     return _finalize(L, x[0], x[1:], state.matrix, form_matrix, gauge)
 
 
-def check_tolerance(tol) -> float:
-    """Return ``tol`` as a float; reject NaN, infinities and values <= 0."""
-    tol = float(tol)
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-    return tol
+def _eigenframe(state_matrix: np.ndarray, form_matrix: np.ndarray):
+    """Eigenvalues and eigenvectors of the state; the form in that frame."""
+    lam, vectors = np.linalg.eigh(state_matrix)
+    return lam, vectors, vectors.conj().T @ form_matrix @ vectors
 
 
 def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
-    """Pair sums lam_a + lam_b and the mask of pairs the SLD keeps.
+    """Pair sums lam_a + lam_b, the mask of kept pairs and the kernel mask.
 
-    ``form`` is drho in the frame where the state is diag(lam).  A pair is
-    kept when lam_a + lam_b > tol; on a dropped pair the equation
+    ``form`` is drho in the frame where the state is diag(lam).  The kernel
+    levels are those of :func:`state_space.kernel_mask`, lam_a <= tol; a
+    pair is dropped exactly when both its levels are kernel, and there
     D_ab = (lam_a + lam_b) L_ab / 2 has a solution only if D_ab vanishes.
 
     Raises
@@ -217,46 +203,49 @@ def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
         If ``form`` exceeds ``tol * max(1, ||form||_F)`` on a dropped pair.
     """
     tol = check_tolerance(tol)
+    kernel = kernel_mask(lam, tol)
+    dropped = kernel[:, None] & kernel[None, :]
     pair_sums = lam[:, None] + lam[None, :]
-    kept = pair_sums > tol
-    blocked = np.abs(form) * (~kept)
+    blocked = np.abs(form) * dropped
     limit = tol * max(1.0, float(np.linalg.norm(form)))
     if blocked.max() > limit:
         i, j = np.unravel_index(np.argmax(blocked), blocked.shape)
         raise KernelInconsistentError(
-            f"kernel-inconsistent tangent: <{i}|drho|{j}> = "
-            f"{form[i, j]:.3e} but eigenvalue pair sum is "
-            f"{pair_sums[i, j]:.3e}")
-    return pair_sums, kept
+            f"kernel-inconsistent tangent: <{i}|drho|{j}> = {form[i, j]:.3e} "
+            f"on a pair of kernel levels (eigenvalues <= tol = {tol:.3e})")
+    return pair_sums, ~dropped, kernel
 
 
-def _pair_rule(lam: np.ndarray, form: np.ndarray, tol: float):
-    """Minimum-norm SLD and kernel gauge basis in the eigenframe of the state.
+def _kernel_gauge(vectors: np.ndarray) -> list:
+    """Frobenius-orthonormal Hermitian basis on the span of ``vectors``.
 
-    With the state diag(lam) and ``form`` = drho in the same frame,
-    L_ab = 2 D_ab / (lam_a + lam_b) on kept pairs and 0 on dropped ones.  The
-    gauge basis spans the Hermitian matrices supported on the kernel indices
-    lam_a <= tol / 2, Frobenius-orthonormal: E_aa, then (E_ab + E_ba)/sqrt(2)
-    and i(E_ba - E_ab)/sqrt(2) for each kernel pair a < b.
+    For orthonormal columns v_a: v_a v_a^dag, then (v_a v_b^dag + v_b v_a^dag)
+    / sqrt(2) and i(v_b v_a^dag - v_a v_b^dag) / sqrt(2) for each a < b.
     """
-    pair_sums, kept = _kept_pairs(lam, form, tol)
-    L = np.where(kept, 2.0 * form / np.where(kept, pair_sums, 1.0), 0.0)
-    n = lam.size
-    kernel = np.flatnonzero(lam <= 0.5 * tol)
+    columns = vectors.T
     gauge = []
-    for i, a in enumerate(kernel):
-        g = np.zeros((n, n), dtype=complex)
-        g[a, a] = 1.0
-        gauge.append(g)
-        for b in kernel[i + 1:]:
-            g = np.zeros((n, n), dtype=complex)
-            g[a, b] = g[b, a] = 1.0 / np.sqrt(2.0)
-            gauge.append(g)
-            g = np.zeros((n, n), dtype=complex)
-            g[a, b] = -1j / np.sqrt(2.0)
-            g[b, a] = 1j / np.sqrt(2.0)
-            gauge.append(g)
-    return L, gauge
+    for i, a in enumerate(columns):
+        gauge.append(np.outer(a, a.conj()))
+        for b in columns[i + 1:]:
+            ab = np.outer(a, b.conj()) / np.sqrt(2.0)
+            gauge.append(ab + ab.conj().T)
+            gauge.append(1j * (ab.conj().T - ab))
+    return gauge
+
+
+def _pair_rule(lam: np.ndarray, vectors: np.ndarray, form: np.ndarray,
+               tol: float):
+    """Minimum-norm SLD and kernel gauge basis of the state V diag(lam) V^dag.
+
+    ``vectors`` is V and ``form`` is drho in its frame, where
+    L_ab = 2 D_ab / (lam_a + lam_b), except on pairs of two kernel levels
+    (lam <= tol, :func:`state_space.kernel_mask`), where L_ab = 0.  Both
+    results are returned in the state's own frame.
+    """
+    pair_sums, kept, kernel = _kept_pairs(lam, form, tol)
+    L = np.where(kept, 2.0 * form / np.where(kept, pair_sums, 1.0), 0.0)
+    L = vectors @ L @ vectors.conj().T
+    return 0.5 * (L + L.conj().T), _kernel_gauge(vectors[:, kernel])
 
 
 def closed_form(weights: MixingWeights, form: TangentForm,
@@ -268,9 +257,10 @@ def closed_form(weights: MixingWeights, form: TangentForm,
         L_ab = 2 D_ab / (k_a + k_b)
 
     for any n, any form and any weights, including repeated and zero ones.
-    The diagonal entries L_aa = D_aa / k_a are the transversal SLD; pairs
-    with k_a + k_b <= tol are set to zero (minimum norm) and the gauge basis
-    spans the Hermitian matrices on the kernel levels k_a <= tol / 2.
+    The diagonal entries L_aa = D_aa / k_a are the transversal SLD.  Pairs
+    of two kernel levels (k_a <= tol, :func:`state_space.kernel_mask`) are
+    set to zero (minimum norm); the gauge basis spans the Hermitian matrices
+    on the kernel levels.
 
     Raises
     ------
@@ -282,6 +272,7 @@ def closed_form(weights: MixingWeights, form: TangentForm,
     if form.dimension != n:
         raise ValueError(f"dimension mismatch: weights {n}, form {form.dimension}")
     basis = _resolve_basis(n, None)
-    L, gauge = _pair_rule(weights.values, form.matrix, tol)
+    L, gauge = _pair_rule(weights.values, np.eye(n, dtype=complex),
+                          form.matrix, tol)
     state_matrix = np.diag(weights.values).astype(complex)
     return _finalize(L, *expand(L, basis), state_matrix, form.matrix, gauge)

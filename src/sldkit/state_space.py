@@ -23,6 +23,25 @@ from .lie_basis import GeneratorBasis, build_basis, matrix_to_pairs
 POSITIVITY_FLOOR = -1e-10
 #: default central-difference step for numeric tangents
 DEFAULT_FD_STEP = 1e-5
+#: default tolerance of the rank rule, relative to Tr(rho) = 1
+DEFAULT_TOL = 1e-10
+
+
+def check_tolerance(tol) -> float:
+    """Return ``tol`` as a float; reject NaN, infinities and values <= 0."""
+    tol = float(tol)
+    if not np.isfinite(tol) or tol <= 0.0:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    return tol
+
+
+def kernel_mask(eigenvalues, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The rank rule: an eigenvalue of a state is kernel iff it is <= ``tol``.
+
+    ``tol`` is relative to Tr(rho) = 1.  The solver, the pair rule, the
+    oracle and :attr:`MixingWeights.rank` all decide the kernel by it.
+    """
+    return np.asarray(eigenvalues, dtype=float) <= check_tolerance(tol)
 
 
 def _resolve_basis(n: int, basis: GeneratorBasis | None) -> GeneratorBasis:
@@ -72,7 +91,7 @@ class MixingWeights:
 
     @property
     def rank(self) -> int:
-        return int(np.count_nonzero(self.values))
+        return int(np.count_nonzero(~kernel_mask(self.values)))
 
     def __len__(self) -> int:
         return self.values.size

@@ -1,8 +1,12 @@
-"""Property tests: the closed form against the general solver and the oracle.
+"""Property tests: the closed form, the general solver and the oracle agree.
 
 Diagonal weights are drawn from small integer counts, so zeros and repeated
 values are common; forms are random Hermitian matrices that vanish on the
-kernel block, the only forms with an SLD there.
+kernel block, the only forms with an SLD there.  Near-cutoff spectra put
+levels just below and just above the tolerance next to O(1) weights, under
+random unitaries, where solver and oracle must make the same rank decision;
+their orbit forms -i[K, rho] may also couple the small levels, which is
+rejected exactly when one of them is kernel.
 """
 
 import numpy as np
@@ -10,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import assert_same_modulo_gauge
+from helpers import assert_same_modulo_gauge, haar_unitary, random_hermitian
 
-from sldkit import (MixingWeights, TangentForm, assemble, base_point,
-                    build_basis, closed_form, compute_structure_constants,
-                    sld_eigenbasis, solve)
+from sldkit import (DensityState, KernelInconsistentError, MixingWeights,
+                    TangentForm, assemble, base_point, build_basis,
+                    closed_form, compute_structure_constants, sld_eigenbasis,
+                    solve, tangent_from_generator)
+from sldkit.state_space import DEFAULT_TOL
 
 
 @st.composite
@@ -45,3 +51,59 @@ def test_closed_form_matches_solver_and_oracle(problem):
         <= 1e-12
     assert closed.residual <= 1e-10
     assert closed.gauge_dim == (n - weights.rank) ** 2
+
+
+#: small levels, in units of the tolerance, on both sides of the cutoff
+CUTOFF_LEVELS = (0.0, 0.3, 0.5, 0.9, 0.99, 1.01, 1.1, 1.5, 2.0)
+
+
+@st.composite
+def near_cutoff_problems(draw):
+    n = draw(st.integers(2, 6))
+    big = draw(st.integers(1, n))
+    small = DEFAULT_TOL * np.array(
+        draw(st.lists(st.sampled_from(CUTOFF_LEVELS),
+                      min_size=n - big, max_size=n - big)))
+    counts = np.array(draw(st.lists(st.integers(1, 3), min_size=big,
+                                    max_size=big)), dtype=float)
+    weights = MixingWeights(np.concatenate(
+        (counts / counts.sum() * (1.0 - small.sum()), small)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = haar_unitary(n, rng)
+    state = DensityState.from_matrix((U * weights.values) @ U.conj().T)
+    form = tangent_from_generator(random_hermitian(n, rng), state).matrix
+    if draw(st.booleans()):
+        # couple the small levels: rejected iff one of them is kernel
+        V = U[:, big:]
+        form = form + 1e-3 * V @ random_hermitian(n - big, rng) @ V.conj().T
+    return weights, state, TangentForm.from_matrix(form)
+
+
+def _solve_or_reject(call):
+    try:
+        return call()
+    except KernelInconsistentError:
+        return None
+
+
+@settings(deadline=None)
+@given(near_cutoff_problems())
+def test_solver_and_oracle_share_the_rank_rule(problem):
+    weights, state, form = problem
+    n = weights.dimension
+    constants = compute_structure_constants(build_basis(n))
+    sol = _solve_or_reject(
+        lambda: solve(assemble(state, form, constants), state))
+    spectral = _solve_or_reject(lambda: sld_eigenbasis(state, form))
+    assert (sol is None) == (spectral is None)
+    if sol is None:
+        return
+    assert sol.gauge_dim == spectral.gauge_dim == (n - weights.rank) ** 2
+    # The error of an LU solve grows as 1 / (smallest kept pair sum).
+    k = weights.values
+    kernel = k <= DEFAULT_TOL
+    kept = ~(kernel[:, None] & kernel[None, :])
+    smallest_kept = (k[:, None] + k[None, :])[kept].min()
+    scale = max(1.0, np.abs(spectral.matrix).max())
+    assert np.abs(sol.matrix - spectral.matrix).max() * smallest_kept \
+        <= 1e-13 * scale

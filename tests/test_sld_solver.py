@@ -6,11 +6,12 @@ import pytest
 from helpers import (anticommutator_matrix, assert_same_modulo_gauge,
                      haar_unitary, random_full_rank_weights, random_hermitian)
 
-from sldkit import (DensityState, InconsistentSystemError, MixingWeights,
-                    TangentForm, adjoint_transport, assemble, base_point,
-                    build_basis, closed_form, compute_structure_constants,
-                    qfi_eigenbasis, sld_eigenbasis, solve,
-                    tangent_from_generator, transversal_tangent)
+from sldkit import (DensityState, InconsistentSystemError,
+                    KernelInconsistentError, MixingWeights, TangentForm,
+                    adjoint_transport, assemble, base_point, build_basis,
+                    closed_form, compute_structure_constants, qfi_eigenbasis,
+                    sld_eigenbasis, solve, tangent_from_generator,
+                    transversal_tangent)
 
 
 def orbit_form(state, rng, basis=None):
@@ -165,14 +166,33 @@ class TestSolve:
         coeffs = np.zeros(8)
         coeffs[5] = 1.0  # couples the two kernel levels
         form = TangentForm.from_coefficients(0.0, coeffs)
-        with pytest.raises(InconsistentSystemError):
+        with pytest.raises(KernelInconsistentError):
             solve(assemble(state, form, constants3), state)
 
     def test_trace_changing_form_at_pure_state(self, constants2):
         state = base_point(MixingWeights([1.0, 0.0]))
         form = TangentForm.from_matrix(np.diag([0.0, 1.0]).astype(complex))
-        with pytest.raises(InconsistentSystemError):
+        with pytest.raises(KernelInconsistentError):
             solve(assemble(state, form, constants2), state)
+
+    @pytest.mark.parametrize("eps, gauge_dim", [
+        (3e-11, 4), (5e-11, 4), (5.5e-11, 4), (6e-11, 4), (9e-11, 4),
+        (1.1e-10, 0), (2e-10, 0)])
+    def test_near_cutoff_kernel_agrees_with_oracle(self, eps, gauge_dim):
+        # Spectrum (0.6, 0.4 - 2 eps, eps, eps): the two small levels are
+        # kernel iff eps <= tol = 1e-10, whichever path decides.
+        spectrum = np.array([0.6, 0.4 - 2.0 * eps, eps, eps])
+        U = haar_unitary(4, np.random.default_rng(20200123))
+        state = DensityState.from_matrix((U * spectrum) @ U.conj().T)
+        basis = build_basis(4)
+        form = tangent_from_generator(basis.generators[0] / 2, state)
+        constants = compute_structure_constants(basis)
+        sol = solve(assemble(state, form, constants), state)
+        spectral = sld_eigenbasis(state, form)
+        assert sol.gauge_dim == spectral.gauge_dim == gauge_dim
+        assert (4 - MixingWeights(spectrum).rank) ** 2 == gauge_dim
+        assert sol.residual < 1e-14
+        assert spectral.residual < 1e-14
 
     def test_solves_off_base_point(self, constants3):
         rng = np.random.default_rng(6)
