@@ -104,7 +104,10 @@ def fisher_tensor(state: DensityState, slds) -> FisherTensorResult:
         if sol.dimension != n:
             raise ValueError("all SLDs must match the state dimension")
     Ls = np.stack([sol.matrix for sol in slds])
-    F = np.einsum("ab,mbc,nca->mn", state.matrix, Ls, Ls, optimize=True)
+    # F_mn = sum_ac (rho L_m)_ac (L_n^T)_ac: one batched and one plain matmul
+    k = len(slds)
+    F = ((state.matrix @ Ls).reshape(k, -1)
+         @ Ls.transpose(0, 2, 1).reshape(k, -1).T)
     g = 0.5 * (F.real + F.real.T)
     omega = 0.5 * (F.imag - F.imag.T)
     g.setflags(write=False)

@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lie_basis import GeneratorBasis
-from .sld_solver import (SLDSolution, _eigenframe, _finalize, _kept_pairs,
-                         _pair_rule)
+from .sld_solver import SLDSolution, _finalize, _kept_pairs, _pair_rule
 from .state_space import (DEFAULT_TOL, DensityState, TangentForm,
                           _resolve_basis, expand)
 
@@ -36,15 +35,17 @@ def sld_eigenbasis(state: DensityState, form: TangentForm,
     the kernel of the state.
     """
     basis = _resolve_basis(state.dimension, basis)
-    lam, vectors, dtil = _eigenframe(state.matrix, form.matrix)
-    L, gauge = _pair_rule(lam, vectors, dtil, tol)
+    vectors = state.eigenvectors
+    dtil = vectors.conj().T @ form.matrix @ vectors
+    L, gauge = _pair_rule(state.eigenvalues, vectors, dtil, tol)
     return _finalize(L, *expand(L, basis), state.matrix, form.matrix, gauge)
 
 
 def qfi_eigenbasis(state: DensityState, form: TangentForm,
                    tol: float = DEFAULT_TOL) -> float:
     """Quantum Fisher information from the eigendecomposition of the state."""
-    lam, _, dtil = _eigenframe(state.matrix, form.matrix)
-    pair_sums, kept, _ = _kept_pairs(lam, dtil, tol)
+    vectors = state.eigenvectors
+    dtil = vectors.conj().T @ form.matrix @ vectors
+    pair_sums, kept, _ = _kept_pairs(state.eigenvalues, dtil, tol)
     terms = 2.0 * np.abs(dtil) ** 2 / np.where(kept, pair_sums, 1.0)
     return float(np.sum(terms[kept]))

@@ -54,10 +54,14 @@ class DegenerateWeightsError(NumericalError):
 
 @dataclass(frozen=True, eq=False)
 class SLDSystem:
-    """Assembled linear system M x = d over (L_id, L_1, ..., L_{n^2-1})."""
+    """Assembled linear system M x = d over (L_id, L_1, ..., L_{n^2-1}).
+
+    ``form_matrix`` is drho, the matrix whose coefficients are d.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
+    form_matrix: np.ndarray
     dimension: int
     diagonal_indices: tuple
 
@@ -117,14 +121,49 @@ def _finalize(L: np.ndarray, coeff_identity: float, coeffs: np.ndarray,
     return SLDSolution(float(coeff_identity), coeffs, L, tuple(gauge), residual)
 
 
+@dataclass(eq=False)
+class _StateOperator:
+    """The part of the SLD system that rho alone fixes, held on the state.
+
+    ``matrix`` is M for ``constants``.  ``scaled`` is ((tol, basis), parts)
+    with parts the kernel gauge basis, the Frobenius weights W, the
+    projector Z^T Z and W M W^-1 + Z^T Z for that tolerance and basis; it
+    is replaced as one tuple, so a key is never paired with another
+    tolerance's parts.
+    """
+
+    constants: StructureConstants
+    matrix: np.ndarray
+    scaled: tuple = ((), ())
+
+
 def assemble(state: DensityState, form: TangentForm,
              constants: StructureConstants) -> SLDSystem:
-    """Assemble the n^2 x n^2 system M x = d for the SLD coefficients."""
+    """Assemble the n^2 x n^2 system M x = d for the SLD coefficients.
+
+    M depends on rho alone: it is built on the first call for a state and
+    held on it for these ``constants``, so further directions at the same
+    state share M and, in :func:`solve`, its kernel gauge and scaling.
+    """
     n = state.dimension
     if form.dimension != n or constants.dimension != n:
         raise ValueError(
             f"dimension mismatch: state {n}, form {form.dimension}, "
             f"constants {constants.dimension}")
+    held = state._operator
+    if held is None or held.constants is not constants:
+        held = _StateOperator(constants, _operator_matrix(state, constants))
+        object.__setattr__(state, "_operator", held)
+    rhs = np.concatenate(([form.coeff_identity], form.coeffs))
+    rhs.setflags(write=False)
+    return SLDSystem(held.matrix, rhs, form.matrix, n,
+                     tuple(constants.diagonal_indices))
+
+
+def _operator_matrix(state: DensityState,
+                     constants: StructureConstants) -> np.ndarray:
+    """M: rho_id 1 + the rho_k f_kjl rows, with the identity couplings."""
+    n = state.dimension
     m = n * n - 1
     rho_id = state.coeff_identity
     rho = state.coeffs
@@ -133,10 +172,8 @@ def assemble(state: DensityState, form: TangentForm,
     M[0, 1:] = (2.0 / n) * rho
     M[1:, 0] = rho
     M[1:, 1:] = rho_id * np.eye(m) + constants.f.contract(rho).T
-    rhs = np.concatenate(([form.coeff_identity], form.coeffs))
     M.setflags(write=False)
-    rhs.setflags(write=False)
-    return SLDSystem(M, rhs, n, tuple(constants.diagonal_indices))
+    return M
 
 
 def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
@@ -152,10 +189,14 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     orthonormal basis, keeps the kernel block and its complement apart, so
     the projector Z^T Z makes it invertible and leaves y zero on the block.
 
+    When ``system`` was assembled at ``state``, the gauge and the scaled
+    operator are built once per state and tolerance and reused; each call
+    then pays only the rejection test, the LU solve and the residual.
+
     Raises
     ------
     ValueError
-        If ``tol`` is not finite and positive.
+        If ``tol`` is not finite or below ``-POSITIVITY_FLOOR``.
     KernelInconsistentError
         If, in rho's eigenframe, the form exceeds ``tol * max(1, ||drho||_F)``
         on a pair of kernel levels, where no SLD exists (e.g. a trace-changing
@@ -165,28 +206,48 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     if state.dimension != n:
         raise ValueError("state dimension does not match system")
     basis = _resolve_basis(n, basis)
-    rhs = system.rhs
-    form_matrix = reconstruct(rhs[0], rhs[1:], basis)
-    lam, vectors, dtil = _eigenframe(state.matrix, form_matrix)
-    kernel = _kept_pairs(lam, dtil, tol)[2]
-    gauge = _kernel_gauge(vectors[:, kernel])
+    tol = check_tolerance(tol)
+    vectors = state.eigenvectors
+    dtil = vectors.conj().T @ system.form_matrix @ vectors
+    _kept_pairs(state.eigenvalues, dtil, tol)  # the rejection test
+    gauge, weights, projector, operator = _scaled_operator(system, state,
+                                                           tol, basis)
+    wd = weights * system.rhs
+    x = np.linalg.solve(operator, wd - projector @ wd) / weights
+    L = reconstruct(x[0], x[1:], basis)
+    return _finalize(L, x[0], x[1:], state.matrix, system.form_matrix, gauge)
 
+
+def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
+                     basis: GeneratorBasis) -> tuple:
+    """The kernel gauge, W, Z^T Z and W M W^-1 + Z^T Z for this solve.
+
+    Taken from the state's held operator when ``system`` carries its M, and
+    built there once per (tol, basis); a system assembled elsewhere gets
+    them built from its own M.
+    """
+    held = state._operator
+    if held is None or system.matrix is not held.matrix:
+        return _build_scaled(system.matrix, state, tol, basis)
+    key, parts = held.scaled
+    if key != (tol, basis):
+        parts = _build_scaled(held.matrix, state, tol, basis)
+        held.scaled = ((tol, basis), parts)
+    return parts
+
+
+def _build_scaled(matrix: np.ndarray, state: DensityState, tol: float,
+                  basis: GeneratorBasis) -> tuple:
+    n = state.dimension
+    kernel = kernel_mask(state.eigenvalues, tol)
+    gauge = _kernel_gauge(state.eigenvectors[:, kernel])
     # Tr(X^2) = n x_id^2 + 2 sum_k x_k^2 for X = x_id 1 + sum x_k t_k
     weights = np.sqrt(np.concatenate(([n], np.full(n * n - 1, 2.0))))
     Z = weights * np.array([np.r_[expand(g, basis)] for g in gauge]
                            ).reshape(-1, n * n)
     projector = Z.T @ Z
-    wd = weights * rhs
-    operator = system.matrix * np.outer(weights, 1.0 / weights)
-    x = np.linalg.solve(operator + projector, wd - projector @ wd) / weights
-    L = reconstruct(x[0], x[1:], basis)
-    return _finalize(L, x[0], x[1:], state.matrix, form_matrix, gauge)
-
-
-def _eigenframe(state_matrix: np.ndarray, form_matrix: np.ndarray):
-    """Eigenvalues and eigenvectors of the state; the form in that frame."""
-    lam, vectors = np.linalg.eigh(state_matrix)
-    return lam, vectors, vectors.conj().T @ form_matrix @ vectors
+    operator = matrix * np.outer(weights, 1.0 / weights) + projector
+    return gauge, weights, projector, operator
 
 
 def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):

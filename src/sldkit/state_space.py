@@ -13,7 +13,7 @@ transversal to the orbit vary the mixing weights at a diagonal base point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,18 @@ DEFAULT_TOL = 1e-10
 
 
 def check_tolerance(tol) -> float:
-    """Return ``tol`` as a float; reject NaN, infinities and values <= 0."""
+    """Return ``tol`` as a float; reject NaN, infinities and values below
+    ``-POSITIVITY_FLOOR``.
+
+    States may carry eigenvalues down to ``POSITIVITY_FLOOR``, so a smaller
+    tolerance would keep a level pair whose sum lam_a + lam_b is negative.
+    """
     tol = float(tol)
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    if not np.isfinite(tol) or tol < -POSITIVITY_FLOOR:
+        raise ValueError(
+            f"tolerance must be finite and at least {-POSITIVITY_FLOOR:g} "
+            f"(eigenvalues are trusted only down to {POSITIVITY_FLOOR:g}), "
+            f"got {tol!r}")
     return tol
 
 
@@ -147,11 +155,20 @@ def reconstruct(coeff_identity: float, coeffs,
 
 @dataclass(frozen=True, eq=False)
 class DensityState:
-    """Hermitian unit-trace PSD matrix with its generator expansion."""
+    """Hermitian unit-trace PSD matrix with its generator expansion.
+
+    ``eigenvalues`` (ascending) and ``eigenvectors`` (columns) are rho's
+    eigenframe from one ``eigh``; the solver and the oracle read it.  The
+    private ``_operator`` slot holds the SLD solver's operator for this
+    state (see :func:`sld_solver.assemble`).
+    """
 
     matrix: np.ndarray
     coeff_identity: float
     coeffs: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    _operator: object = field(default=None, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -165,15 +182,15 @@ class DensityState:
         trace = np.trace(m).real
         if abs(trace - 1.0) > atol:
             raise ValueError(f"density matrix must have unit trace, got {trace!r}")
-        eigmin = float(np.linalg.eigvalsh(m).min())
-        if eigmin < POSITIVITY_FLOOR:
+        eigenvalues, eigenvectors = np.linalg.eigh(m)
+        if eigenvalues[0] < POSITIVITY_FLOOR:
             raise ValueError(
                 f"density matrix is not positive semidefinite "
-                f"(smallest eigenvalue {eigmin:.3e})")
+                f"(smallest eigenvalue {eigenvalues[0]:.3e})")
         m = m.copy()
-        m.setflags(write=False)
-        coeffs.setflags(write=False)
-        return cls(m, coeff_identity, coeffs)
+        for array in (m, coeffs, eigenvalues, eigenvectors):
+            array.setflags(write=False)
+        return cls(m, coeff_identity, coeffs, eigenvalues, eigenvectors)
 
     def to_json_dict(self) -> dict:
         return {"n": int(self.dimension), "matrix": matrix_to_pairs(self.matrix)}

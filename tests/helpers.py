@@ -99,3 +99,9 @@ def anticommutator_matrix(rho, basis):
     weights = np.array([1.0 / n] + [0.5] * (n * n - 1))
     from_vec = weights[:, None] * np.stack([e.ravel() for e in elements])
     return from_vec @ vec_map @ to_vec
+
+
+def einsum_fisher_tensor(rho, Ls):
+    """Reference F_mn = Tr(rho L_m L_n) as one contraction over a, b, c."""
+    return np.einsum("ab,mbc,nca->mn", rho, np.asarray(Ls), np.asarray(Ls),
+                     optimize=True)

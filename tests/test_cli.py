@@ -290,7 +290,7 @@ class TestTensorCommand:
 
 
 class TestInvalidNumbers:
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1e-12"])
     def test_rejects_tolerance(self, tmp_path, capsys, monkeypatch, tol):
         family = write_family(tmp_path, QUBIT_FAMILY)
         code, _, err = run(["sld", "--input", family, "--tol", tol], capsys)

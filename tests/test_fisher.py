@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import (haar_unitary, random_distinct_weights,
-                     random_full_rank_weights, random_hermitian)
+from helpers import (einsum_fisher_tensor, haar_unitary,
+                     random_distinct_weights, random_full_rank_weights,
+                     random_hermitian)
 
 from sldkit import (DegenerateWeightsError, DensityState, FlagChartU3,
                     MixingWeights, TangentForm, adjoint_transport, assemble,
@@ -95,6 +96,22 @@ class TestFisherTensor:
         result2 = fisher_tensor(state2, slds2)
         assert result2.antisymmetric[0, 1] / result.antisymmetric[0, 1] == \
             pytest.approx(0.8 / r, abs=1e-9)
+
+    @pytest.mark.parametrize("n, rank", [(3, 3), (4, 2), (8, 8), (8, 6)])
+    def test_matches_einsum_reference(self, n, rank):
+        rng = np.random.default_rng(40 + n + rank)
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        k = np.zeros(n)
+        k[:rank] = random_full_rank_weights(rank, rng)
+        U = haar_unitary(n, rng)
+        state = DensityState.from_matrix((U * k) @ U.conj().T, basis)
+        slds = [general_sld(state, tangent_from_generator(g / 2, state, basis),
+                            constants) for g in basis.generators]
+        result = fisher_tensor(state, slds)
+        reference = einsum_fisher_tensor(state.matrix,
+                                         [sol.matrix for sol in slds])
+        assert np.abs(result.components - reference).max() <= 1e-14
 
     def test_hermitian_complex_tensor(self, constants3):
         rng = np.random.default_rng(2)

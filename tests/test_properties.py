@@ -107,3 +107,58 @@ def test_solver_and_oracle_share_the_rank_rule(problem):
     scale = max(1.0, np.abs(spectral.matrix).max())
     assert np.abs(sol.matrix - spectral.matrix).max() * smallest_kept \
         <= 1e-13 * scale
+
+
+#: tolerances a sequence of solves switches between: the default, one that
+#: moves the cutoff across CUTOFF_LEVELS, and one above every small level
+SWITCH_TOLS = (DEFAULT_TOL, 1.2 * DEFAULT_TOL, 1e-6)
+
+
+@st.composite
+def direction_sequences(draw):
+    weights, state, _ = draw(near_cutoff_problems())
+    n = weights.dimension
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = state.eigenvectors
+    big = int(np.count_nonzero(weights.values > 1e-6))
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        form = tangent_from_generator(random_hermitian(n, rng), state).matrix
+        if draw(st.booleans()):
+            # couple the small levels (the lowest eigenvalues of the state)
+            V = U[:, :n - big]
+            coupling = V @ random_hermitian(n - big, rng) @ V.conj().T
+            form = form + 1e-3 * coupling
+        forms.append(TangentForm.from_matrix(form))
+    order = draw(st.permutations(range(len(forms))))
+    tols = draw(st.lists(st.sampled_from(SWITCH_TOLS), min_size=len(forms),
+                         max_size=len(forms)))
+    return state, [(forms[i], tol) for i, tol in zip(order, tols)]
+
+
+@settings(deadline=None)
+@given(direction_sequences())
+def test_shared_state_matches_fresh_states(problem):
+    state, sequence = problem
+    n = state.dimension
+    constants = compute_structure_constants(build_basis(n))
+    lam = state.eigenvalues
+    for form, tol in sequence:
+        fresh = DensityState.from_matrix(state.matrix)
+        shared, alone = (
+            _solve_or_reject(
+                lambda at=at: solve(assemble(at, form, constants), at, tol))
+            for at in (state, fresh))
+        spectral = _solve_or_reject(lambda: sld_eigenbasis(state, form, tol))
+        assert (shared is None) == (alone is None) == (spectral is None)
+        if shared is None:
+            continue
+        assert shared.gauge_dim == alone.gauge_dim == spectral.gauge_dim
+        kernel = lam <= tol
+        kept = ~(kernel[:, None] & kernel[None, :])
+        smallest_kept = (lam[:, None] + lam[None, :])[kept].min()
+        scale = 1e-13 * max(1.0, np.abs(alone.matrix).max()) / smallest_kept
+        assert abs(shared.coeff_identity - alone.coeff_identity) <= scale
+        assert np.abs(shared.coeffs - alone.coeffs).max() <= scale
+        assert np.abs(shared.matrix - alone.matrix).max() <= scale
+        assert abs(shared.residual - alone.residual) <= scale

@@ -1,5 +1,7 @@
 """Assembly and solution of the SLD linear system."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,112 @@ class TestSolve:
             assert np.linalg.norm(sol.matrix - oracle_sol.matrix) < 1e-9
 
 
+def _random_state(n, rank, rng, basis=None):
+    k = np.zeros(n)
+    k[:rank] = random_full_rank_weights(rank, rng)
+    U = haar_unitary(n, rng)
+    return DensityState.from_matrix((U * k) @ U.conj().T, basis)
+
+
+def assert_same_solution(a, b, atol=1e-13):
+    assert a.gauge_dim == b.gauge_dim
+    assert abs(a.coeff_identity - b.coeff_identity) <= atol
+    assert np.abs(a.coeffs - b.coeffs).max() <= atol
+    assert np.abs(a.matrix - b.matrix).max() <= atol
+    assert abs(a.residual - b.residual) <= atol
+
+
+class TestPerStateReuse:
+    """Directions at one state share its eigenframe and operator."""
+
+    @pytest.mark.parametrize(
+        "n, small",
+        [pytest.param(n, (), id=f"n{n}-full") for n in range(2, 9)]
+        + [pytest.param(n, (1e-8, 0.0), id=f"n{n}-small")
+           for n in range(3, 9)])
+    def test_directions_in_turn_match_fresh_states(self, n, small):
+        # with the small levels, rank n - 1 at tol 1e-10 and n - 2 at 1e-6
+        rng = np.random.default_rng(100 * n + len(small))
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        k = np.concatenate((random_full_rank_weights(n - len(small), rng)
+                            * (1.0 - sum(small)), small))
+        U = haar_unitary(n, rng)
+        state = DensityState.from_matrix((U * k) @ U.conj().T, basis)
+        for a, generator in enumerate(basis.generators):
+            # switch the tolerance mid-sequence, and back
+            tol = 1e-6 if a % 3 == 1 else 1e-10
+            form = tangent_from_generator(generator / 2, state, basis)
+            shared = solve(assemble(state, form, constants), state, tol)
+            fresh_state = DensityState.from_matrix(state.matrix, basis)
+            fresh = solve(assemble(fresh_state, form, constants),
+                          fresh_state, tol)
+            assert_same_solution(shared, fresh)
+            assert shared.gauge_dim == np.count_nonzero(k <= tol) ** 2
+
+    def test_one_eigh_per_state(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh of rho was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        rng = np.random.default_rng(31)
+        basis = build_basis(4)
+        constants = compute_structure_constants(basis)
+        state = _random_state(4, 3, rng, basis)
+        assert len(calls) == 1
+        for generator in basis.generators[:5]:
+            form = tangent_from_generator(generator / 2, state, basis)
+            solve(assemble(state, form, constants), state)
+            solve(assemble(state, form, constants), state, 1e-6)
+            sld_eigenbasis(state, form)
+            qfi_eigenbasis(state, form)
+        assert len(calls) == 1
+
+    def test_system_from_another_state_solves_by_fallback(self):
+        rng = np.random.default_rng(32)
+        basis = build_basis(4)
+        constants = compute_structure_constants(basis)
+        state = _random_state(4, 2, rng, basis)
+        twin = DensityState.from_matrix(state.matrix, basis)
+        form = tangent_from_generator(random_hermitian(4, rng), state, basis)
+        system = assemble(state, form, constants)
+        assert_same_solution(solve(system, twin),
+                             solve(assemble(twin, form, constants), twin))
+        # a full-rank system solved with another full-rank state, whose own
+        # M is held: L comes from the system's M, as at its own state (the
+        # residual is measured against the state passed in)
+        full = _random_state(4, 4, rng, basis)
+        other = _random_state(4, 4, rng, basis)
+        assemble(other, form, constants)
+        system = assemble(full, form, constants)
+        moved, own = solve(system, other), solve(system, full)
+        assert np.abs(moved.coeffs - own.coeffs).max() <= 1e-12
+        assert np.abs(moved.matrix - own.matrix).max() <= 1e-12
+
+    def test_new_constants_replace_the_held_operator(self):
+        rng = np.random.default_rng(33)
+        basis = build_basis(3)
+        constants = compute_structure_constants(basis)
+        copy = dataclasses.replace(constants)
+        state = _random_state(3, 2, rng, basis)
+        form = tangent_from_generator(random_hermitian(3, rng), state, basis)
+        first = assemble(state, form, constants)
+        second = assemble(state, form, copy)
+        assert second.matrix is not first.matrix
+        assert np.array_equal(second.matrix, first.matrix)
+        # the earlier system no longer holds the state's M: it still solves
+        assert_same_solution(solve(first, state), solve(second, state))
+        assert assemble(state, form, copy).matrix is second.matrix
+
+
 class TestClosedFormU2:
     def test_matches_general_solver(self, constants2):
         rng = np.random.default_rng(7)
@@ -406,7 +514,7 @@ class TestTransversalSLD:
         assert np.allclose(sol.gauge_basis[0], np.diag([0, 0, 1.0]), atol=1e-15)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1e-12])
 def test_rejects_invalid_tolerance(constants2, tol):
     weights = MixingWeights([0.75, 0.25])
     state = base_point(weights)

@@ -7,7 +7,9 @@ from helpers import SQ3, haar_unitary, random_full_rank_weights, random_hermitia
 
 from sldkit import (DensityState, MixingWeights, TangentForm, adjoint_transport,
                     base_point, build_basis, expand, numeric_tangent,
-                    reconstruct, tangent_from_generator, transversal_tangent)
+                    qfi_eigenbasis, reconstruct, tangent_from_generator,
+                    transversal_tangent)
+from sldkit.state_space import POSITIVITY_FLOOR, check_tolerance
 
 
 class TestMixingWeights:
@@ -88,6 +90,47 @@ class TestDensityState:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="positive"):
             DensityState.from_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_keeps_its_eigenframe_read_only(self):
+        rng = np.random.default_rng(11)
+        U = haar_unitary(4, rng)
+        k = random_full_rank_weights(4, rng)
+        state = DensityState.from_matrix((U * k) @ U.conj().T)
+        lam, V = state.eigenvalues, state.eigenvectors
+        assert np.allclose(lam, np.sort(k), atol=1e-15)
+        assert np.allclose((V * lam) @ V.conj().T, state.matrix, atol=1e-15)
+        for array in (lam, V):
+            assert not array.flags.writeable
+
+
+class TestToleranceFloor:
+    """A kernel level may sit at POSITIVITY_FLOOR, so tol must not be below
+    its magnitude, or a kept pair could have a negative sum."""
+
+    # n = 3, a kept level at 1e-11 next to a kernel level at -5e-11
+    SPECTRUM = (1.0 + 4e-11, 1e-11, -5e-11)
+
+    def state_and_form(self):
+        rng = np.random.default_rng(12)
+        U = haar_unitary(3, rng)
+        state = DensityState.from_matrix((U * self.SPECTRUM) @ U.conj().T)
+        return state, tangent_from_generator(random_hermitian(3, rng), state)
+
+    def test_rejects_tolerance_below_the_floor(self):
+        state, form = self.state_and_form()
+        with pytest.raises(ValueError, match="1e-10"):
+            check_tolerance(1e-12)
+        with pytest.raises(ValueError, match="tolerance"):
+            qfi_eigenbasis(state, form, 1e-12)
+
+    def test_smallest_tolerance_keeps_positive_pair_sums(self):
+        tol = check_tolerance(-POSITIVITY_FLOOR)
+        state, form = self.state_and_form()
+        lam = state.eigenvalues
+        kernel = lam <= tol
+        kept = ~(kernel[:, None] & kernel[None, :])
+        assert (lam[:, None] + lam[None, :])[kept].min() > 0.5
+        assert qfi_eigenbasis(state, form, tol) >= 0.0
 
 
 class TestAdjointTransport:
