@@ -35,19 +35,26 @@ for transversal weight variation rho(theta) = diag(k + theta dk).
 Exit status: 0 success, 1 usage error, 2 numerical error; diagnostics are a
 single stderr line prefixed "error:".  SLDKIT_TOL overrides the default
 tolerance 1e-10 (an explicit --tol wins over the environment); a tolerance
-that is not finite and positive, and any non-finite number in a family, a
-theta or the tensor weights, is a usage error.
+that is not finite or is below 1e-10, any non-finite number in a family, a
+theta or the tensor weights, and a theta outside the family's domain (the
+sampled range of explicit_matrices, or where a weight_path weight turns
+negative) are usage errors.  Every theta is checked before the first solve.
+
+A family is parsed once per command: :class:`FamilySpec` holds what does not
+depend on theta, so :func:`family_state_and_tangent` does only the per-theta
+work.  :func:`main` builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,16 +62,24 @@ from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
 from .sld_solver import DegenerateWeightsError, NumericalError, SLDSolution
 from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, DensityState,
-                          MixingWeights, base_point, check_tolerance, expand,
-                          numeric_tangent, reconstruct, tangent_from_generator,
-                          transversal_tangent)
+                          MixingWeights, TangentForm, base_point,
+                          check_tolerance, expand, numeric_tangent, reconstruct,
+                          tangent_from_generator, transversal_tangent)
 
 _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
+#: slack on both ends of a sampled theta range
+_RANGE_SLACK = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FamilySpec:
-    """Parsed one-parameter family description."""
+    """Parsed one-parameter family description.
+
+    What does not depend on theta is computed once, on construction: for
+    exp_generator, K = sum_k c_k t_k, its eigendecomposition and diag(k);
+    for explicit_matrices, the sample thetas and the stacked samples; for
+    weight_path, the tangent diag(dk), the same at every theta.
+    """
 
     kind: str
     n: int
@@ -73,22 +88,54 @@ class FamilySpec:
     matrices: list | None = None
     weight_rates: np.ndarray | None = None
     fd_step: float = DEFAULT_FD_STEP
+    _generator: np.ndarray | None = field(default=None, init=False, repr=False)
+    _generator_eigh: tuple = field(default=(), init=False, repr=False)
+    _base_matrix: np.ndarray | None = field(default=None, init=False,
+                                            repr=False)
+    _sample_thetas: np.ndarray | None = field(default=None, init=False,
+                                              repr=False)
+    _sample_matrices: np.ndarray | None = field(default=None, init=False,
+                                                repr=False)
+    _tangent: TangentForm | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        basis = build_basis(self.n)
+        if self.kind == "exp_generator":
+            K = reconstruct(0.0, self.generator_coeffs, basis)
+            w, V = np.linalg.eigh(K)
+            base = np.diag(self.weights.values).astype(complex)
+            held = {"_generator": K, "_generator_eigh": (w, V),
+                    "_base_matrix": base}
+            arrays = (K, w, V, base)
+        elif self.kind == "explicit_matrices":
+            thetas = np.array([s[0] for s in self.matrices])
+            mats = np.stack([s[1] for s in self.matrices])
+            held = {"_sample_thetas": thetas, "_sample_matrices": mats}
+            arrays = (thetas, mats)
+        else:
+            tangent = transversal_tangent(
+                self.weight_rates, base_point(self.weights, basis), basis)
+            held, arrays = {"_tangent": tangent}, ()
+        for array in arrays:
+            array.setflags(write=False)
+        for name, value in held.items():
+            object.__setattr__(self, name, value)
 
 
-def _finite(field: str, values) -> np.ndarray:
+def _finite(name: str, values) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        raise ValueError(f"{field} must be numeric") from None
+        raise ValueError(f"{name} must be numeric") from None
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{field} must be finite")
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
-def _number(field: str, value) -> float:
-    arr = _finite(field, value)
+def _number(name: str, value) -> float:
+    arr = _finite(name, value)
     if arr.ndim != 0:
-        raise ValueError(f"{field} must be a single number")
+        raise ValueError(f"{name} must be a single number")
     return float(arr)
 
 
@@ -123,16 +170,16 @@ def parse_family(data: dict) -> FamilySpec:
         raise ValueError(f"family kind {kind!r} does not accept fields: "
                          f"{', '.join(sorted(extra))}")
 
-    spec = FamilySpec(kind=kind, n=n)
+    fields = {}
     if "weights" in required:
-        spec.weights = MixingWeights(_finite("weights", data["weights"]), n)
+        fields["weights"] = MixingWeights(_finite("weights", data["weights"]), n)
     if kind == "exp_generator":
         coeffs = _finite("generator_coeffs", data["generator_coeffs"])
         if coeffs.shape != (n * n - 1,):
             raise ValueError(
                 f"generator_coeffs must have length {n * n - 1}, "
                 f"got shape {coeffs.shape}")
-        spec.generator_coeffs = coeffs
+        fields["generator_coeffs"] = coeffs
     elif kind == "explicit_matrices":
         if not isinstance(data["matrices"], list):
             raise ValueError("matrices must be a list of [theta, matrix] pairs")
@@ -149,72 +196,89 @@ def parse_family(data: dict) -> FamilySpec:
         if len(samples) < 2:
             raise ValueError("explicit_matrices needs at least two samples")
         samples.sort(key=lambda s: s[0])
-        spec.matrices = samples
-        spec.fd_step = _number("fd_step", data.get("fd_step", DEFAULT_FD_STEP))
+        fields["matrices"] = samples
+        fields["fd_step"] = _number("fd_step",
+                                    data.get("fd_step", DEFAULT_FD_STEP))
     else:
         rates = _finite("weight_rates", data["weight_rates"])
         if rates.shape != (n,):
             raise ValueError(f"weight_rates must have length {n}, "
                              f"got shape {rates.shape}")
-        spec.weight_rates = rates
-    return spec
+        fields["weight_rates"] = rates
+    return FamilySpec(kind=kind, n=n, **fields)
 
 
-def _expm_generator(K: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-i theta K) for Hermitian K, by eigendecomposition."""
-    w, V = np.linalg.eigh(K)
+def _check_theta(spec: FamilySpec, theta: float) -> None:
+    """Reject a theta outside the family's domain with a ValueError.
+
+    explicit_matrices are defined on their sampled range; a weight_path
+    only where every weight k_i + theta dk_i stays nonnegative.
+    """
+    if spec.kind == "explicit_matrices":
+        lo, hi = (float(t) for t in spec._sample_thetas[[0, -1]])
+        if theta < lo - _RANGE_SLACK or theta > hi + _RANGE_SLACK:
+            raise ValueError(f"theta {theta!r} outside the sampled range "
+                             f"[{lo!r}, {hi!r}]")
+    elif spec.kind == "weight_path":
+        k, rates = spec.weights.values, spec.weight_rates
+        negative = np.flatnonzero(k + theta * rates < 0)
+        if negative.size:
+            level = negative[0]
+            up, down = rates > 0, rates < 0
+            lo = float(np.max(-k[up] / rates[up], initial=-np.inf)) + 0.0
+            hi = float(np.min(-k[down] / rates[down], initial=np.inf))
+            raise ValueError(
+                f"theta {theta!r} drives weight {level + 1} of the weight_path "
+                f"to {k[level] + theta * rates[level]:.3g}; its weights stay "
+                f"nonnegative for theta in [{lo!r}, {hi!r}]")
+
+
+def _rotation(spec: FamilySpec, theta: float) -> np.ndarray:
+    """U(theta) = exp(-i theta K), from the held eigendecomposition of K."""
+    w, V = spec._generator_eigh
     return (V * np.exp(-1j * theta * w)) @ V.conj().T
 
 
-def _interpolator(samples):
-    thetas = np.array([s[0] for s in samples])
-    mats = np.stack([s[1] for s in samples])
-
-    def family(theta: float) -> np.ndarray:
-        if theta < thetas[0] - 1e-12 or theta > thetas[-1] + 1e-12:
-            raise ValueError(
-                f"theta {theta!r} outside the sampled range "
-                f"[{thetas[0]!r}, {thetas[-1]!r}]")
-        theta = min(max(theta, thetas[0]), thetas[-1])
-        j = int(np.searchsorted(thetas, theta))
-        if j == 0:
-            return mats[0]
-        if thetas[j - 1] == theta:
-            return mats[j - 1]
-        t0, t1 = thetas[j - 1], thetas[j]
-        frac = (theta - t0) / (t1 - t0)
-        return (1.0 - frac) * mats[j - 1] + frac * mats[j]
-
-    return family
+def _interpolate(spec: FamilySpec, theta: float) -> np.ndarray:
+    """An explicit_matrices family at theta, linear between its samples."""
+    _check_theta(spec, theta)
+    thetas, mats = spec._sample_thetas, spec._sample_matrices
+    theta = min(max(theta, thetas[0]), thetas[-1])
+    j = int(np.searchsorted(thetas, theta))
+    if j == 0:
+        return mats[0]
+    if thetas[j - 1] == theta:
+        return mats[j - 1]
+    t0, t1 = thetas[j - 1], thetas[j]
+    frac = (theta - t0) / (t1 - t0)
+    return (1.0 - frac) * mats[j - 1] + frac * mats[j]
 
 
 def family_state_and_tangent(spec: FamilySpec, theta: float, *,
                              fd_step: float | None = None):
     """Evaluate (state, tangent) of a family at theta.
 
-    exp_generator families get the analytic tangent -i[K, rho(theta)];
+    Only theta-dependent work is done here: exp_generator families get
+    rho(theta) = U diag(k) U^dag, with U from the eigendecomposition of K
+    held on ``spec``, and the analytic tangent -i[K, rho(theta)];
     explicit_matrices use central differences on the interpolated samples;
-    weight_path families get the transversal tangent sum dk_i P_i.
+    weight_path families get diag(k + theta dk) and the held transversal
+    tangent sum dk_i P_i.
     """
     basis = build_basis(spec.n)
     if spec.kind == "exp_generator":
-        rho0 = base_point(spec.weights, basis)
-        K = reconstruct(0.0, spec.generator_coeffs, basis)
-        U = _expm_generator(K, theta)
-        state = DensityState.from_matrix(U @ rho0.matrix @ U.conj().T, basis)
-        form = tangent_from_generator(K, state, basis)
-        return state, form
+        U = _rotation(spec, theta)
+        state = DensityState.from_matrix(U @ spec._base_matrix @ U.conj().T,
+                                         basis)
+        return state, tangent_from_generator(spec._generator, state, basis)
     if spec.kind == "explicit_matrices":
         step = spec.fd_step if fd_step is None else fd_step
-        family = _interpolator(spec.matrices)
-        state = DensityState.from_matrix(family(theta), basis)
-        form = numeric_tangent(family, theta, step, basis)
+        state = DensityState.from_matrix(_interpolate(spec, theta), basis)
+        form = numeric_tangent(functools.partial(_interpolate, spec), theta,
+                               step, basis)
         return state, form
     values = spec.weights.values + theta * spec.weight_rates
-    weights = MixingWeights(values)
-    state = base_point(weights, basis)
-    form = transversal_tangent(spec.weight_rates, state, basis)
-    return state, form
+    return base_point(MixingWeights(values), basis), spec._tangent
 
 
 def _solve_general(state, form, tol) -> SLDSolution:
@@ -242,7 +306,7 @@ def _solve_family(spec: FamilySpec, theta: float, method: str, tol: float, *,
     basis = build_basis(spec.n)
     # rho(theta) = U diag(k) U^dag: the closed form at the base point, in the
     # frame U, is the pair rule with the weights as eigenvalues.
-    U = _expm_generator(reconstruct(0.0, spec.generator_coeffs, basis), theta)
+    U = _rotation(spec, theta)
     L, gauge = sld_solver._pair_rule(spec.weights.values, U,
                                      U.conj().T @ form.matrix @ U, tol)
     solution = sld_solver._finalize(L, *expand(L, basis), state.matrix,
@@ -306,6 +370,7 @@ def cmd_sld(args) -> int:
     spec = _load_family(args.input)
     tol = _tolerance(args)
     theta = _number("theta", args.theta)
+    _check_theta(spec, theta)
     _, _, solution = _solve_family(spec, theta, args.method, tol,
                                    fd_step=args.fd_step)
     _emit(_dump_json(solution.to_json_dict()), args.output)
@@ -336,8 +401,11 @@ def _theta_values(args) -> list:
 def cmd_qfi(args) -> int:
     spec = _load_family(args.input)
     tol = _tolerance(args)
+    thetas = _theta_values(args)
+    for theta in thetas:
+        _check_theta(spec, theta)
     rows = []
-    for theta in _theta_values(args):
+    for theta in thetas:
         state, form, solution = _solve_family(spec, theta, args.method, tol,
                                               fd_step=args.fd_step)
         row = {"theta": float(theta),
@@ -456,8 +524,14 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses: built on its first call, then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

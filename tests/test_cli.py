@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from sldkit.cli import main, parse_family
+from sldkit import cli
+from sldkit.cli import build_parser, main, parse_family
 from sldkit.lie_basis import matrix_to_pairs
+from sldkit.state_space import DEFAULT_TOL
 
 QUBIT_FAMILY = {
     "kind": "exp_generator",
@@ -400,9 +402,35 @@ class TestFamilyValidation:
             "kind": "weight_path", "n": 2,
             "weights": [0.75, 0.25], "weight_rates": [1.0, 0.0],
         })
-        code, _, err = run(["qfi", "--input", family, "--thetas", "0"], capsys)
+        for thetas in ("0", "0.1"):
+            code, _, err = run(["qfi", "--input", family, "--thetas", thetas],
+                               capsys)
+            assert code == 1
+            assert "sum to zero" in err
+
+    @pytest.mark.parametrize("args, theta, level, value", [
+        (["qfi", "--thetas", "0,0.7"], "0.7", 2, "-0.2"),
+        (["sld", "--theta", "-0.6"], "-0.6", 1, "-0.1"),
+    ], ids=["qfi", "sld"])
+    def test_weight_path_domain_checked_before_first_solve(
+            self, tmp_path, capsys, monkeypatch, args, theta, level, value):
+        family = write_family(tmp_path, dict(WEIGHT_PATH_FAMILY,
+                                             weights=[0.5, 0.5]))
+        evaluated = []
+        evaluate = cli.family_state_and_tangent
+
+        def counting(spec, theta, **kwargs):
+            evaluated.append(theta)
+            return evaluate(spec, theta, **kwargs)
+
+        monkeypatch.setattr(cli, "family_state_and_tangent", counting)
+        code, out, err = run(args[:1] + ["--input", family] + args[1:], capsys)
         assert code == 1
-        assert "sum to zero" in err
+        assert out == ""
+        assert err == (f"error: theta {theta} drives weight {level} of the "
+                       f"weight_path to {value}; its weights stay nonnegative "
+                       "for theta in [-0.5, 0.5]\n")
+        assert evaluated == []
 
     def test_usage_error_on_unknown_flag(self, capsys):
         code, _, err = run(["basis", "--n", "2", "--bogus"], capsys)
@@ -416,8 +444,9 @@ class TestFamilyValidation:
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
-    # a huge tolerance truncates every singular value: the returned solution
-    # collapses to zero (the loosened consistency check accepts the misfit)
+    # a huge tolerance makes every eigenvalue kernel: every level pair is
+    # dropped, the rejection limit tol * max(1, ||drho||_F) admits the form,
+    # and the minimum-norm representative is zero
     family = write_family(tmp_path, QUBIT_FAMILY)
     monkeypatch.setenv("SLDKIT_TOL", "1e3")
     code, out, _ = run(["sld", "--input", family], capsys)
@@ -432,3 +461,117 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(["sld", "--input", family, "--tol", "1e-10"], capsys)
     assert code == 0
     assert json.loads(out)["L"][0] == pytest.approx(0.5, abs=1e-12)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call parses afresh."""
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        cli._shared_parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for args in (["basis", "--n", "2"], ["basis", "--bogus"],
+                     ["tensor", "--weights", "0.5,0.3,0.2"]):
+            run(args, capsys)
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+
+    def test_reused_parser_matches_fresh_parser(self, tmp_path, capsys,
+                                                monkeypatch):
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        calls = [
+            (["qfi", "--input", family, "--thetas", "0,0.5", "--check-oracle"],
+             None),
+            (["qfi", "--input", family, "--thetas", "0,0.5"], None),
+            (["sld", "--input", family, "--tol", "1e-6"], None),
+            (["sld", "--input", family], "1e3"),
+            (["basis", "--n", "2", "--bogus"], None),
+            (["basis", "--n", "2"], None),
+            (["--help"], None),
+            (["qfi", "--help"], None),
+        ]
+
+        def run_calls():
+            results = []
+            for args, env_tol in calls:
+                monkeypatch.delenv("SLDKIT_TOL", raising=False)
+                if env_tol is not None:
+                    monkeypatch.setenv("SLDKIT_TOL", env_tol)
+                results.append(run(args, capsys))
+            return results
+
+        shared = run_calls()
+        parser = cli._shared_parser()
+        monkeypatch.setattr(cli, "_shared_parser", build_parser)
+        fresh = run_calls()
+        assert shared == fresh
+        # what each call had to show, so equal results are not equally wrong
+        assert "qfi_oracle" in shared[0][1] and "qfi_oracle" not in shared[1][1]
+        assert json.loads(shared[2][1])["L"][0] == pytest.approx(0.5, abs=1e-12)
+        assert np.abs(json.loads(shared[3][1])["L"]).max() < 1e-12
+        assert shared[4][0] == 1 and shared[4][2].startswith("error:")
+        assert shared[5][0] == 0 and shared[6][0] == 0
+        assert "usage: sldkit" in shared[6][1]
+        assert "--check-oracle" in shared[7][1]
+        for args, _ in calls[:4]:
+            assert vars(parser.parse_args(args)) == \
+                vars(build_parser().parse_args(args))
+
+
+SHUFFLED_THETAS = [0.9, -0.3, 0.45, 0.0, 1.3, 0.45, 0.1]
+
+
+class TestPerThetaWork:
+    """A parsed family holds what theta does not change."""
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_exp_generator_sweep_eigh_calls(self, tmp_path, capsys,
+                                            monkeypatch, count):
+        family = write_family(tmp_path, PURE_QUTRIT_FAMILY)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        code, _, _ = run(["qfi", "--input", family, "--theta-range",
+                          f"0:1:{count}", "--check-oracle"], capsys)
+        assert code == 0
+        # K's eigh once, then one per state
+        assert len(calls) == count + 1
+
+    @pytest.mark.parametrize("payload, method, thetas", [
+        (QUBIT_FAMILY, "general", SHUFFLED_THETAS),
+        (QUBIT_FAMILY, "oracle", SHUFFLED_THETAS),
+        (QUBIT_FAMILY, "closed-u2", SHUFFLED_THETAS),
+        (PURE_QUTRIT_FAMILY, "general", SHUFFLED_THETAS),
+        ({"kind": "exp_generator", "n": 3, "weights": [0.5, 0.3, 0.2],
+          "generator_coeffs": [0.1, -0.2, 0.0, 0.3, 0.4, -0.1, 0.25, 0.0]},
+         "closed-u3", SHUFFLED_THETAS),
+        ({"kind": "explicit_matrices", "n": 2, "fd_step": 1e-4,
+          "matrices": [[0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
+                       [0.1, matrix_to_pairs([[0.6, 0.1j], [-0.1j, 0.4]])],
+                       [0.3, matrix_to_pairs([[0.5, 0.2], [0.2, 0.5]])]]},
+         "general", [0.2, 0.05, 0.29, 0.1, 0.01, 0.25]),
+        (WEIGHT_PATH_FAMILY, "general", [0.1, -0.2, 0.0, 0.2, -0.05]),
+    ], ids=["exp-general", "exp-oracle", "closed-u2", "exp-pure",
+            "closed-u3", "explicit", "weight_path"])
+    def test_one_spec_matches_fresh_spec_per_theta(self, payload, method,
+                                                   thetas):
+        spec = parse_family(payload)
+        for theta in thetas:
+            shared = cli._solve_family(spec, theta, method, DEFAULT_TOL)
+            fresh = cli._solve_family(parse_family(payload), theta, method,
+                                      DEFAULT_TOL)
+            for a, b in zip(shared, fresh):
+                assert np.array_equal(a.matrix, b.matrix)
+                assert np.array_equal(a.coeffs, b.coeffs)
+            assert shared[2].residual == fresh[2].residual
+            assert shared[2].gauge_dim == fresh[2].gauge_dim
