@@ -7,15 +7,15 @@ diagonal base points, an independent spectral cross-check, and Fisher
 index/tensor computation on the isospectral orbits.
 """
 
-from .fisher import (FisherTensorResult, FlagChartU3, chart_tangents_u3,
-                     closed_form_deviation, closed_form_fisher, fisher_tensor,
+from .fisher import (FisherTensorResult, chart_tangents, closed_form_deviation,
+                     closed_form_fisher, fisher_tensor,
                      horizontal_transversal_split_check, qfi_index)
 from .lie_basis import (GeneratorBasis, StructureConstants, StructureTensor,
                         build_basis, compute_structure_constants, verify_basis)
 from .oracle import qfi_eigenbasis, sld_eigenbasis
-from .sld_solver import (DegenerateWeightsError, InconsistentSystemError,
-                         KernelInconsistentError, NumericalError, SLDSolution,
-                         SLDSystem, assemble, closed_form, solve)
+from .sld_solver import (InconsistentSystemError, KernelInconsistentError,
+                         NumericalError, SLDSolution, SLDSystem, assemble,
+                         closed_form, solve)
 from .state_space import (DensityState, MixingWeights, TangentForm,
                           adjoint_transport, base_point, expand,
                           numeric_tangent, reconstruct,
@@ -30,10 +30,9 @@ __all__ = [
     "base_point", "expand", "reconstruct", "adjoint_transport",
     "tangent_from_generator", "numeric_tangent", "transversal_tangent",
     "SLDSystem", "SLDSolution", "assemble", "solve", "closed_form",
-    "NumericalError", "InconsistentSystemError", "DegenerateWeightsError",
-    "KernelInconsistentError",
+    "NumericalError", "InconsistentSystemError", "KernelInconsistentError",
     "sld_eigenbasis", "qfi_eigenbasis",
-    "FisherTensorResult", "FlagChartU3", "qfi_index", "fisher_tensor",
-    "horizontal_transversal_split_check", "chart_tangents_u3",
+    "FisherTensorResult", "qfi_index", "fisher_tensor",
+    "horizontal_transversal_split_check", "chart_tangents",
     "closed_form_fisher", "closed_form_deviation",
 ]

@@ -5,13 +5,19 @@ Commands
 basis   Emit a generator basis and its structure constants as JSON.
 sld     Solve for the SLD of a one-parameter family at a given theta.
 qfi     Tabulate the quantum Fisher information over a theta sweep.
-tensor  Six-direction Fisher tensor of a three-level state with closed-form
-        comparison.
+tensor  Fisher tensor over the orbit chart of diag(k), 2 <= n <= 16, with
+        closed-form comparison.
 
 ``sld`` and ``qfi`` take ``--method``: ``general`` (structure-constant
-solve), ``oracle`` (spectral), or ``closed-u2`` / ``closed-u3``, which both
-apply the pair-rule closed form at the diagonal base point of an n = 2 or
-n = 3 exp_generator family and transport the result to theta.
+solve), ``oracle`` (spectral), or ``closed``, which applies the pair-rule
+closed form at the diagonal base point of an exp_generator family of any n
+and transports the result to theta.
+
+``tensor`` solves one direction pair per level pair a < b with distinct
+weights (lexicographic; directions 2i and 2i + 1 are the gap-weighted
+symmetric and antisymmetric generators of the i-th kept pair).  Repeated
+weights drop their pairs, which gives the partial flag manifold
+U(n)/(U(n_1) x ... x U(n_j)); equal weights give a 0-direction tensor.
 
 Families are described by a kind-tagged JSON object:
 
@@ -25,7 +31,7 @@ generator basis;
      "matrices": [[0.0, [[[re, im], ...], ...]], ...]}
 
 for sampled matrices (linearly interpolated, tangents by central
-differences); and
+differences, one-sided within fd_step of either end); and
 
     {"kind": "weight_path", "n": 2, "weights": [0.75, 0.25],
      "weight_rates": [1.0, -1.0]}
@@ -60,7 +66,7 @@ import numpy as np
 
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
-from .sld_solver import DegenerateWeightsError, NumericalError, SLDSolution
+from .sld_solver import NumericalError, SLDSolution
 from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, DensityState,
                           MixingWeights, TangentForm, base_point,
                           check_tolerance, expand, numeric_tangent, reconstruct,
@@ -69,6 +75,8 @@ from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, DensityState,
 _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
 #: slack on both ends of a sampled theta range
 _RANGE_SLACK = 1e-12
+#: the largest dimension ``tensor`` accepts
+_TENSOR_MAX_N = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +269,9 @@ def family_state_and_tangent(spec: FamilySpec, theta: float, *,
     Only theta-dependent work is done here: exp_generator families get
     rho(theta) = U diag(k) U^dag, with U from the eigendecomposition of K
     held on ``spec``, and the analytic tangent -i[K, rho(theta)];
-    explicit_matrices use central differences on the interpolated samples;
+    explicit_matrices use central differences on the interpolated samples,
+    taken at theta clamped into [lo + step, hi - step] so that they stay in
+    the sampled range (the end segment's slope near an end);
     weight_path families get diag(k + theta dk) and the held transversal
     tangent sum dk_i P_i.
     """
@@ -274,7 +284,12 @@ def family_state_and_tangent(spec: FamilySpec, theta: float, *,
     if spec.kind == "explicit_matrices":
         step = spec.fd_step if fd_step is None else fd_step
         state = DensityState.from_matrix(_interpolate(spec, theta), basis)
-        form = numeric_tangent(functools.partial(_interpolate, spec), theta,
+        lo, hi = (float(t) for t in spec._sample_thetas[[0, -1]])
+        if hi - lo < 2.0 * step:
+            raise ValueError(f"fd_step {step!r} exceeds half the sampled range "
+                             f"[{lo!r}, {hi!r}]")
+        centre = min(max(theta, lo + step), hi - step)
+        form = numeric_tangent(functools.partial(_interpolate, spec), centre,
                                step, basis)
         return state, form
     values = spec.weights.values + theta * spec.weight_rates
@@ -295,14 +310,10 @@ def _solve_family(spec: FamilySpec, theta: float, method: str, tol: float, *,
         return state, form, _solve_general(state, form, tol)
     if method == "oracle":
         return state, form, oracle.sld_eigenbasis(state, form, tol)
-    if method not in ("closed-u2", "closed-u3"):
+    if method != "closed":
         raise ValueError(f"unknown method {method!r}")
     if spec.kind != "exp_generator":
-        raise ValueError(
-            f"method {method!r} requires an exp_generator family")
-    expected_n = 2 if method == "closed-u2" else 3
-    if spec.n != expected_n:
-        raise ValueError(f"method {method!r} requires n = {expected_n}")
+        raise ValueError("method 'closed' requires an exp_generator family")
     basis = build_basis(spec.n)
     # rho(theta) = U diag(k) U^dag: the closed form at the base point, in the
     # frame U, is the pair rule with the weights as eigenvalues.
@@ -436,30 +447,23 @@ def cmd_qfi(args) -> int:
 def cmd_tensor(args) -> int:
     _require_json_format(args)
     values = [float(tok) for tok in args.weights.split(",") if tok.strip()]
-    if len(values) != 3:
-        raise ValueError(f"tensor needs exactly 3 weights, got {len(values)}")
+    if not 2 <= len(values) <= _TENSOR_MAX_N:
+        raise ValueError(f"tensor needs 2 to {_TENSOR_MAX_N} weights, "
+                         f"got {len(values)}")
     weights = MixingWeights(values)
     tol = _tolerance(args)
+    basis = build_basis(weights.dimension)
+    state = base_point(weights, basis)
+    slds = [_solve_general(state, form, tol)
+            for form in fisher.chart_tangents(weights, basis)]
+    tensor = fisher.fisher_tensor(state, slds)
     closed = fisher.closed_form_fisher(weights)
     payload = {
         "weights": [float(v) for v in weights.values],
         "closed_form": {"pairs": [[float(g), float(w)] for g, w in closed]},
-        "tensor": None,
-        "max_deviation": None,
+        "tensor": tensor.to_json_dict(),
+        "max_deviation": fisher.closed_form_deviation(tensor, weights),
     }
-    basis = build_basis(3)
-    try:
-        tangents = fisher.chart_tangents_u3(fisher.FlagChartU3(weights), basis)
-    except DegenerateWeightsError as exc:
-        if not args.allow_degenerate:
-            raise DegenerateWeightsError(
-                f"{exc}; --allow-degenerate gives the closed form") from None
-    else:
-        state = base_point(weights, basis)
-        slds = [_solve_general(state, form, tol) for form in tangents]
-        tensor = fisher.fisher_tensor(state, slds)
-        payload["tensor"] = tensor.to_json_dict()
-        payload["max_deviation"] = fisher.closed_form_deviation(tensor, closed)
     _emit(_dump_json(payload), args.output)
     return 0
 
@@ -475,7 +479,7 @@ def _add_family_flags(parser):
     parser.add_argument("--input", required=True,
                         help="path to a family-spec JSON file")
     parser.add_argument("--method", default="general",
-                        choices=("general", "closed-u3", "closed-u2", "oracle"))
+                        choices=("general", "closed", "oracle"))
     parser.add_argument("--fd-step", type=float, default=None,
                         help="finite-difference step for sampled families")
 
@@ -507,12 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.set_defaults(func=cmd_qfi)
 
-    p = sub.add_parser("tensor", help="six-direction Fisher tensor of a "
-                                      "three-level state")
+    p = sub.add_parser("tensor", help="Fisher tensor over the orbit chart "
+                                      "of diag(k), two directions per level "
+                                      "pair with distinct weights")
     p.add_argument("--weights", required=True,
-                   help="comma-separated three-level weights")
-    p.add_argument("--allow-degenerate", action="store_true",
-                   help="emit closed-form coefficients for repeated weights")
+                   help="comma-separated weights k_1..k_n, "
+                        f"2 <= n <= {_TENSOR_MAX_N}")
     _add_common_flags(p)
     p.set_defaults(func=cmd_tensor)
     return parser

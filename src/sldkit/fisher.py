@@ -19,13 +19,16 @@ the tensor with coefficients
 for every n; a 0/0 pair (k_a = k_b = 0) contributes zero because the
 corresponding coordinate direction collapses.
 
-The three-level chart exponentiates the off-diagonal generators,
-U(z1, z2, z3) = exp(i sum x_k t_k) with z1 = x1 + i x2 pairing levels (1,2),
-z2 pairing (1,3) and z3 pairing (2,3).  At the diagonal base point the
-coordinate tangents are r-weighted pair generators with gaps
-r1 = k1 - k2, r2 = k1 - k3, r3 = k2 - k3, so the six-direction tensor is
-block diagonal with the pair coefficients above on the blocks (1,2), (1,3),
-(2,3).
+The chart of the orbit at diag(k) exponentiates the off-diagonal pair
+generators, U(z) = exp(i sum_{a<b} (Re z_ab s_ab + Im z_ab t_ab)), with s_ab
+and t_ab the symmetric and antisymmetric generators of level pair (a, b).
+A pair with equal weights leaves diag(k) fixed, so it is no coordinate: with
+repeated weights the orbit is the partial flag manifold
+U(n)/(U(n_1) x ... x U(n_j)), n_i the multiplicities.  At the base point the
+coordinate tangents of a kept pair are its generators weighted by the gap
+k_a - k_b; directions 2i and 2i + 1 belong to the i-th kept pair in
+lexicographic order, and the tensor is block diagonal with the pair
+coefficients above on the blocks.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie_basis import GeneratorBasis
-from .sld_solver import DegenerateWeightsError, SLDSolution
+from .sld_solver import SLDSolution
 from .state_space import DensityState, MixingWeights, TangentForm, _resolve_basis
 
-_LEVEL_PAIRS = ((0, 1), (0, 2), (1, 2))
-#: eigenvalue gaps at or below this collapse the three-level chart
+#: eigenvalue gaps at or below this collapse a level pair of the chart
 GAP_FLOOR = 1e-12
 
 
@@ -63,24 +65,6 @@ class FisherTensorResult:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class FlagChartU3:
-    """Exponential chart of the three-level orbit at a diagonal base point.
-
-    ``dz`` holds the complex displacement slots (dz1, dz2, dz3); the default
-    unit slots make :func:`chart_tangents_u3` return the six unit coordinate
-    directions d(Re z_i), d(Im z_i).
-    """
-
-    weights: MixingWeights
-    dz: tuple = (1.0 + 1.0j, 1.0 + 1.0j, 1.0 + 1.0j)
-
-    @property
-    def gaps(self) -> tuple:
-        k = self.weights.values
-        return tuple(float(k[a] - k[b]) for a, b in _LEVEL_PAIRS)
-
-
 def qfi_index(state: DensityState, sld: SLDSolution) -> float:
     """Scalar quantum Fisher information Tr(rho L^2) along one direction."""
     if sld.dimension != state.dimension:
@@ -94,20 +78,19 @@ def fisher_tensor(state: DensityState, slds) -> FisherTensorResult:
 
     All solutions must belong to the same state; the symmetric part is
     positive semidefinite and carries the scalar index on its diagonal, the
-    antisymmetric part vanishes for a single direction.
+    antisymmetric part vanishes for a single direction.  No directions give
+    a 0 x 0 tensor.
     """
     slds = list(slds)
-    if not slds:
-        raise ValueError("at least one direction is required")
     n = state.dimension
     for sol in slds:
         if sol.dimension != n:
             raise ValueError("all SLDs must match the state dimension")
-    Ls = np.stack([sol.matrix for sol in slds])
-    # F_mn = sum_ac (rho L_m)_ac (L_n^T)_ac: one batched and one plain matmul
     k = len(slds)
-    F = ((state.matrix @ Ls).reshape(k, -1)
-         @ Ls.transpose(0, 2, 1).reshape(k, -1).T)
+    Ls = np.array([sol.matrix for sol in slds], dtype=complex).reshape(k, n, n)
+    # F_mn = sum_ac (rho L_m)_ac (L_n^T)_ac: one batched and one plain matmul
+    F = ((state.matrix @ Ls).reshape(k, n * n)
+         @ Ls.transpose(0, 2, 1).reshape(k, n * n).T)
     g = 0.5 * (F.real + F.real.T)
     omega = 0.5 * (F.imag - F.imag.T)
     g.setflags(write=False)
@@ -128,39 +111,37 @@ def horizontal_transversal_split_check(state: DensityState,
     return float(np.real(np.trace(state.matrix @ (Lh @ Lt + Lt @ Lh))))
 
 
-def chart_tangents_u3(chart: FlagChartU3,
-                      basis: GeneratorBasis | None = None) -> list:
-    """The six real coordinate tangents of the three-level chart.
+def _chart_pairs(weights: MixingWeights) -> list:
+    """Level pairs a < b, in lexicographic order, with gap above GAP_FLOOR."""
+    k = weights.values
+    return [(a, b) for a, b in itertools.combinations(range(k.size), 2)
+            if abs(k[a] - k[b]) > GAP_FLOOR]
 
-    Ordered (Re z1, Im z1, Re z2, Im z2, Re z3, Im z3) and scaled by the
-    matching real component of the chart's displacement slots.  Direction
-    Re z_i carries the symmetric pair generator and Im z_i the antisymmetric
-    one, each weighted by the eigenvalue gap r_i.
 
-    Raises
-    ------
-    DegenerateWeightsError
-        If any two weights coincide (the chart collapses: the corresponding
-        gap vanishes and the coordinate pair is no longer independent).
+def chart_tangents(weights: MixingWeights,
+                   basis: GeneratorBasis | None = None) -> list:
+    """The real coordinate tangents of the orbit chart at diag(k).
+
+    Two per level pair a < b whose gap |k_a - k_b| exceeds ``GAP_FLOOR``,
+    in lexicographic order of the pairs: direction 2i (Re z) carries the
+    symmetric and 2i + 1 (Im z) the antisymmetric generator of the i-th
+    kept pair, each weighted by the gap k_a - k_b.  Pairs of equal weights
+    are left out, so repeated weights give the tangents of the partial flag
+    manifold, and equal weights none.
     """
-    basis = _resolve_basis(3, basis)
-    if chart.weights.dimension != 3:
-        raise ValueError("chart_tangents_u3 applies to three-level systems only")
-    gaps = chart.gaps
-    if min(abs(g) for g in gaps) <= GAP_FLOOR:
-        raise DegenerateWeightsError(
-            "repeated weights collapse the chart (vanishing eigenvalue gap)")
+    n = weights.dimension
+    basis = _resolve_basis(n, basis)
+    k = weights.values
     forms = []
-    for i, (a, b) in enumerate(_LEVEL_PAIRS):
-        r = gaps[i]
-        dz = complex(chart.dz[i])
-        sym = np.zeros((3, 3), dtype=complex)
+    for a, b in _chart_pairs(weights):
+        r = float(k[a] - k[b])
+        sym = np.zeros((n, n), dtype=complex)
         sym[a, b] = sym[b, a] = 1.0
-        antisym = np.zeros((3, 3), dtype=complex)
+        antisym = np.zeros((n, n), dtype=complex)
         antisym[a, b] = -1j
         antisym[b, a] = 1j
-        forms.append(TangentForm.from_matrix(r * dz.real * sym, basis))
-        forms.append(TangentForm.from_matrix(r * dz.imag * antisym, basis))
+        forms.append(TangentForm.from_matrix(r * sym, basis))
+        forms.append(TangentForm.from_matrix(r * antisym, basis))
     return forms
 
 
@@ -187,26 +168,31 @@ def closed_form_fisher(weights: MixingWeights) -> tuple:
                  for a, b in itertools.combinations(range(k.size), 2))
 
 
-def closed_form_deviation(tensor: FisherTensorResult, coefficients) -> float:
-    """Largest deviation of a six-direction tensor from the closed-form shape.
+def closed_form_deviation(tensor: FisherTensorResult,
+                          weights: MixingWeights) -> float:
+    """Largest deviation of a chart tensor from the closed-form block shape.
 
-    Checks, per level pair: the two diagonal g entries against g_i, the
-    in-pair off-diagonal g entry against zero, and |omega| against |omega_i|;
-    plus every cross-pair entry of g and omega against zero.
+    ``tensor`` is over :func:`chart_tangents` of ``weights``.  Checks, per
+    kept pair: the two diagonal g entries against g_i, the in-pair
+    off-diagonal g entry against zero, and |omega| against |omega_i|; plus
+    every cross-pair entry of g and omega against zero.
     """
-    if tensor.directions != 6:
-        raise ValueError("expected a six-direction chart tensor")
+    pairs = _chart_pairs(weights)
+    if tensor.directions != 2 * len(pairs):
+        raise ValueError(f"expected a {2 * len(pairs)}-direction chart "
+                         f"tensor, got {tensor.directions} directions")
     g, omega = tensor.symmetric, tensor.antisymmetric
-    dev = 0.0
-    for i, (gc, wc) in enumerate(coefficients):
-        a, b = 2 * i, 2 * i + 1
+    block = np.arange(tensor.directions) // 2
+    cross = block[:, None] != block[None, :]
+    dev = max(np.abs(g[cross]).max(initial=0.0),
+              np.abs(omega[cross]).max(initial=0.0))
+    k = weights.values
+    for i, (a, b) in enumerate(pairs):
+        gc, wc = _pair_coefficients(k[a], k[b])
+        s, t = 2 * i, 2 * i + 1
         dev = max(dev,
-                  abs(g[a, a] - gc),
-                  abs(g[b, b] - gc),
-                  abs(g[a, b]),
-                  abs(abs(omega[a, b]) - abs(wc)))
-    for i in range(6):
-        for j in range(6):
-            if i // 2 != j // 2:
-                dev = max(dev, abs(g[i, j]), abs(omega[i, j]))
+                  abs(g[s, s] - gc),
+                  abs(g[t, t] - gc),
+                  abs(g[s, t]),
+                  abs(abs(omega[s, t]) - abs(wc)))
     return float(dev)

@@ -37,7 +37,7 @@ from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
 
 
 class NumericalError(Exception):
-    """Numerical failure (inconsistency, degeneracy), as opposed to bad usage."""
+    """Numerical failure (an inconsistent system), as opposed to bad usage."""
 
 
 class InconsistentSystemError(NumericalError):
@@ -46,10 +46,6 @@ class InconsistentSystemError(NumericalError):
 
 class KernelInconsistentError(InconsistentSystemError):
     """The tangent couples kernel directions the state cannot support."""
-
-
-class DegenerateWeightsError(NumericalError):
-    """Repeated weights collapse the three-level flag chart (a zero gap)."""
 
 
 @dataclass(frozen=True, eq=False)

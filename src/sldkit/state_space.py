@@ -85,7 +85,7 @@ class MixingWeights:
             raise ValueError("weights must be finite")
         if np.any(vals < 0):
             raise ValueError("weights must be nonnegative")
-        total = vals.sum()
+        total = float(vals.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
         padded = np.zeros(n)
@@ -179,7 +179,7 @@ class DensityState:
                     atol: float = 1e-10) -> "DensityState":
         m = _as_square(matrix)
         coeff_identity, coeffs = expand(m, basis, atol=atol)
-        trace = np.trace(m).real
+        trace = float(np.trace(m).real)
         if abs(trace - 1.0) > atol:
             raise ValueError(f"density matrix must have unit trace, got {trace!r}")
         eigenvalues, eigenvectors = np.linalg.eigh(m)
@@ -307,7 +307,7 @@ def transversal_tangent(weight_rates, state: DensityState,
     n = state.dimension
     if rates.shape != (n,):
         raise ValueError(f"expected {n} weight rates, got shape {rates.shape}")
-    total = rates.sum()
+    total = float(rates.sum())
     if abs(total) > 1e-12:
         raise ValueError(f"weight rates must sum to zero, got {total!r}")
     offdiag = np.abs(state.matrix - np.diag(np.diag(state.matrix))).max()

@@ -13,9 +13,9 @@ import pytest
 from helpers import (GELL_MANN, SQ3, haar_unitary, random_distinct_weights,
                      random_full_rank_weights, random_hermitian)
 
-from sldkit import (DensityState, FlagChartU3, MixingWeights, TangentForm,
+from sldkit import (DensityState, MixingWeights, TangentForm,
                     adjoint_transport, assemble, base_point, build_basis,
-                    chart_tangents_u3, closed_form, closed_form_deviation,
+                    chart_tangents, closed_form, closed_form_deviation,
                     closed_form_fisher, compute_structure_constants,
                     fisher_tensor, horizontal_transversal_split_check,
                     qfi_eigenbasis, qfi_index, sld_eigenbasis, solve,
@@ -184,11 +184,10 @@ def test_criterion_06_qfi_values(constants2):
 def test_criterion_07_fisher_tensor_u3(constants3, basis3):
     weights = MixingWeights([0.5, 0.3, 0.2])
     state = base_point(weights, basis3)
-    tangents = chart_tangents_u3(FlagChartU3(weights), basis3)
+    tangents = chart_tangents(weights, basis3)
     slds = [general_sld(state, f, constants3) for f in tangents]
     tensor = fisher_tensor(state, slds)
-    closed = closed_form_fisher(weights)
-    assert closed_form_deviation(tensor, closed) <= 1e-9
+    assert closed_form_deviation(tensor, weights) <= 1e-9
     assert abs(tensor.symmetric[0, 0] - 0.2) <= 1e-9
     # cross-block entries vanish
     for i in range(6):
@@ -215,13 +214,24 @@ def test_criterion_07_fisher_tensor_u3(constants3, basis3):
     assert np.allclose(rank2[1:], [(2.4, -2.4), (1.6, -1.6)], atol=1e-12)
     assert abs(rank2[1][0] - 2.4) <= 1e-9 and abs(rank2[2][0] - 1.6) <= 1e-9
     state_r2 = base_point(weights_r2, basis3)
-    tangents_r2 = chart_tangents_u3(FlagChartU3(weights_r2), basis3)
+    tangents_r2 = chart_tangents(weights_r2, basis3)
     slds_r2 = [general_sld(state_r2, f, constants3) for f in tangents_r2]
     tensor_r2 = fisher_tensor(state_r2, slds_r2)
-    assert closed_form_deviation(tensor_r2, rank2) <= 1e-9
+    assert closed_form_deviation(tensor_r2, weights_r2) <= 1e-9
+
+    # every degenerate subcase has its tensor: the collapsed pairs drop out
+    for k, directions in (([k1, 0.2, 0.2], 4), ([1.0, 0.0, 0.0], 4),
+                          ([1 / 3, 1 / 3, 1 / 3], 0)):
+        sub = MixingWeights(k)
+        at = base_point(sub, basis3)
+        tensor_sub = fisher_tensor(at, [general_sld(at, f, constants3)
+                                        for f in chart_tangents(sub, basis3)])
+        assert tensor_sub.directions == directions
+        assert closed_form_deviation(tensor_sub, sub) <= 1e-12
     report(7, "six-direction tensor at (0.5,0.3,0.2) is block diagonal and "
               "matches the closed form; projective, k2=k3 and k3=0 "
-              "degenerations reproduce their formulas")
+              "degenerations reproduce their formulas, and their tensors "
+              "over the kept pairs match it to 1e-12")
 
 
 def test_criterion_08_split_orthogonality():
@@ -284,7 +294,11 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     # fixture 2: malformed JSON
     broken = tmp_path / "broken.json"
     broken.write_text('{"kind": "exp_generator", "n": 2,')
-    # fixture 3: degenerate weights for tensor without --allow-degenerate
+    # fixture 3: a weight_path tangent on the kernel of a pure state
+    inconsistent = tmp_path / "inconsistent.json"
+    inconsistent.write_text(json.dumps({
+        "kind": "weight_path", "n": 2, "weights": [1, 0],
+        "weight_rates": [-1, 1]}))
 
     outputs = {}
     for name, args in {
@@ -306,7 +320,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error:")
 
-    code = main(["tensor", "--weights", "0.6,0.2,0.2"])
+    code = main(["sld", "--input", str(inconsistent)])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:")
     report(10, "all four commands round-trip their JSON and honor the "

@@ -38,6 +38,21 @@ SAMPLED_FAMILY = {
                  [0.1, matrix_to_pairs(np.diag([0.6, 0.4]))]],
 }
 
+QUTRIT_FAMILY = {
+    "kind": "exp_generator",
+    "n": 3,
+    "weights": [0.5, 0.3, 0.2],
+    "generator_coeffs": [0.1, -0.2, 0.0, 0.3, 0.4, -0.1, 0.25, 0.0],
+}
+
+QUQUART_FAMILY = {
+    "kind": "exp_generator",
+    "n": 4,
+    "weights": [0.4, 0.3, 0.2, 0.1],
+    "generator_coeffs": [0.1, -0.2, 0.0, 0.3, 0.4, -0.1, 0.25, 0.0,
+                         0.2, -0.3, 0.15, 0.05, -0.1, 0.0, 0.35],
+}
+
 PURE_QUTRIT_FAMILY = {
     "kind": "exp_generator",
     "n": 3,
@@ -92,35 +107,51 @@ class TestSldCommand:
         assert data["gauge_dim"] == 0
         assert data["residual"] < 1e-10
 
-    @pytest.mark.parametrize("theta", [0.0, 0.7])
-    def test_closed_u2_matches_general(self, tmp_path, capsys, theta):
-        family = write_family(tmp_path, QUBIT_FAMILY)
+    @staticmethod
+    def assert_closed_matches_general(tmp_path, capsys, payload, theta):
+        family = write_family(tmp_path, payload)
         results = {}
-        for method in ("general", "closed-u2"):
+        for method in ("general", "closed"):
             code, out, _ = run(["sld", "--input", family, "--theta", str(theta),
                                 "--method", method], capsys)
             assert code == 0
             results[method] = json.loads(out)
         general = np.array(results["general"]["L"])
-        closed = np.array(results["closed-u2"]["L"])
+        closed = np.array(results["closed"]["L"])
         assert np.abs(general - closed).max() < 1e-12
+        assert results["general"]["gauge_dim"] == results["closed"]["gauge_dim"]
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_closed_u2_matches_general(self, tmp_path, capsys, theta):
+        self.assert_closed_matches_general(tmp_path, capsys, QUBIT_FAMILY,
+                                           theta)
 
     def test_closed_u3_matches_general(self, tmp_path, capsys):
-        family = write_family(tmp_path, {
-            "kind": "exp_generator",
-            "n": 3,
-            "weights": [0.5, 0.3, 0.2],
-            "generator_coeffs": [0.1, -0.2, 0.0, 0.3, 0.4, -0.1, 0.25, 0.0],
-        })
-        results = {}
-        for method in ("general", "closed-u3"):
-            code, out, _ = run(["sld", "--input", family, "--theta", "0.4",
-                                "--method", method], capsys)
-            assert code == 0
-            results[method] = json.loads(out)
-        general = np.array(results["general"]["L"])
-        closed = np.array(results["closed-u3"]["L"])
-        assert np.abs(general - closed).max() < 1e-12
+        self.assert_closed_matches_general(tmp_path, capsys, QUTRIT_FAMILY,
+                                           0.4)
+
+    @pytest.mark.parametrize("weights", [[0.4, 0.3, 0.2, 0.1],
+                                         [0.5, 0.5, 0.0, 0.0]],
+                             ids=["distinct", "repeated"])
+    def test_closed_matches_general_at_n4(self, tmp_path, capsys, weights):
+        self.assert_closed_matches_general(
+            tmp_path, capsys, dict(QUQUART_FAMILY, weights=weights), -0.9)
+
+    @pytest.mark.parametrize("method", ["closed-u2", "closed-u3"])
+    def test_old_closed_method_names_are_usage_errors(self, tmp_path, capsys,
+                                                      method):
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        code, out, err = run(["sld", "--input", family, "--method", method],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "invalid choice" in err
+
+    def test_closed_needs_exp_generator(self, tmp_path, capsys):
+        family = write_family(tmp_path, WEIGHT_PATH_FAMILY)
+        code, _, err = run(["sld", "--input", family, "--method", "closed"],
+                           capsys)
+        assert code == 1
+        assert "requires an exp_generator family" in err
 
     def test_pure_qutrit_gauge(self, tmp_path, capsys):
         family = write_family(tmp_path, PURE_QUTRIT_FAMILY)
@@ -242,6 +273,35 @@ class TestQfiCommand:
         assert code == 1
         assert "range" in err
 
+    def test_sampled_range_ends(self, tmp_path, capsys):
+        # within fd_step of an end the difference takes the end segment's
+        # slope instead of stepping outside the sampled range
+        from sldkit import DensityState, TangentForm, qfi_eigenbasis
+        mats = [np.diag([0.7, 0.3]), np.array([[0.6, 0.1j], [-0.1j, 0.4]]),
+                np.array([[0.5, 0.2], [0.2, 0.5]])]
+        family = write_family(tmp_path, {
+            "kind": "explicit_matrices", "n": 2,
+            "matrices": [[t, matrix_to_pairs(m)]
+                         for t, m in zip((0.0, 0.1, 0.3), mats)]})
+        code, out, err = run(["qfi", "--input", family, "--theta-range",
+                              "0:0.3:4"], capsys)
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        slopes = [(mats[1] - mats[0]) / 0.1, (mats[2] - mats[1]) / 0.2]
+        for row, state, slope in zip([rows[0], rows[3]], [mats[0], mats[2]],
+                                     slopes):
+            expected = qfi_eigenbasis(DensityState.from_matrix(state),
+                                      TangentForm.from_matrix(slope))
+            assert row["qfi"] == pytest.approx(expected, rel=1e-8)
+        code, out, err = run(["sld", "--input", family, "--theta", "0.3"],
+                             capsys)
+        assert code == 0, err
+        assert json.loads(out)["residual"] < 1e-10
+        code, _, err = run(["sld", "--input", family, "--theta", "0.1",
+                            "--fd-step", "0.2"], capsys)
+        assert code == 1
+        assert "fd_step 0.2 exceeds half the sampled range" in err
+
     def test_requires_thetas(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
         code, _, err = run(["qfi", "--input", family], capsys)
@@ -260,27 +320,63 @@ class TestTensorCommand:
         assert data["tensor"]["directions"] == 6
 
     def test_pure_weights_closed_form(self, capsys):
-        code, out, _ = run(["tensor", "--weights", "1,0,0",
-                            "--allow-degenerate"], capsys)
+        code, out, _ = run(["tensor", "--weights", "1,0,0"], capsys)
         assert code == 0
         data = json.loads(out)
         assert [p[0] for p in data["closed_form"]["pairs"]] == \
             pytest.approx([4.0, 4.0, 0.0], abs=1e-12)
-        assert data["tensor"] is None
+        # the pair of the two empty levels collapses: two pairs remain
+        assert data["tensor"]["directions"] == 4
+        assert np.diag(data["tensor"]["g"]) == pytest.approx([4.0] * 4,
+                                                             abs=1e-12)
+        assert data["max_deviation"] <= 1e-12
 
     def test_maximally_mixed_closed_form(self, capsys):
         code, out, _ = run(["tensor", "--weights", "0.3333333333333333,"
-                            "0.3333333333333333,0.3333333333333334",
-                            "--allow-degenerate"], capsys)
+                            "0.3333333333333333,0.3333333333333334"], capsys)
         assert code == 0
-        pairs = json.loads(out)["closed_form"]["pairs"]
-        assert np.abs(pairs).max() < 1e-12
+        data = json.loads(out)
+        assert np.abs(data["closed_form"]["pairs"]).max() < 1e-12
+        assert data["tensor"]["directions"] == 0
+        assert data["tensor"]["g"] == []
+        assert data["max_deviation"] == 0.0
 
-    def test_degenerate_without_flag_is_numerical_error(self, capsys):
-        code, _, err = run(["tensor", "--weights", "0.6,0.2,0.2"], capsys)
-        assert code == 2
-        assert err.startswith("error:")
-        assert "\n" not in err.strip()
+    def test_repeated_weights_agree_with_closed_form(self, capsys):
+        code, out, _ = run(["tensor", "--weights", "0.6,0.2,0.2"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        g, w = 4 * 0.4 ** 2 / 0.8, -4 * 0.4 ** 3 / 0.8 ** 2
+        assert np.allclose(data["closed_form"]["pairs"],
+                           [[g, w], [g, w], [0.0, 0.0]], rtol=0, atol=1e-12)
+        assert data["tensor"]["directions"] == 4
+        assert np.diag(data["tensor"]["g"]) == pytest.approx([g] * 4,
+                                                             abs=1e-12)
+        assert data["max_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("weights, directions", [
+        ("0.75,0.25", 2), ("0.4,0.3,0.2,0.1", 12), ("0.5,0.5,0,0", 8),
+        ("0.5,0.2,0.2,0.1,0", 18), ("0.6,0.4,0,0,0", 14),
+    ])
+    def test_any_dimension(self, capsys, weights, directions):
+        code, out, _ = run(["tensor", "--weights", weights], capsys)
+        assert code == 0
+        data = json.loads(out)
+        n = len(weights.split(","))
+        assert len(data["closed_form"]["pairs"]) == n * (n - 1) // 2
+        assert data["tensor"]["directions"] == directions
+        assert data["max_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("args, message", [
+        (["--weights", "1"], "tensor needs 2 to 16 weights, got 1"),
+        (["--weights", ",".join(["0.05"] * 17)],
+         "tensor needs 2 to 16 weights, got 17"),
+        (["--weights", "0.5,0.3,0.2", "--allow-degenerate"],
+         "unrecognized arguments: --allow-degenerate"),
+    ], ids=["one", "seventeen", "allow-degenerate"])
+    def test_usage_errors(self, capsys, args, message):
+        code, out, err = run(["tensor"] + args, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_rank2_dispatch(self, capsys):
         code, out, _ = run(["tensor", "--weights", "0.6,0.4,0"], capsys)
@@ -550,11 +646,9 @@ class TestPerThetaWork:
     @pytest.mark.parametrize("payload, method, thetas", [
         (QUBIT_FAMILY, "general", SHUFFLED_THETAS),
         (QUBIT_FAMILY, "oracle", SHUFFLED_THETAS),
-        (QUBIT_FAMILY, "closed-u2", SHUFFLED_THETAS),
+        (QUBIT_FAMILY, "closed", SHUFFLED_THETAS),
         (PURE_QUTRIT_FAMILY, "general", SHUFFLED_THETAS),
-        ({"kind": "exp_generator", "n": 3, "weights": [0.5, 0.3, 0.2],
-          "generator_coeffs": [0.1, -0.2, 0.0, 0.3, 0.4, -0.1, 0.25, 0.0]},
-         "closed-u3", SHUFFLED_THETAS),
+        (QUTRIT_FAMILY, "closed", SHUFFLED_THETAS),
         ({"kind": "explicit_matrices", "n": 2, "fd_step": 1e-4,
           "matrices": [[0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
                        [0.1, matrix_to_pairs([[0.6, 0.1j], [-0.1j, 0.4]])],

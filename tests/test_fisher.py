@@ -7,10 +7,10 @@ from helpers import (einsum_fisher_tensor, haar_unitary,
                      random_distinct_weights, random_full_rank_weights,
                      random_hermitian)
 
-from sldkit import (DegenerateWeightsError, DensityState, FlagChartU3,
-                    MixingWeights, TangentForm, adjoint_transport, assemble,
-                    base_point, build_basis, chart_tangents_u3, closed_form,
-                    closed_form_deviation, closed_form_fisher,
+from sldkit import (DensityState, MixingWeights, TangentForm,
+                    adjoint_transport, assemble, base_point, build_basis,
+                    chart_tangents, closed_form, closed_form_deviation,
+                    closed_form_fisher,
                     compute_structure_constants, fisher_tensor,
                     horizontal_transversal_split_check, qfi_index, solve,
                     tangent_from_generator, transversal_tangent)
@@ -28,7 +28,7 @@ def transversal_sld(rates, weights):
 
 def chart_tensor(weights, constants, basis):
     state = base_point(weights, basis)
-    tangents = chart_tangents_u3(FlagChartU3(weights), basis)
+    tangents = chart_tangents(weights, basis)
     slds = [general_sld(state, form, constants) for form in tangents]
     return fisher_tensor(state, slds)
 
@@ -127,6 +127,12 @@ class TestFisherTensor:
         assert np.linalg.eigvalsh(result.symmetric).min() > -1e-12
         assert np.abs(result.antisymmetric + result.antisymmetric.T).max() == 0
 
+    def test_no_directions(self):
+        result = fisher_tensor(base_point(MixingWeights([0.5, 0.5])), [])
+        assert result.directions == 0
+        assert result.components.shape == result.symmetric.shape == (0, 0)
+        assert result.to_json_dict()["g"] == []
+
 
 class TestSplitCheck:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -171,7 +177,7 @@ class TestSplitCheck:
 class TestChartTangents:
     def test_gap_weighted_entries(self, basis3):
         weights = MixingWeights([0.5, 0.3, 0.2])
-        forms = chart_tangents_u3(FlagChartU3(weights), basis3)
+        forms = chart_tangents(weights, basis3)
         assert len(forms) == 6
         assert forms[0].matrix[0, 1] == pytest.approx(0.2, abs=1e-15)
         gaps = (0.2, 0.3, 0.1)
@@ -181,14 +187,30 @@ class TestChartTangents:
             assert forms[2 * i + 1].matrix[a, b] == pytest.approx(
                 -1j * gaps[i], abs=1e-15)
 
-    def test_rejects_repeated_weights(self):
-        with pytest.raises(DegenerateWeightsError):
-            chart_tangents_u3(FlagChartU3(MixingWeights([0.6, 0.2, 0.2])))
+    def test_repeated_weights_drop_their_pair(self):
+        forms = chart_tangents(MixingWeights([0.6, 0.2, 0.2]))
+        assert len(forms) == 4
+        for i, (a, b) in enumerate(PAIRS[:2]):
+            assert forms[2 * i].matrix[a, b] == pytest.approx(0.4, abs=1e-15)
+            assert forms[2 * i + 1].matrix[a, b] == pytest.approx(-0.4j,
+                                                                  abs=1e-15)
+            assert np.abs(forms[2 * i].matrix[1:, 1:]).max() == 0
 
-    def test_zero_displacement(self):
-        chart = FlagChartU3(MixingWeights([0.5, 0.3, 0.2]), dz=(0j, 0j, 0j))
-        forms = chart_tangents_u3(chart)
-        assert all(np.abs(f.matrix).max() == 0 for f in forms)
+    def test_equal_weights_have_no_directions(self):
+        assert chart_tangents(MixingWeights([0.25] * 4)) == []
+
+    def test_lexicographic_pairs_at_n4(self):
+        k = [0.4, 0.3, 0.3, 0.0]
+        forms = chart_tangents(MixingWeights(k))
+        kept = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+        assert len(forms) == 2 * len(kept)
+        for i, (a, b) in enumerate(kept):
+            for form, generator in ((forms[2 * i], 1.0),
+                                    (forms[2 * i + 1], -1j)):
+                expected = np.zeros((4, 4), dtype=complex)
+                expected[a, b] = (k[a] - k[b]) * generator
+                expected[b, a] = np.conj(expected[a, b])
+                assert np.abs(form.matrix - expected).max() <= 1e-15
 
 
 class TestClosedFormU3:
@@ -264,8 +286,7 @@ class TestNumericAgainstClosedForm:
     def test_reference_weights(self, constants3, basis3):
         weights = MixingWeights([0.5, 0.3, 0.2])
         tensor = chart_tensor(weights, constants3, basis3)
-        closed = closed_form_fisher(weights)
-        assert closed_form_deviation(tensor, closed) < 1e-9
+        assert closed_form_deviation(tensor, weights) < 1e-9
         assert tensor.symmetric[0, 0] == pytest.approx(0.2, abs=1e-9)
 
     def test_random_weights(self, constants3, basis3):
@@ -273,14 +294,12 @@ class TestNumericAgainstClosedForm:
         for _ in range(10):
             weights = MixingWeights(random_distinct_weights(rng))
             tensor = chart_tensor(weights, constants3, basis3)
-            closed = closed_form_fisher(weights)
-            assert closed_form_deviation(tensor, closed) < 1e-9
+            assert closed_form_deviation(tensor, weights) < 1e-9
 
     def test_rank2_pipeline(self, constants3, basis3):
         weights = MixingWeights([0.6, 0.4, 0.0])
         tensor = chart_tensor(weights, constants3, basis3)
-        closed = closed_form_fisher(weights)
-        assert closed_form_deviation(tensor, closed) < 1e-9
+        assert closed_form_deviation(tensor, weights) < 1e-9
 
     def test_su2_block_shape(self, constants3, basis3):
         rng = np.random.default_rng(5)
@@ -292,6 +311,26 @@ class TestNumericAgainstClosedForm:
             assert np.allclose(block_g, (4 * r * r / s) * np.eye(2), atol=1e-9)
             block_w = tensor.antisymmetric[2 * i:2 * i + 2, 2 * i:2 * i + 2]
             assert abs(abs(block_w[0, 1]) - 4 * abs(r) ** 3 / s ** 2) < 1e-9
+
+    @pytest.mark.parametrize("k, directions", [
+        ([0.6, 0.2, 0.2], 4), ([0.6, 0.4, 0.0], 6), ([1.0, 0.0, 0.0], 4),
+        ([1 / 3, 1 / 3, 1 / 3], 0), ([0.4, 0.3, 0.2, 0.1], 12),
+        ([0.4, 0.4, 0.2, 0.0], 10), ([0.5, 0.2, 0.2, 0.1, 0.0], 18),
+        ([0.6, 0.4, 0.0, 0.0, 0.0], 14),
+    ])
+    def test_degenerate_and_larger_weights(self, k, directions):
+        weights = MixingWeights(k)
+        basis = build_basis(len(k))
+        tensor = chart_tensor(weights, compute_structure_constants(basis),
+                              basis)
+        assert tensor.directions == directions
+        assert closed_form_deviation(tensor, weights) <= 1e-12
+
+    def test_deviation_needs_the_chart_directions(self, constants3, basis3):
+        tensor = chart_tensor(MixingWeights([0.5, 0.3, 0.2]), constants3,
+                              basis3)
+        with pytest.raises(ValueError, match="4-direction"):
+            closed_form_deviation(tensor, MixingWeights([0.6, 0.2, 0.2]))
 
 
 class TestGaugeIndependence:

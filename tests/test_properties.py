@@ -1,5 +1,9 @@
 """Property tests: the closed form, the general solver and the oracle agree.
 
+The orbit chart's Fisher tensor, solved direction by direction, is the
+closed form on the kept level pairs for any n, repeated and zero weights
+included.
+
 Diagonal weights are drawn from small integer counts, so zeros and repeated
 values are common; forms are random Hermitian matrices that vanish on the
 kernel block, the only forms with an SLD there.  Near-cutoff spectra put
@@ -18,17 +22,25 @@ from helpers import assert_same_modulo_gauge, haar_unitary, random_hermitian
 
 from sldkit import (DensityState, KernelInconsistentError, MixingWeights,
                     TangentForm, assemble, base_point, build_basis,
-                    closed_form, compute_structure_constants, sld_eigenbasis,
-                    solve, tangent_from_generator)
+                    chart_tangents, closed_form, closed_form_fisher,
+                    compute_structure_constants, fisher_tensor,
+                    sld_eigenbasis, solve, tangent_from_generator)
+from sldkit.fisher import GAP_FLOOR
 from sldkit.state_space import DEFAULT_TOL
 
 
 @st.composite
-def diagonal_problems(draw):
+def diagonal_weights(draw):
     n = draw(st.integers(2, 6))
     counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
                   .filter(any))
-    weights = MixingWeights(np.array(counts, dtype=float) / sum(counts))
+    return MixingWeights(np.array(counts, dtype=float) / sum(counts))
+
+
+@st.composite
+def diagonal_problems(draw):
+    weights = draw(diagonal_weights())
+    n = weights.dimension
     parts = draw(arrays(float, (2, n, n), elements=st.floats(-1.0, 1.0)))
     D = parts[0] + 1j * parts[1]
     D = D + D.conj().T
@@ -51,6 +63,35 @@ def test_closed_form_matches_solver_and_oracle(problem):
         <= 1e-12
     assert closed.residual <= 1e-10
     assert closed.gauge_dim == (n - weights.rank) ** 2
+
+
+@settings(deadline=None)
+@given(diagonal_weights())
+def test_chart_tensor_is_the_closed_form_on_kept_pairs(weights):
+    n = weights.dimension
+    k = weights.values
+    basis = build_basis(n)
+    constants = compute_structure_constants(basis)
+    state = base_point(weights, basis)
+    tangents = chart_tangents(weights, basis)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    kept = [abs(k[a] - k[b]) > GAP_FLOOR for a, b in pairs]
+    assert len(tangents) == 2 * sum(kept)
+    tensor = fisher_tensor(state, [solve(assemble(state, form, constants),
+                                         state) for form in tangents])
+    # the pair blocks of the closed form, in the chart's direction order;
+    # (Re z, Im z) carries omega_{2i, 2i+1} = -omega_i
+    coefficients = [c for c, keep in zip(closed_form_fisher(weights), kept)
+                    if keep]
+    g = np.zeros((len(tangents),) * 2)
+    omega = np.zeros_like(g)
+    for i, (gc, wc) in enumerate(coefficients):
+        g[2 * i, 2 * i] = g[2 * i + 1, 2 * i + 1] = gc
+        omega[2 * i, 2 * i + 1], omega[2 * i + 1, 2 * i] = -wc, wc
+    assert np.abs(tensor.symmetric - g).max(initial=0.0) <= 1e-12
+    assert np.abs(tensor.antisymmetric - omega).max(initial=0.0) <= 1e-12
+    assert np.linalg.eigvalsh(tensor.symmetric).min(initial=0.0) >= -1e-12
+    assert np.array_equal(tensor.antisymmetric, -tensor.antisymmetric.T)
 
 
 #: small levels, in units of the tolerance, on both sides of the cutoff

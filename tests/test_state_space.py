@@ -38,6 +38,21 @@ class TestMixingWeights:
             MixingWeights(values)
 
 
+@pytest.mark.parametrize("build, number", [
+    (lambda: MixingWeights([0.5, 0.6]), "1.1"),
+    (lambda: transversal_tangent([1.0, 0.0],
+                                 base_point(MixingWeights([0.75, 0.25]))),
+     "1.0"),
+    (lambda: DensityState.from_matrix(np.diag([0.5, 0.4])), "0.9"),
+], ids=["weights-sum", "rates-sum", "trace"])
+def test_messages_print_plain_numbers(build, number):
+    with pytest.raises(ValueError) as info:
+        build()
+    message = str(info.value)
+    assert message.endswith(f"got {number}")
+    assert "np.float64" not in message
+
+
 class TestBasePoint:
     def test_two_level(self):
         state = base_point(MixingWeights([0.75, 0.25]))
