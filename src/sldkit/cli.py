@@ -45,6 +45,8 @@ that is not finite or is below 1e-10, any non-finite number in a family, a
 theta or the tensor weights, and a theta outside the family's domain (the
 sampled range of explicit_matrices, or where a weight_path weight turns
 negative) are usage errors.  Every theta is checked before the first solve.
+A request too large for memory (such as a --theta-range COUNT of 10**13)
+is a usage error too.
 
 A family is parsed once per command: :class:`FamilySpec` holds what does not
 depend on theta, so :func:`family_state_and_tangent` does only the per-theta
@@ -549,6 +551,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 2)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 1)
+    except MemoryError as exc:  # e.g. a --theta-range COUNT too large to hold
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 1)
 
 
 if __name__ == "__main__":

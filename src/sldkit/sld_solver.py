@@ -122,10 +122,10 @@ class _StateOperator:
     """The part of the SLD system that rho alone fixes, held on the state.
 
     ``matrix`` is M for ``constants``.  ``scaled`` is ((tol, basis), parts)
-    with parts the kernel gauge basis, the Frobenius weights W, the
-    projector Z^T Z and W M W^-1 + Z^T Z for that tolerance and basis; it
-    is replaced as one tuple, so a key is never paired with another
-    tolerance's parts.
+    with parts the kernel gauge basis, the kernel levels' indices in rho's
+    eigenframe, the Frobenius weights W, the projector Z^T Z and
+    W M W^-1 + Z^T Z for that tolerance and basis; it is replaced as one
+    tuple, so a key is never paired with another tolerance's parts.
     """
 
     constants: StructureConstants
@@ -185,9 +185,12 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     orthonormal basis, keeps the kernel block and its complement apart, so
     the projector Z^T Z makes it invertible and leaves y zero on the block.
 
-    When ``system`` was assembled at ``state``, the gauge and the scaled
-    operator are built once per state and tolerance and reused; each call
-    then pays only the rejection test, the LU solve and the residual.
+    When ``system`` was assembled at ``state``, the gauge, the kernel
+    levels and the scaled operator are built once per state and tolerance
+    and reused.  Each call then validates ``tol`` once, rotates drho onto
+    the kernel levels for the rejection test (nothing at a full-rank
+    state), removes the gauge component of W d (only when the gauge is
+    non-empty), does one LU solve, rebuilds L and takes the residual.
 
     Raises
     ------
@@ -203,20 +206,24 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
         raise ValueError("state dimension does not match system")
     basis = _resolve_basis(n, basis)
     tol = check_tolerance(tol)
-    vectors = state.eigenvectors
-    dtil = vectors.conj().T @ system.form_matrix @ vectors
-    _kept_pairs(state.eigenvalues, dtil, tol)  # the rejection test
-    gauge, weights, projector, operator = _scaled_operator(system, state,
-                                                           tol, basis)
+    gauge, kernel, weights, projector, operator = _scaled_operator(
+        system, state, tol, basis)
+    form = system.form_matrix
+    if kernel.size:
+        vectors = state.eigenvectors[:, kernel]
+        _reject_kernel_pairs(vectors.conj().T @ form @ vectors, kernel,
+                             float(np.linalg.norm(form)), tol)
     wd = weights * system.rhs
-    x = np.linalg.solve(operator, wd - projector @ wd) / weights
+    if gauge:
+        wd -= projector @ wd
+    x = np.linalg.solve(operator, wd) / weights
     L = reconstruct(x[0], x[1:], basis)
-    return _finalize(L, x[0], x[1:], state.matrix, system.form_matrix, gauge)
+    return _finalize(L, x[0], x[1:], state.matrix, form, gauge)
 
 
 def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
                      basis: GeneratorBasis) -> tuple:
-    """The kernel gauge, W, Z^T Z and W M W^-1 + Z^T Z for this solve.
+    """The kernel gauge and levels, W, Z^T Z and W M W^-1 + Z^T Z.
 
     Taken from the state's held operator when ``system`` carries its M, and
     built there once per (tol, basis); a system assembled elsewhere gets
@@ -235,7 +242,7 @@ def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
 def _build_scaled(matrix: np.ndarray, state: DensityState, tol: float,
                   basis: GeneratorBasis) -> tuple:
     n = state.dimension
-    kernel = kernel_mask(state.eigenvalues, tol)
+    kernel = np.flatnonzero(kernel_mask(state.eigenvalues, tol))
     gauge = _kernel_gauge(state.eigenvectors[:, kernel])
     # Tr(X^2) = n x_id^2 + 2 sum_k x_k^2 for X = x_id 1 + sum x_k t_k
     weights = np.sqrt(np.concatenate(([n], np.full(n * n - 1, 2.0))))
@@ -243,7 +250,7 @@ def _build_scaled(matrix: np.ndarray, state: DensityState, tol: float,
                            ).reshape(-1, n * n)
     projector = Z.T @ Z
     operator = matrix * np.outer(weights, 1.0 / weights) + projector
-    return gauge, weights, projector, operator
+    return gauge, kernel, weights, projector, operator
 
 
 def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
@@ -259,18 +266,35 @@ def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
     KernelInconsistentError
         If ``form`` exceeds ``tol * max(1, ||form||_F)`` on a dropped pair.
     """
-    tol = check_tolerance(tol)
     kernel = kernel_mask(lam, tol)
+    levels = np.flatnonzero(kernel)
+    if levels.size:
+        _reject_kernel_pairs(form[np.ix_(levels, levels)], levels,
+                             float(np.linalg.norm(form)), float(tol))
     dropped = kernel[:, None] & kernel[None, :]
-    pair_sums = lam[:, None] + lam[None, :]
-    blocked = np.abs(form) * dropped
-    limit = tol * max(1.0, float(np.linalg.norm(form)))
-    if blocked.max() > limit:
-        i, j = np.unravel_index(np.argmax(blocked), blocked.shape)
+    return lam[:, None] + lam[None, :], ~dropped, kernel
+
+
+def _reject_kernel_pairs(block: np.ndarray, levels: np.ndarray,
+                         norm: float, tol: float) -> None:
+    """The rejection test on drho's kernel block in rho's eigenframe.
+
+    ``block`` is drho on the kernel levels ``levels`` (their indices in the
+    eigenframe) and ``norm`` is ||drho||_F.  On a pair of kernel levels
+    D_ab = (lam_a + lam_b) L_ab / 2 has a solution only if D_ab vanishes.
+
+    Raises
+    ------
+    KernelInconsistentError
+        If some |D_ab| on the block exceeds ``tol * max(1, norm)``.
+    """
+    blocked = np.abs(block)
+    if blocked.max() > tol * max(1.0, norm):
+        a, b = np.unravel_index(np.argmax(blocked), blocked.shape)
         raise KernelInconsistentError(
-            f"kernel-inconsistent tangent: <{i}|drho|{j}> = {form[i, j]:.3e} "
-            f"on a pair of kernel levels (eigenvalues <= tol = {tol:.3e})")
-    return pair_sums, ~dropped, kernel
+            f"kernel-inconsistent tangent: <{levels[a]}|drho|{levels[b]}> = "
+            f"{block[a, b]:.3e} on a pair of kernel levels "
+            f"(eigenvalues <= tol = {tol:.3e})")
 
 
 def _kernel_gauge(vectors: np.ndarray) -> list:

@@ -118,6 +118,10 @@ def expand(matrix, basis: GeneratorBasis | None = None, *,
            atol: float = 1e-10):
     """Expand a Hermitian matrix on the identity and the generator basis.
 
+    Each call checks Hermiticity, then takes all n^2 - 1 traces in one
+    matrix-vector product with the generators viewed as an
+    (n^2 - 1) x n^2 matrix.
+
     Returns
     -------
     (float, numpy.ndarray)
@@ -133,24 +137,35 @@ def expand(matrix, basis: GeneratorBasis | None = None, *,
     herm_dev = np.abs(m - m.conj().T).max()
     if herm_dev > atol:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
+    return _coefficients(m, _resolve_basis(m.shape[0], basis))
+
+
+def _coefficients(m: np.ndarray, basis: GeneratorBasis):
+    """:func:`expand` of a square complex ``m`` without the Hermitian check."""
     n = m.shape[0]
-    basis = _resolve_basis(n, basis)
-    coeff_identity = float(np.trace(m).real) / n
-    coeffs = np.einsum("kij,ji->k", basis.generators, m).real / 2.0
-    return coeff_identity, coeffs
+    # Tr(t_k M) = sum_ij (t_k)_ij M_ji: row k of the flat generators times
+    # the flat M^T (the reshape of the C-contiguous stack is a view)
+    flat = basis.generators.reshape(n * n - 1, n * n)
+    coeffs = (flat @ m.T.ravel()).real / 2.0
+    return float(m.trace().real) / n, coeffs
 
 
 def reconstruct(coeff_identity: float, coeffs,
                 basis: GeneratorBasis | None = None) -> np.ndarray:
-    """Rebuild the matrix ``c_id * 1 + sum_k coeffs[k] t_k``."""
+    """Rebuild the matrix ``c_id * 1 + sum_k coeffs[k] t_k``.
+
+    Each call is one vector-matrix product with the generators viewed as an
+    (n^2 - 1) x n^2 matrix, plus ``c_id`` on the diagonal.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     n = int(round(np.sqrt(coeffs.size + 1)))
     if n * n - 1 != coeffs.size:
         raise ValueError(f"coefficient vector of length {coeffs.size} "
                          "does not match any dimension")
     basis = _resolve_basis(n, basis)
-    return coeff_identity * np.eye(n, dtype=complex) + np.einsum(
-        "k,kij->ij", coeffs, basis.generators)
+    matrix = (coeffs @ basis.generators.reshape(n * n - 1, n * n)).reshape(n, n)
+    matrix.flat[::n + 1] += coeff_identity
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +281,10 @@ def tangent_from_generator(K, state: DensityState,
                            atol: float = 1e-10) -> TangentForm:
     """Orbit tangent -i[K, rho] generated by a Hermitian K.
 
-    At a diagonal base point the result has vanishing identity and
+    Each call checks that K is Hermitian within ``atol``, forms the
+    commutator, Hermitises it as 0.5 (A + A^dag) and expands that matrix
+    once; it is Hermitian by construction, so no second check or copy is
+    made.  At a diagonal base point the result has vanishing identity and
     diagonal-generator coefficients.
     """
     K = _as_square(K)
@@ -276,7 +294,11 @@ def tangent_from_generator(K, state: DensityState,
     comm = K @ state.matrix - state.matrix @ K
     mat = -1j * comm
     mat = 0.5 * (mat + mat.conj().T)
-    return TangentForm.from_matrix(mat, basis, atol=atol)
+    coeff_identity, coeffs = _coefficients(
+        mat, _resolve_basis(mat.shape[0], basis))
+    mat.setflags(write=False)
+    coeffs.setflags(write=False)
+    return TangentForm(coeff_identity, coeffs, mat)
 
 
 def numeric_tangent(family, theta: float, step: float = DEFAULT_FD_STEP,

@@ -105,3 +105,18 @@ def einsum_fisher_tensor(rho, Ls):
     """Reference F_mn = Tr(rho L_m L_n) as one contraction over a, b, c."""
     return np.einsum("ab,mbc,nca->mn", rho, np.asarray(Ls), np.asarray(Ls),
                      optimize=True)
+
+
+def einsum_expand(matrix, basis):
+    """Reference expansion (Tr(M)/n, Tr(M t_k)/2) as one einsum per call."""
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0]
+    coeffs = np.einsum("kij,ji->k", basis.generators, m).real / 2.0
+    return float(np.trace(m).real) / n, coeffs
+
+
+def einsum_reconstruct(coeff_identity, coeffs, basis):
+    """Reference ``c_id * 1 + sum_k coeffs[k] t_k`` as one einsum."""
+    n = basis.dimension
+    return coeff_identity * np.eye(n, dtype=complex) + np.einsum(
+        "k,kij->ij", np.asarray(coeffs, dtype=float), basis.generators)

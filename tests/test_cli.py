@@ -192,6 +192,25 @@ class TestSldCommand:
 
 
 class TestQfiCommand:
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                    "(10000000000000,) and data type float64"),
+        MemoryError()])
+    def test_out_of_memory_is_a_usage_error(self, tmp_path, capsys,
+                                            monkeypatch, error):
+        def no_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        code, out, err = run(["qfi", "--input", family, "--theta-range",
+                              "0:1:10000000000000"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+        assert str(error) in err
+
     def test_rotation_family_sweep(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
         code, out, _ = run(["qfi", "--input", family,

@@ -171,6 +171,43 @@ class TestSolve:
         with pytest.raises(KernelInconsistentError):
             solve(assemble(state, form, constants3), state)
 
+    def test_rejection_names_the_eigenframe_entry(self):
+        # eigenvalues 0 < 2e-11 < 3e-11 <= tol are eigenframe levels 0, 1, 2
+        lam = np.array([0.5, 0.3, 0.0, 2e-11, 0.2 - 5e-11, 3e-11])
+        n = lam.size
+        state = DensityState.from_matrix(np.diag(lam))
+        drho = np.zeros((n, n), dtype=complex)
+        drho[0, 1] = drho[1, 0] = 0.25
+        drho[0, 2], drho[2, 0] = 0.1 - 0.2j, 0.1 + 0.2j  # kernel-range pair
+        consistent = TangentForm.from_matrix(drho)
+        drho[3, 5], drho[5, 3] = 0.5j, -0.5j  # levels 2e-11 and 3e-11
+        form = TangentForm.from_matrix(drho)
+        constants = compute_structure_constants(build_basis(n))
+        message = ("kernel-inconsistent tangent: <1|drho|2> = "
+                   "0.000e+00+5.000e-01j on a pair of kernel levels "
+                   "(eigenvalues <= tol = 1.000e-10)")
+        for route in (lambda: solve(assemble(state, form, constants), state),
+                      lambda: sld_eigenbasis(state, form),
+                      lambda: qfi_eigenbasis(state, form)):
+            with pytest.raises(KernelInconsistentError) as excinfo:
+                route()
+            assert str(excinfo.value) == message
+        sol = solve(assemble(state, consistent, constants), state)
+        assert sol.gauge_dim == 9
+        assert sol.residual < 1e-12
+
+    def test_closed_form_rejection_names_the_level_pair(self):
+        # unsorted weights: the kernel levels 1 and 3 are not a prefix
+        drho = np.zeros((4, 4), dtype=complex)
+        drho[0, 1] = drho[1, 0] = 0.3
+        drho[1, 3], drho[3, 1] = 0.5j, -0.5j
+        with pytest.raises(KernelInconsistentError) as excinfo:
+            closed_form(MixingWeights([0.5, 0.0, 0.5, 0.0]),
+                        TangentForm.from_matrix(drho))
+        assert str(excinfo.value) == (
+            "kernel-inconsistent tangent: <1|drho|3> = 0.000e+00+5.000e-01j "
+            "on a pair of kernel levels (eigenvalues <= tol = 1.000e-10)")
+
     def test_trace_changing_form_at_pure_state(self, constants2):
         state = base_point(MixingWeights([1.0, 0.0]))
         form = TangentForm.from_matrix(np.diag([0.0, 1.0]).astype(complex))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import SQ3, haar_unitary, random_full_rank_weights, random_hermitian
+from helpers import (SQ3, einsum_expand, einsum_reconstruct, haar_unitary,
+                     random_full_rank_weights, random_hermitian)
 
 from sldkit import (DensityState, MixingWeights, TangentForm, adjoint_transport,
                     base_point, build_basis, expand, numeric_tangent,
@@ -95,6 +96,26 @@ class TestExpand:
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             expand(m)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matmul_matches_einsum_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        basis = build_basis(n)
+        m = random_hermitian(n, rng)
+        m /= np.linalg.norm(m)
+        c_id, coeffs = expand(m, basis)
+        ref_id, ref_coeffs = einsum_expand(m, basis)
+        assert abs(c_id - ref_id) <= 1e-15
+        assert np.abs(coeffs - ref_coeffs).max() <= 1e-15
+        y = rng.normal(size=n * n)
+        y /= np.linalg.norm(y)
+        rebuilt = reconstruct(y[0], y[1:], basis)
+        assert np.abs(rebuilt - einsum_reconstruct(y[0], y[1:], basis)).max() <= 1e-15
+        # round trips in both directions
+        assert np.abs(reconstruct(c_id, coeffs, basis) - m).max() <= 1e-14
+        back_id, back = expand(rebuilt, basis)
+        assert abs(back_id - y[0]) <= 1e-14
+        assert np.abs(back - y[1:]).max() <= 1e-14
 
 
 class TestDensityState:
@@ -203,6 +224,29 @@ class TestTangentFromGenerator:
         assert form.matrix[0, 1] == pytest.approx(r1 * (x[1] + 1j * x[0]), abs=1e-12)
         assert form.matrix[0, 2] == pytest.approx(r2 * (x[4] + 1j * x[3]), abs=1e-12)
         assert form.matrix[1, 2] == pytest.approx(r3 * (x[6] + 1j * x[5]), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_equals_from_matrix_of_the_hermitised_commutator(self, n):
+        rng = np.random.default_rng(20 + n)
+        basis = build_basis(n)
+        U = haar_unitary(n, rng)
+        weights = random_full_rank_weights(n, rng)
+        state = DensityState.from_matrix((U * weights) @ U.conj().T, basis)
+        K = random_hermitian(n, rng)
+        form = tangent_from_generator(K, state, basis)
+        a = -1j * (K @ state.matrix - state.matrix @ K)
+        ref = TangentForm.from_matrix(0.5 * (a + a.conj().T), basis)
+        assert form.coeff_identity == ref.coeff_identity
+        assert np.array_equal(form.coeffs, ref.coeffs)
+        assert np.array_equal(form.matrix, ref.matrix)
+        assert not form.coeffs.flags.writeable
+        assert not form.matrix.flags.writeable
+
+    def test_rejects_non_hermitian_generator(self):
+        state = base_point(MixingWeights([0.6, 0.4]))
+        K = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="generator is not Hermitian"):
+            tangent_from_generator(K, state)
 
     def test_orbit_tangency_kills_diagonal_components(self):
         rng = np.random.default_rng(6)
