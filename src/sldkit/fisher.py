@@ -66,11 +66,15 @@ class FisherTensorResult:
 
 
 def qfi_index(state: DensityState, sld: SLDSolution) -> float:
-    """Scalar quantum Fisher information Tr(rho L^2) along one direction."""
+    """Scalar quantum Fisher information Tr(rho L^2) along one direction.
+
+    For Hermitian L, Tr(rho L^2) = Tr(L^dag (rho L)), one product and one
+    ``vdot``.
+    """
     if sld.dimension != state.dimension:
         raise ValueError("state and SLD dimensions do not match")
     L = sld.matrix
-    return float(np.real(np.trace(state.matrix @ L @ L)))
+    return float(np.vdot(L, state.matrix @ L).real)
 
 
 def fisher_tensor(state: DensityState, slds) -> FisherTensorResult:

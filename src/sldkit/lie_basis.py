@@ -76,8 +76,10 @@ class StructureTensor:
     form: ``keys`` holds the flat indices ``(i*size + j)*size + k`` in
     ascending order and ``values`` the matching entries, each ordering of a
     triple carrying its value (times the permutation parity when
-    antisymmetric).  ``items``, ``len`` and ``to_json_list`` report the
-    canonical triples only.
+    antisymmetric).  Each key's row i and flat column ``j*size + k`` are
+    split once here, so :meth:`contract` is one gather and one ``bincount``.
+    ``items``, ``len`` and ``to_json_list`` report the canonical triples
+    only.
     """
 
     def __init__(self, size: int, triples, values, symmetric: bool):
@@ -96,8 +98,9 @@ class StructureTensor:
         # orderings of a triple with a repeated index coincide; keep one
         self.keys, first = np.unique(np.concatenate(keys), return_index=True)
         self.values = np.concatenate(signed)[first]
-        self.keys.setflags(write=False)
-        self.values.setflags(write=False)
+        self._rows, self._columns = np.divmod(self.keys, self.size ** 2)
+        for array in (self.keys, self.values, self._rows, self._columns):
+            array.setflags(write=False)
 
     def _canonical(self):
         i, j, k = np.unravel_index(self.keys, (self.size,) * 3)
@@ -124,10 +127,10 @@ class StructureTensor:
 
     def contract(self, vector) -> np.ndarray:
         """``sum_i vector[i] T[i, j, k]`` as a (size, size) array over (j, k)."""
-        i, jk = np.divmod(self.keys, self.size * self.size)
-        weights = np.asarray(vector, dtype=float)[i] * self.values
-        return np.bincount(jk, weights, minlength=self.size ** 2).reshape(
-            self.size, self.size)
+        weights = np.asarray(vector, dtype=float)[self._rows] * self.values
+        return np.bincount(self._columns, weights,
+                           minlength=self.size ** 2).reshape(self.size,
+                                                             self.size)
 
     def to_dense(self) -> np.ndarray:
         """Expand to a new dense (size, size, size) array."""

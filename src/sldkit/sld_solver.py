@@ -32,8 +32,8 @@ import numpy as np
 
 from .lie_basis import GeneratorBasis, StructureConstants, matrix_to_pairs
 from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
-                          TangentForm, _resolve_basis, check_tolerance, expand,
-                          kernel_mask, reconstruct)
+                          TangentForm, _coefficients, _resolve_basis,
+                          check_tolerance, expand, kernel_mask, reconstruct)
 
 
 class NumericalError(Exception):
@@ -123,9 +123,10 @@ class _StateOperator:
 
     ``matrix`` is M for ``constants``.  ``scaled`` is ((tol, basis), parts)
     with parts the kernel gauge basis, the kernel levels' indices in rho's
-    eigenframe, the Frobenius weights W, the projector Z^T Z and
-    W M W^-1 + Z^T Z for that tolerance and basis; it is replaced as one
-    tuple, so a key is never paired with another tolerance's parts.
+    eigenframe, the Frobenius weights W, the projector Z^T Z (None when the
+    gauge is empty) and W M W^-1 + Z^T Z for that tolerance and basis; it
+    is replaced as one tuple, so a key is never paired with another
+    tolerance's parts.
     """
 
     constants: StructureConstants
@@ -158,16 +159,21 @@ def assemble(state: DensityState, form: TangentForm,
 
 def _operator_matrix(state: DensityState,
                      constants: StructureConstants) -> np.ndarray:
-    """M: rho_id 1 + the rho_k f_kjl rows, with the identity couplings."""
+    """M: rho_id 1 + the rho_k f_kjl rows, with the identity couplings.
+
+    The contraction of the totally symmetric f is symmetric bit for bit
+    (each (j, l) and (l, j) sums the same products in the same order), so
+    it is written into M as it is.
+    """
     n = state.dimension
-    m = n * n - 1
     rho_id = state.coeff_identity
     rho = state.coeffs
-    M = np.zeros((n * n, n * n))
+    M = np.empty((n * n, n * n))
     M[0, 0] = rho_id
     M[0, 1:] = (2.0 / n) * rho
     M[1:, 0] = rho
-    M[1:, 1:] = rho_id * np.eye(m) + constants.f.contract(rho).T
+    M[1:, 1:] = constants.f.contract(rho)
+    M.flat[n * n + 1::n * n + 1] += rho_id
     M.setflags(write=False)
     return M
 
@@ -241,15 +247,28 @@ def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
 
 def _build_scaled(matrix: np.ndarray, state: DensityState, tol: float,
                   basis: GeneratorBasis) -> tuple:
+    """Build the parts :func:`_scaled_operator` hands out.
+
+    W M W^-1 differs from M only on the identity row and column, since
+    every generator weight is sqrt(2).  Z expands the whole gauge as one
+    stack; the projector Z^T Z is None, and nothing is added, when the
+    gauge is empty.
+    """
     n = state.dimension
     kernel = np.flatnonzero(kernel_mask(state.eigenvalues, tol))
     gauge = _kernel_gauge(state.eigenvectors[:, kernel])
     # Tr(X^2) = n x_id^2 + 2 sum_k x_k^2 for X = x_id 1 + sum x_k t_k
     weights = np.sqrt(np.concatenate(([n], np.full(n * n - 1, 2.0))))
-    Z = weights * np.array([np.r_[expand(g, basis)] for g in gauge]
-                           ).reshape(-1, n * n)
-    projector = Z.T @ Z
-    operator = matrix * np.outer(weights, 1.0 / weights) + projector
+    operator = matrix.copy()
+    operator[0, 1:] *= weights[0] * (1.0 / weights[1])
+    operator[1:, 0] *= weights[1] * (1.0 / weights[0])
+    projector = None
+    if gauge:
+        Z = np.empty((len(gauge), n * n))
+        Z[:, 0], Z[:, 1:] = _coefficients(np.array(gauge), basis)
+        Z *= weights
+        projector = Z.T @ Z
+        operator += projector
     return gauge, kernel, weights, projector, operator
 
 
@@ -286,11 +305,13 @@ def _reject_kernel_pairs(block: np.ndarray, levels: np.ndarray,
     Raises
     ------
     KernelInconsistentError
-        If some |D_ab| on the block exceeds ``tol * max(1, norm)``.
+        If some |D_ab| on the block exceeds ``tol * max(1, norm)``.  The
+        message names the largest entry's mirror with a <= b, so rounding
+        between D_ab and D_ba cannot change it.
     """
     blocked = np.abs(block)
     if blocked.max() > tol * max(1.0, norm):
-        a, b = np.unravel_index(np.argmax(blocked), blocked.shape)
+        a, b = sorted(np.unravel_index(np.argmax(blocked), blocked.shape))
         raise KernelInconsistentError(
             f"kernel-inconsistent tangent: <{levels[a]}|drho|{levels[b]}> = "
             f"{block[a, b]:.3e} on a pair of kernel levels "

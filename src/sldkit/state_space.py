@@ -119,8 +119,8 @@ def expand(matrix, basis: GeneratorBasis | None = None, *,
     """Expand a Hermitian matrix on the identity and the generator basis.
 
     Each call checks Hermiticity, then takes all n^2 - 1 traces in one
-    matrix-vector product with the generators viewed as an
-    (n^2 - 1) x n^2 matrix.
+    real matrix-vector product with the generators viewed as an
+    (n^2 - 1) x 2n^2 matrix of real and imaginary parts.
 
     Returns
     -------
@@ -137,17 +137,26 @@ def expand(matrix, basis: GeneratorBasis | None = None, *,
     herm_dev = np.abs(m - m.conj().T).max()
     if herm_dev > atol:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
-    return _coefficients(m, _resolve_basis(m.shape[0], basis))
+    coeff_identity, coeffs = _coefficients(
+        m, _resolve_basis(m.shape[0], basis))
+    return float(coeff_identity), coeffs
 
 
 def _coefficients(m: np.ndarray, basis: GeneratorBasis):
-    """:func:`expand` of a square complex ``m`` without the Hermitian check."""
-    n = m.shape[0]
-    # Tr(t_k M) = sum_ij (t_k)_ij M_ji: row k of the flat generators times
-    # the flat M^T (the reshape of the C-contiguous stack is a view)
-    flat = basis.generators.reshape(n * n - 1, n * n)
-    coeffs = (flat @ m.T.ravel()).real / 2.0
-    return float(m.trace().real) / n, coeffs
+    """:func:`expand` without the Hermitian check.
+
+    ``m`` is a square complex matrix or a stack of them; for a stack both
+    results gain its leading axes.
+    """
+    n = m.shape[-1]
+    # Re Tr(t_k M) = sum_ij Re(t_k)_ij Re M_ij + Im(t_k)_ij Im M_ij, as t_k
+    # is Hermitian: one product of the flat matrices' real views (for the
+    # C-contiguous generator stack, a view)
+    flat = basis.generators.view(float).reshape(n * n - 1, 2 * n * n)
+    real = np.ascontiguousarray(m).view(float).reshape(
+        m.shape[:-2] + (2 * n * n,))
+    coeffs = (flat @ real.T).T / 2.0
+    return m.trace(0, -2, -1).real / n, coeffs
 
 
 def reconstruct(coeff_identity: float, coeffs,
@@ -298,7 +307,7 @@ def tangent_from_generator(K, state: DensityState,
         mat, _resolve_basis(mat.shape[0], basis))
     mat.setflags(write=False)
     coeffs.setflags(write=False)
-    return TangentForm(coeff_identity, coeffs, mat)
+    return TangentForm(float(coeff_identity), coeffs, mat)
 
 
 def numeric_tangent(family, theta: float, step: float = DEFAULT_FD_STEP,

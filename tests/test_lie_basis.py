@@ -191,6 +191,15 @@ def test_tensor_lookup_follows_permutation_rule():
         StructureTensor(4, [(0, 0, 2)], [1.0], symmetric=False)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_contract_matches_dense_on_real_bases(n):
+    constants = compute_structure_constants(build_basis(n))
+    v = np.random.default_rng(n).standard_normal(n * n - 1)
+    for tensor in (constants.c, constants.f):
+        expected = np.einsum("i,ijk->jk", v, tensor.to_dense())
+        assert np.abs(tensor.contract(v) - expected).max() <= 1e-14
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_vanishing_patterns(n):
     basis = build_basis(n)

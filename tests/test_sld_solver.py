@@ -8,12 +8,13 @@ import pytest
 from helpers import (anticommutator_matrix, assert_same_modulo_gauge,
                      haar_unitary, random_full_rank_weights, random_hermitian)
 
+from sldkit import sld_solver
 from sldkit import (DensityState, InconsistentSystemError,
                     KernelInconsistentError, MixingWeights, TangentForm,
                     adjoint_transport, assemble, base_point, build_basis,
-                    closed_form, compute_structure_constants, qfi_eigenbasis,
-                    sld_eigenbasis, solve, tangent_from_generator,
-                    transversal_tangent)
+                    closed_form, compute_structure_constants, expand,
+                    qfi_eigenbasis, sld_eigenbasis, solve,
+                    tangent_from_generator, transversal_tangent)
 
 
 def orbit_form(state, rng, basis=None):
@@ -112,6 +113,42 @@ class TestAssemble:
         assert np.abs(M - expected.real).max() < 1e-14
 
 
+class TestPerStateOperator:
+    """The per-state operator against its direct construction."""
+
+    @pytest.mark.parametrize(
+        "n, rank",
+        [pytest.param(n, n, id=f"n{n}-full") for n in range(2, 9)]
+        + [pytest.param(n, max(n - 2, 1), id=f"n{n}-deficient")
+           for n in range(2, 9)])
+    def test_matches_reference_construction(self, n, rank):
+        rng = np.random.default_rng(40 + 10 * n + rank)
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        state = _random_state(n, rank, rng, basis)
+        M = sld_solver._operator_matrix(state, constants)
+        expected = np.zeros((n * n, n * n))
+        expected[0, 0] = state.coeff_identity
+        expected[0, 1:] = (2.0 / n) * state.coeffs
+        expected[1:, 0] = state.coeffs
+        expected[1:, 1:] = (state.coeff_identity * np.eye(n * n - 1)
+                            + constants.f.contract(state.coeffs).T)
+        assert np.array_equal(M, expected)
+
+        gauge, kernel, weights, projector, operator = (
+            sld_solver._build_scaled(M, state, 1e-10, basis))
+        assert len(gauge) == (n - rank) ** 2 == kernel.size ** 2
+        Z = weights * np.array([np.r_[expand(g, basis)] for g in gauge]
+                               ).reshape(-1, n * n)
+        reference = Z.T @ Z
+        if gauge:
+            assert np.abs(projector - reference).max() <= 1e-14
+        else:
+            assert projector is None
+        assert np.abs(operator - (M * np.outer(weights, 1.0 / weights)
+                                  + reference)).max() <= 1e-14
+
+
 class TestSolve:
     def test_two_level_mixed(self, constants2):
         rng = np.random.default_rng(3)
@@ -195,6 +232,26 @@ class TestSolve:
         sol = solve(assemble(state, consistent, constants), state)
         assert sol.gauge_dim == 9
         assert sol.residual < 1e-12
+
+    def test_rejection_names_the_upper_mirror_entry(self):
+        # |D_31| is one ulp above |D_13|; the message still names <1|drho|3>
+        upper = 0.5j
+        lower = -np.nextafter(0.5, 1.0) * 1j
+        block = np.array([[0.0, upper], [lower, 0.0]])
+        message = ("kernel-inconsistent tangent: <1|drho|3> = "
+                   "0.000e+00+5.000e-01j on a pair of kernel levels "
+                   "(eigenvalues <= tol = 1.000e-10)")
+        with pytest.raises(KernelInconsistentError) as excinfo:
+            sld_solver._reject_kernel_pairs(block, np.array([1, 3]), 1.0,
+                                            1e-10)
+        assert str(excinfo.value) == message
+        drho = np.zeros((4, 4), dtype=complex)
+        drho[0, 2] = drho[2, 0] = 0.3
+        drho[1, 3], drho[3, 1] = upper, lower
+        with pytest.raises(KernelInconsistentError) as excinfo:
+            closed_form(MixingWeights([0.5, 0.0, 0.5, 0.0]),
+                        TangentForm.from_matrix(drho))
+        assert str(excinfo.value) == message
 
     def test_closed_form_rejection_names_the_level_pair(self):
         # unsorted weights: the kernel levels 1 and 3 are not a prefix
