@@ -57,10 +57,10 @@ class FisherTensorResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "F_re": [[float(v) for v in row] for row in self.components.real],
-            "F_im": [[float(v) for v in row] for row in self.components.imag],
-            "g": [[float(v) for v in row] for row in self.symmetric],
-            "omega": [[float(v) for v in row] for row in self.antisymmetric],
+            "F_re": self.components.real.tolist(),
+            "F_im": self.components.imag.tolist(),
+            "g": self.symmetric.tolist(),
+            "omega": self.antisymmetric.tolist(),
             "directions": int(self.directions),
         }
 
@@ -133,20 +133,12 @@ def chart_tangents(weights: MixingWeights,
     are left out, so repeated weights give the tangents of the partial flag
     manifold, and equal weights none.
     """
-    n = weights.dimension
-    basis = _resolve_basis(n, basis)
+    basis = _resolve_basis(weights.dimension, basis)
     k = weights.values
-    forms = []
-    for a, b in _chart_pairs(weights):
-        r = float(k[a] - k[b])
-        sym = np.zeros((n, n), dtype=complex)
-        sym[a, b] = sym[b, a] = 1.0
-        antisym = np.zeros((n, n), dtype=complex)
-        antisym[a, b] = -1j
-        antisym[b, a] = 1j
-        forms.append(TangentForm.from_matrix(r * sym, basis))
-        forms.append(TangentForm.from_matrix(r * antisym, basis))
-    return forms
+    slot = {label: i for i, label in enumerate(basis.labels)}
+    return [TangentForm.from_matrix(
+        float(k[a] - k[b]) * basis.generators[slot[kind, a, b]], basis)
+        for a, b in _chart_pairs(weights) for kind in ("sym", "antisym")]
 
 
 def _pair_coefficients(ka: float, kb: float):

@@ -27,6 +27,7 @@ applies the same pair rule in the eigenframe of an arbitrary state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,7 +99,7 @@ class SLDSolution:
     def to_json_dict(self) -> dict:
         return {
             "L_identity": float(self.coeff_identity),
-            "L": [float(v) for v in self.coeffs],
+            "L": self.coeffs.tolist(),
             "matrix": matrix_to_pairs(self.matrix),
             "gauge_dim": int(self.gauge_dim),
             "residual": float(self.residual),
@@ -112,9 +113,10 @@ def _finalize(L: np.ndarray, coeff_identity: float, coeffs: np.ndarray,
     coeffs = np.asarray(coeffs, dtype=float).copy()
     recon = 0.5 * (state_matrix @ L + L @ state_matrix)
     residual = float(np.linalg.norm(form_matrix - recon))
+    gauge = tuple(gauge)
     for array in (L, coeffs, *gauge):
         array.setflags(write=False)
-    return SLDSolution(float(coeff_identity), coeffs, L, tuple(gauge), residual)
+    return SLDSolution(float(coeff_identity), coeffs, L, gauge, residual)
 
 
 @dataclass(eq=False)
@@ -251,25 +253,23 @@ def _build_scaled(matrix: np.ndarray, state: DensityState, tol: float,
 
     W M W^-1 differs from M only on the identity row and column, since
     every generator weight is sqrt(2).  Z expands the whole gauge as one
-    stack; the projector Z^T Z is None, and nothing is added, when the
-    gauge is empty.
+    stack; at full rank no gauge is built, the projector Z^T Z is None
+    and nothing is added.
     """
     n = state.dimension
     kernel = np.flatnonzero(kernel_mask(state.eigenvalues, tol))
-    gauge = _kernel_gauge(state.eigenvectors[:, kernel])
     # Tr(X^2) = n x_id^2 + 2 sum_k x_k^2 for X = x_id 1 + sum x_k t_k
     weights = np.sqrt(np.concatenate(([n], np.full(n * n - 1, 2.0))))
     operator = matrix.copy()
     operator[0, 1:] *= weights[0] * (1.0 / weights[1])
     operator[1:, 0] *= weights[1] * (1.0 / weights[0])
-    projector = None
-    if gauge:
-        Z = np.empty((len(gauge), n * n))
-        Z[:, 0], Z[:, 1:] = _coefficients(np.array(gauge), basis)
-        Z *= weights
+    gauge, projector = (), None
+    if kernel.size:
+        gauge = _kernel_gauge(state.eigenvectors[:, kernel])
+        Z = weights * np.column_stack(_coefficients(gauge, basis))
         projector = Z.T @ Z
         operator += projector
-    return gauge, kernel, weights, projector, operator
+    return tuple(gauge), kernel, weights, projector, operator
 
 
 def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
@@ -318,21 +318,30 @@ def _reject_kernel_pairs(block: np.ndarray, levels: np.ndarray,
             f"(eigenvalues <= tol = {tol:.3e})")
 
 
-def _kernel_gauge(vectors: np.ndarray) -> list:
+@lru_cache(maxsize=None)
+def _hermitian_units(r: int) -> np.ndarray:
+    """The r^2 Hermitian unit matrices on r levels, in the gauge's order."""
+    a, b = np.triu_indices(r)
+    pair, half = np.arange(a.size), np.sqrt(0.5)
+    units = np.zeros((a.size, 2, r, r), dtype=complex)
+    units[pair, 0, a, b] = units[pair, 0, b, a] = np.where(a == b, 1.0, half)
+    units[pair, 1, a, b], units[pair, 1, b, a] = -1j * half, 1j * half
+    units = units[np.stack((a == a, a != b), 1)]  # E_aa is one unit, not two
+    units.setflags(write=False)
+    return units
+
+
+def _kernel_gauge(vectors: np.ndarray) -> np.ndarray:
     """Frobenius-orthonormal Hermitian basis on the span of ``vectors``.
 
-    For orthonormal columns v_a: v_a v_a^dag, then (v_a v_b^dag + v_b v_a^dag)
-    / sqrt(2) and i(v_b v_a^dag - v_a v_b^dag) / sqrt(2) for each a < b.
+    The stack V E V^dag over the units E: for orthonormal columns v_a,
+    v_a v_a^dag, then (v_a v_b^dag + v_b v_a^dag) / sqrt(2) and
+    i(v_b v_a^dag - v_a v_b^dag) / sqrt(2) for each b > a.
     """
-    columns = vectors.T
-    gauge = []
-    for i, a in enumerate(columns):
-        gauge.append(np.outer(a, a.conj()))
-        for b in columns[i + 1:]:
-            ab = np.outer(a, b.conj()) / np.sqrt(2.0)
-            gauge.append(ab + ab.conj().T)
-            gauge.append(1j * (ab.conj().T - ab))
-    return gauge
+    n, r = vectors.shape
+    # V E as one (r^2 n) x r block takes V^dag in one product
+    return ((vectors @ _hermitian_units(r)).reshape(r * r * n, r)
+            @ vectors.conj().T).reshape(r * r, n, n)
 
 
 def _pair_rule(lam: np.ndarray, vectors: np.ndarray, form: np.ndarray,

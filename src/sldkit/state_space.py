@@ -65,6 +65,8 @@ def _as_square(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -201,7 +203,7 @@ class DensityState:
     @classmethod
     def from_matrix(cls, matrix, basis: GeneratorBasis | None = None, *,
                     atol: float = 1e-10) -> "DensityState":
-        m = _as_square(matrix)
+        m = np.asarray(matrix, dtype=complex)  # expand checks it
         coeff_identity, coeffs = expand(m, basis, atol=atol)
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > atol:
@@ -235,7 +237,7 @@ class TangentForm:
     @classmethod
     def from_matrix(cls, matrix, basis: GeneratorBasis | None = None, *,
                     atol: float = 1e-10) -> "TangentForm":
-        m = _as_square(matrix)
+        m = np.asarray(matrix, dtype=complex)  # expand checks it
         coeff_identity, coeffs = expand(m, basis, atol=atol)
         m = m.copy()
         m.setflags(write=False)

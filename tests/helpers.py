@@ -120,3 +120,20 @@ def einsum_reconstruct(coeff_identity, coeffs, basis):
     n = basis.dimension
     return coeff_identity * np.eye(n, dtype=complex) + np.einsum(
         "k,kij->ij", np.asarray(coeffs, dtype=float), basis.generators)
+
+
+def loop_kernel_gauge(vectors):
+    """Reference kernel gauge as a Python loop of outer products.
+
+    For orthonormal columns v_a: v_a v_a^dag, then (v_a v_b^dag + v_b v_a^dag)
+    / sqrt(2) and i(v_b v_a^dag - v_a v_b^dag) / sqrt(2) for each a < b.
+    """
+    columns = vectors.T
+    gauge = []
+    for i, a in enumerate(columns):
+        gauge.append(np.outer(a, a.conj()))
+        for b in columns[i + 1:]:
+            ab = np.outer(a, b.conj()) / np.sqrt(2.0)
+            gauge.append(ab + ab.conj().T)
+            gauge.append(1j * (ab.conj().T - ab))
+    return gauge

@@ -220,19 +220,23 @@ def test_verify_basis_clean(basis3, constants3):
 
 
 def test_verify_basis_n10_is_sparse_and_fast():
-    basis = build_basis(10)
-    constants = compute_structure_constants(basis)
-    start = time.perf_counter()
-    assert verify_basis(basis, constants) == []
-    assert time.perf_counter() - start < 1.0
-    # a dense m^4 Jacobi tensor alone would take 768 MB at m = 99
-    tracemalloc.start()
-    try:
-        verify_basis(basis, constants)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100e6
+    # n = 16 too, where dense m^3 copies of c and f and all m^2 products
+    # t_i t_j took 1.3 GB
+    for n in (10, 16):
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        start = time.perf_counter()
+        assert verify_basis(basis, constants) == []
+        if n == 10:
+            assert time.perf_counter() - start < 1.0
+        # a dense m^4 Jacobi tensor alone would take 768 MB at m = 99
+        tracemalloc.start()
+        try:
+            verify_basis(basis, constants)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -245,14 +249,38 @@ def test_verify_basis_detects_jacobi_violation(n):
     report = verify_basis(basis, StructureConstants(n, bad_c, good.f))
     assert any("Jacobi identity violated" in msg for msg in report)
     assert any("product reconstruction" in msg for msg in report)
-    # the sparse cyclic sum equals the dense one everywhere
+    # the sparse cyclic sums, gathered over every l, equal the dense ones
     dense = bad_c.to_dense()
     cc = np.einsum("ijm,mkl->ijkl", dense, dense)
     jacobi = (cc + cc.transpose(1, 2, 0, 3) + cc.transpose(2, 0, 1, 3)).ravel()
-    keys, sums = _jacobi_sums(bad_c)
+    keys, sums = map(np.concatenate, zip(*_jacobi_sums(bad_c)))
+    assert np.unique(keys).size == keys.size
     assert np.abs(jacobi).max() > 1e-3
     assert np.abs(jacobi[keys] - sums).max() < 1e-15
     assert np.abs(np.delete(jacobi, keys)).max() < 1e-15
+
+
+def _with_entry(tensor, triple, value):
+    triples, values = map(np.array, zip(*tensor.items()))
+    return StructureTensor(tensor.size, np.vstack([triples, [triple]]),
+                           np.append(values, value), tensor.symmetric)
+
+
+def test_verify_basis_detects_diagonal_triples():
+    basis = build_basis(4)
+    good = compute_structure_constants(basis)
+    assert basis.diagonal_indices == (12, 13, 14)
+    bad_c = StructureConstants(4, _with_entry(good.c, (12, 13, 14), 0.25),
+                               good.f)
+    assert [msg for msg in verify_basis(basis, bad_c)
+            if "diagonal triple" in msg] == [
+        "c nonzero on diagonal triple (12, 13, 14)"]
+    bad_f = StructureConstants(4, good.c,
+                               _with_entry(good.f, (0, 12, 13), 0.25))
+    assert [msg for msg in verify_basis(basis, bad_f)
+            if "diagonal triple" in msg] == [
+        "f nonzero on mixed diagonal triple (12, 0, 13)",
+        "f nonzero on mixed diagonal triple (13, 0, 12)"]
 
 
 def test_verify_basis_detects_scaled_generator(basis3, constants3):
@@ -282,3 +310,7 @@ def test_matrix_pair_codec_rejects_bad_shapes():
         pairs_to_matrix([[1.0, 2.0]])
     round_tripped = pairs_to_matrix(matrix_to_pairs(np.eye(2) * (1 + 2j)))
     assert np.array_equal(round_tripped, np.eye(2) * (1 + 2j))
+    # plain floats, signed zeros kept: the text JSON writes is unchanged
+    pairs = matrix_to_pairs([[complex(-0.0, 1.5), 2], [0.25j, -1e-300]])
+    assert json.dumps(pairs) == ("[[[-0.0, 1.5], [2.0, 0.0]], "
+                                 "[[0.0, 0.25], [-1e-300, 0.0]]]")

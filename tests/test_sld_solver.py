@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import (anticommutator_matrix, assert_same_modulo_gauge,
-                     haar_unitary, random_full_rank_weights, random_hermitian)
+                     haar_unitary, loop_kernel_gauge, random_full_rank_weights,
+                     random_hermitian)
 
 from sldkit import sld_solver
 from sldkit import (DensityState, InconsistentSystemError,
@@ -194,6 +195,8 @@ class TestSolve:
         form = orbit_form(state, rng)
         sol = solve(assemble(state, form, constants3), state)
         assert sol.gauge_dim == 1
+        assert isinstance(sol.gauge_basis, tuple)
+        assert not any(g.flags.writeable for g in sol.gauge_basis)
         for gi in sol.gauge_basis:
             for gj in sol.gauge_basis:
                 inner = np.trace(gi.conj().T @ gj).real
@@ -606,6 +609,7 @@ class TestTransversalSLD:
         sol = transversal_sld([1.0, -1.0, 0.0], MixingWeights([0.6, 0.4, 0.0]))
         assert sol.gauge_dim == 1
         assert np.allclose(sol.gauge_basis[0], np.diag([0, 0, 1.0]), atol=1e-15)
+        assert not sol.gauge_basis[0].flags.writeable
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, 1e-12])
@@ -630,3 +634,13 @@ def test_solution_json_shape(constants2):
     assert set(payload) == {"L_identity", "L", "matrix", "gauge_dim", "residual"}
     assert payload["gauge_dim"] == 0
     assert payload["L"][0] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", range(10))
+def test_kernel_gauge_matches_loop_reference(r):
+    vectors = haar_unitary(10, np.random.default_rng(70 + r))[:, :r]
+    gauge = sld_solver._kernel_gauge(vectors)
+    reference = loop_kernel_gauge(vectors)
+    assert gauge.shape == (r * r, 10, 10) and len(reference) == r * r
+    for got, expected in zip(gauge, reference):
+        assert np.abs(got - expected).max() <= 1e-15

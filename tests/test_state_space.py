@@ -54,6 +54,24 @@ def test_messages_print_plain_numbers(build, number):
     assert "np.float64" not in message
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf, "all-nan"])
+@pytest.mark.parametrize("call", [
+    DensityState.from_matrix,
+    TangentForm.from_matrix,
+    expand,
+    lambda K: tangent_from_generator(K, base_point(MixingWeights([0.75, 0.25]))),
+], ids=["state", "form", "expand", "generator"])
+def test_rejects_non_finite_entries(call, bad):
+    # a NaN fails every comparison, so it would pass the Hermitian check
+    if bad == "all-nan":
+        matrix = np.full((2, 2), np.nan)
+    else:
+        matrix = np.diag([0.5, 0.5]).astype(complex)
+        matrix[0, 1] = matrix[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        call(matrix)
+
+
 class TestBasePoint:
     def test_two_level(self):
         state = base_point(MixingWeights([0.75, 0.25]))
