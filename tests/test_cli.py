@@ -321,6 +321,29 @@ class TestQfiCommand:
         assert code == 1
         assert "fd_step 0.2 exceeds half the sampled range" in err
 
+    @pytest.mark.parametrize("thetas, code, message", [
+        ("0,1", 2, "kernel-inconsistent tangent: <0|drho|0> = "
+                   "2.000e-01+0.000e+00j on a pair of kernel levels "
+                   "(eigenvalues <= tol = 1.000e-10)"),
+        ("1,0", 2, "kernel-inconsistent tangent: <0|drho|0> = "
+                   "2.000e-01+0.000e+00j on a pair of kernel levels "
+                   "(eigenvalues <= tol = 1.000e-10)"),
+        ("1", 1, "matrix is not Hermitian (max deviation 3.000e-01)"),
+    ], ids=["both", "both-unsorted", "second-only"])
+    def test_first_failing_theta_reports_its_first_error(
+            self, tmp_path, capsys, thetas, code, message):
+        # theta 0 is pure and its tangent couples the kernel level to
+        # itself (a solve-stage error); theta 1 is not Hermitian (a
+        # state-stage error).  The first theta in sweep order decides,
+        # whatever stage each fails at.
+        family = write_family(tmp_path, {
+            "kind": "explicit_matrices", "n": 2, "fd_step": 1e-3,
+            "matrices": [[0.0, matrix_to_pairs(np.diag([1.0, 0.0]))],
+                         [0.5, matrix_to_pairs(np.diag([0.9, 0.1]))],
+                         [1.0, matrix_to_pairs([[0.5, 0.3], [0.0, 0.5]])]]})
+        got = run(["qfi", "--input", family, "--thetas", thetas], capsys)
+        assert got == (code, "", f"error: {message}\n")
+
     def test_requires_thetas(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
         code, _, err = run(["qfi", "--input", family], capsys)
