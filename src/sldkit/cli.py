@@ -42,15 +42,25 @@ Exit status: 0 success, 1 usage error, 2 numerical error; diagnostics are a
 single stderr line prefixed "error:".  SLDKIT_TOL overrides the default
 tolerance 1e-10 (an explicit --tol wins over the environment); a tolerance
 that is not finite or is below 1e-10, any non-finite number in a family, a
-theta or the tensor weights, and a theta outside the family's domain (the
-sampled range of explicit_matrices, or where a weight_path weight turns
-negative) are usage errors.  Every theta is checked before the first solve.
-A request too large for memory (such as a --theta-range COUNT of 10**13)
-is a usage error too.
+theta or the tensor weights, a finite-difference step (fd_step or --fd-step,
+for any family kind) that is not positive or exceeds half the sampled
+range, and a theta outside the family's domain (the sampled range of
+explicit_matrices, or where a weight_path weight turns negative) are usage
+errors.  Every theta and the step are checked before the first theta is
+evaluated.  A request too large for memory (such as a --theta-range COUNT
+of 10**13) is a usage error too.
 
 A family is parsed once per command: :class:`FamilySpec` holds what does not
-depend on theta, so :func:`family_state_and_tangent` does only the per-theta
-work.  :func:`main` builds its parser on the first call and reuses it.
+depend on theta.  ``sld`` and ``qfi`` then work on blocks of sorted thetas
+as stacks along a leading axis: per block, :func:`family_state_and_tangent`
+evaluates every state and tangent at once (one stacked ``eigh``), the solve
+builds every M from one ``bincount`` and runs one stacked LU per group of
+states with the same kernel size, and the QFI and the oracle's QFI are
+stacked too.  A block holds as many thetas as fit one stacked n^2 x n^2
+float array into ``_BLOCK_BYTES``.  When a block fails, its thetas are
+bisected for the first failing one, so the error is the one a loop over the
+thetas in order would meet first.  :func:`main` builds its parser on the
+first call and reuses it.
 """
 
 from __future__ import annotations
@@ -69,14 +79,20 @@ import numpy as np
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
 from .sld_solver import NumericalError, SLDSolution
-from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, DensityState,
-                          MixingWeights, TangentForm, base_point,
-                          check_tolerance, expand, numeric_tangent, reconstruct,
-                          tangent_from_generator, transversal_tangent)
+from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, MixingWeights,
+                          TangentForm, _check_unit_sum, _difference_quotient,
+                          _FormStack, _orbit_tangent, _StateStack, base_point,
+                          check_tolerance, reconstruct, transversal_tangent)
 
 _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
 #: slack on both ends of a sampled theta range
 _RANGE_SLACK = 1e-12
+#: bytes of one n^2 x n^2 float array stacked over a block of thetas: 2
+#: thetas at n = 8, 6 at n = 6, one from n = 9 on.  A sweep's peak memory
+#: grows with the block, not with the sweep.  Larger blocks bought little
+#: speed here (arrays above malloc's 128 KiB mmap threshold are mapped and
+#: page-faulted afresh for every block) and held more memory.
+_BLOCK_BYTES = 1 << 16
 #: the largest dimension ``tensor`` accepts
 _TENSOR_MAX_N = 16
 
@@ -207,8 +223,8 @@ def parse_family(data: dict) -> FamilySpec:
             raise ValueError("explicit_matrices needs at least two samples")
         samples.sort(key=lambda s: s[0])
         fields["matrices"] = samples
-        fields["fd_step"] = _number("fd_step",
-                                    data.get("fd_step", DEFAULT_FD_STEP))
+        fields["fd_step"] = _positive_step(data.get("fd_step",
+                                                    DEFAULT_FD_STEP))
     else:
         rates = _finite("weight_rates", data["weight_rates"])
         if rates.shape != (n,):
@@ -218,84 +234,116 @@ def parse_family(data: dict) -> FamilySpec:
     return FamilySpec(kind=kind, n=n, **fields)
 
 
-def _check_theta(spec: FamilySpec, theta: float) -> None:
-    """Reject a theta outside the family's domain with a ValueError.
+def _positive_step(value) -> float:
+    step = _number("fd_step", value)
+    if step <= 0:
+        raise ValueError(f"fd_step must be positive, got {step!r}")
+    return step
+
+
+def _fd_step(spec: FamilySpec, override) -> float:
+    """The finite-difference step of a command: ``--fd-step`` if given,
+    else the family's.  An explicit_matrices family needs the sampled range
+    to hold a central difference."""
+    step = spec.fd_step if override is None else _positive_step(override)
+    if spec.kind == "explicit_matrices":
+        lo, hi = (float(t) for t in spec._sample_thetas[[0, -1]])
+        if hi - lo < 2.0 * step:
+            raise ValueError(f"fd_step {step!r} exceeds half the sampled range "
+                             f"[{lo!r}, {hi!r}]")
+    return step
+
+
+def _check_thetas(spec: FamilySpec, thetas: np.ndarray) -> None:
+    """Reject the first theta outside the family's domain with a ValueError.
 
     explicit_matrices are defined on their sampled range; a weight_path
     only where every weight k_i + theta dk_i stays nonnegative.
     """
     if spec.kind == "explicit_matrices":
         lo, hi = (float(t) for t in spec._sample_thetas[[0, -1]])
-        if theta < lo - _RANGE_SLACK or theta > hi + _RANGE_SLACK:
+        outside = (thetas < lo - _RANGE_SLACK) | (thetas > hi + _RANGE_SLACK)
+        if outside.any():
+            theta = float(thetas[outside.argmax()])
             raise ValueError(f"theta {theta!r} outside the sampled range "
                              f"[{lo!r}, {hi!r}]")
     elif spec.kind == "weight_path":
         k, rates = spec.weights.values, spec.weight_rates
-        negative = np.flatnonzero(k + theta * rates < 0)
-        if negative.size:
-            level = negative[0]
+        values = k + thetas[:, None] * rates
+        negative = values < 0
+        if negative.any():
+            i = negative.any(axis=1).argmax()
+            level, theta = negative[i].argmax(), float(thetas[i])
             up, down = rates > 0, rates < 0
             lo = float(np.max(-k[up] / rates[up], initial=-np.inf)) + 0.0
             hi = float(np.min(-k[down] / rates[down], initial=np.inf))
             raise ValueError(
                 f"theta {theta!r} drives weight {level + 1} of the weight_path "
-                f"to {k[level] + theta * rates[level]:.3g}; its weights stay "
+                f"to {values[i, level]:.3g}; its weights stay "
                 f"nonnegative for theta in [{lo!r}, {hi!r}]")
 
 
-def _rotation(spec: FamilySpec, theta: float) -> np.ndarray:
-    """U(theta) = exp(-i theta K), from the held eigendecomposition of K."""
+def _rotation(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
+    """U(theta) = exp(-i theta K) at each theta, from the held
+    eigendecomposition of K."""
     w, V = spec._generator_eigh
-    return (V * np.exp(-1j * theta * w)) @ V.conj().T
+    return (V * np.exp(-1j * thetas[:, None, None] * w)) @ V.conj().T
 
 
-def _interpolate(spec: FamilySpec, theta: float) -> np.ndarray:
-    """An explicit_matrices family at theta, linear between its samples."""
-    _check_theta(spec, theta)
-    thetas, mats = spec._sample_thetas, spec._sample_matrices
-    theta = min(max(theta, thetas[0]), thetas[-1])
-    j = int(np.searchsorted(thetas, theta))
-    if j == 0:
-        return mats[0]
-    if thetas[j - 1] == theta:
-        return mats[j - 1]
-    t0, t1 = thetas[j - 1], thetas[j]
-    frac = (theta - t0) / (t1 - t0)
-    return (1.0 - frac) * mats[j - 1] + frac * mats[j]
+def _interpolate(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
+    """An explicit_matrices family at each theta, linear between its
+    samples (thetas clamped into the sampled range)."""
+    samples, mats = spec._sample_thetas, spec._sample_matrices
+    thetas = np.minimum(np.maximum(thetas, samples[0]), samples[-1])
+    j = np.clip(np.searchsorted(samples, thetas), 1, samples.size - 1)
+    t0, t1 = samples[j - 1], samples[j]
+    frac = ((thetas - t0) / (t1 - t0))[:, None, None]
+    inside = (1.0 - frac) * mats[j - 1] + frac * mats[j]
+    return np.where((thetas <= samples[0])[:, None, None], mats[0], inside)
 
 
-def family_state_and_tangent(spec: FamilySpec, theta: float, *,
+def family_state_and_tangent(spec: FamilySpec, thetas, *,
                              fd_step: float | None = None):
-    """Evaluate (state, tangent) of a family at theta.
+    """Evaluate the states and tangents of a family at an array of thetas.
 
-    Only theta-dependent work is done here: exp_generator families get
+    Returns a :class:`state_space._StateStack` and a
+    :class:`state_space._FormStack`, stacked along the thetas.  Only
+    theta-dependent work is done here: exp_generator families get
     rho(theta) = U diag(k) U^dag, with U from the eigendecomposition of K
     held on ``spec``, and the analytic tangent -i[K, rho(theta)];
-    explicit_matrices use central differences on the interpolated samples,
-    taken at theta clamped into [lo + step, hi - step] so that they stay in
-    the sampled range (the end segment's slope near an end);
+    explicit_matrices use central differences with ``fd_step`` (checked
+    by the caller; the family's own by default) on the interpolated
+    samples, taken at theta clamped into [lo + step, hi - step] so that
+    they stay in the sampled range (the end segment's slope near an end);
     weight_path families get diag(k + theta dk) and the held transversal
     tangent sum dk_i P_i.
     """
+    thetas = np.asarray(thetas, dtype=float)
     basis = build_basis(spec.n)
     if spec.kind == "exp_generator":
-        U = _rotation(spec, theta)
-        state = DensityState.from_matrix(U @ spec._base_matrix @ U.conj().T,
-                                         basis)
-        return state, tangent_from_generator(spec._generator, state, basis)
+        U = _rotation(spec, thetas)
+        states = _StateStack.from_matrices(
+            U @ spec._base_matrix @ U.conj().swapaxes(-1, -2), basis)
+        return states, _FormStack(*_orbit_tangent(spec._generator,
+                                                  states.matrix, basis))
     if spec.kind == "explicit_matrices":
         step = spec.fd_step if fd_step is None else fd_step
-        state = DensityState.from_matrix(_interpolate(spec, theta), basis)
-        lo, hi = (float(t) for t in spec._sample_thetas[[0, -1]])
-        if hi - lo < 2.0 * step:
-            raise ValueError(f"fd_step {step!r} exceeds half the sampled range "
-                             f"[{lo!r}, {hi!r}]")
-        centre = min(max(theta, lo + step), hi - step)
-        form = numeric_tangent(functools.partial(_interpolate, spec), centre,
-                               step, basis)
-        return state, form
-    values = spec.weights.values + theta * spec.weight_rates
-    return base_point(MixingWeights(values), basis), spec._tangent
+        states = _StateStack.from_matrices(_interpolate(spec, thetas), basis)
+        lo, hi = spec._sample_thetas[[0, -1]]
+        centres = np.minimum(np.maximum(thetas, lo + step), hi - step)
+        return states, _FormStack(*_difference_quotient(
+            _interpolate(spec, centres + step),
+            _interpolate(spec, centres - step), step, basis))
+    values = spec.weights.values + thetas[:, None] * spec.weight_rates
+    _check_unit_sum(values)
+    matrices = np.zeros(values.shape + (spec.n,), dtype=complex)
+    levels = np.arange(spec.n)
+    matrices[:, levels, levels] = values
+    tangent = spec._tangent
+    return _StateStack.from_matrices(matrices, basis), _FormStack(
+        np.full(thetas.shape, tangent.coeff_identity),
+        *(np.broadcast_to(a, thetas.shape + a.shape)
+          for a in (tangent.coeffs, tangent.matrix)))
 
 
 def _solve_general(state, form, tol) -> SLDSolution:
@@ -304,27 +352,66 @@ def _solve_general(state, form, tol) -> SLDSolution:
     return sld_solver.solve(system, state, tol)
 
 
-def _solve_family(spec: FamilySpec, theta: float, method: str, tol: float, *,
-                  fd_step: float | None = None):
-    """Return (state, form, solution) at theta for the selected method."""
-    state, form = family_state_and_tangent(spec, theta, fd_step=fd_step)
-    if method == "general":
-        return state, form, _solve_general(state, form, tol)
-    if method == "oracle":
-        return state, form, oracle.sld_eigenbasis(state, form, tol)
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
-    if spec.kind != "exp_generator":
-        raise ValueError("method 'closed' requires an exp_generator family")
+def _solve_family(spec: FamilySpec, thetas: np.ndarray, method: str,
+                  tol: float, *, fd_step: float | None = None):
+    """Return (states, forms, solutions) at the thetas for the selected
+    method, each stacked along the thetas."""
+    states, forms = family_state_and_tangent(spec, thetas, fd_step=fd_step)
     basis = build_basis(spec.n)
-    # rho(theta) = U diag(k) U^dag: the closed form at the base point, in the
-    # frame U, is the pair rule with the weights as eigenvalues.
-    U = _rotation(spec, theta)
-    L, gauge = sld_solver._pair_rule(spec.weights.values, U,
-                                     U.conj().T @ form.matrix @ U, tol)
-    solution = sld_solver._finalize(L, *expand(L, basis), state.matrix,
-                                    form.matrix, gauge)
-    return state, form, solution
+    if method == "general":
+        constants = compute_structure_constants(basis)
+        return states, forms, sld_solver._solve_stack(states, forms,
+                                                      constants, tol, basis)
+    if method == "oracle":
+        levels, frame = states.eigenvalues, states.eigenvectors
+    elif method != "closed":
+        raise ValueError(f"unknown method {method!r}")
+    elif spec.kind != "exp_generator":
+        raise ValueError("method 'closed' requires an exp_generator family")
+    else:
+        # rho(theta) = U diag(k) U^dag: the closed form at the base point,
+        # in the frame U, is the pair rule with the weights as eigenvalues.
+        levels, frame = spec.weights.values, _rotation(spec, thetas)
+    L, kernel = sld_solver._pair_rule(
+        levels, frame, sld_solver._in_frame(frame, forms.matrix), tol)
+    return states, forms, sld_solver._SolutionStack.from_matrices(
+        L, states.matrix, forms.matrix, kernel, basis)
+
+
+def _sweep_block(spec: FamilySpec, thetas: np.ndarray, method: str,
+                 tol: float, fd_step: float, check_oracle: bool) -> tuple:
+    """The QFI at each theta of a block, and the oracle's if asked for."""
+    states, forms, solutions = _solve_family(spec, thetas, method, tol,
+                                             fd_step=fd_step)
+    qfi = fisher._qfi(states.matrix, solutions.matrix)
+    if not check_oracle:
+        return qfi, None
+    return qfi, oracle._qfi(states.eigenvalues, states.eigenvectors,
+                            forms.matrix, tol)
+
+
+def _first_failure(run, thetas: np.ndarray):
+    """``run(thetas)``; if it fails, the error of the first theta that fails.
+
+    A stacked step raises for some failing theta, not necessarily the
+    first.  The shortest failing prefix is found by bisection; in its run
+    only its last theta fails, so the error raised is that theta's at the
+    first step it fails, as in a loop over the thetas in order.
+    """
+    try:
+        return run(thetas)
+    except (ValueError, NumericalError):
+        passing, failing = 0, thetas.size  # prefix lengths
+        while failing - passing > 1:
+            middle = (passing + failing) // 2
+            try:
+                run(thetas[:middle])
+                passing = middle
+            except (ValueError, NumericalError):
+                failing = middle
+        if failing < thetas.size:
+            run(thetas[:failing])
+        raise
 
 
 class _UsageError(Exception):
@@ -382,15 +469,16 @@ def cmd_sld(args) -> int:
     _require_json_format(args)
     spec = _load_family(args.input)
     tol = _tolerance(args)
-    theta = _number("theta", args.theta)
-    _check_theta(spec, theta)
-    _, _, solution = _solve_family(spec, theta, args.method, tol,
-                                   fd_step=args.fd_step)
-    _emit(_dump_json(solution.to_json_dict()), args.output)
+    thetas = np.array([_number("theta", args.theta)])
+    _check_thetas(spec, thetas)
+    step = _fd_step(spec, args.fd_step)
+    _, _, solutions = _solve_family(spec, thetas, args.method, tol,
+                                    fd_step=step)
+    _emit(_dump_json(solutions.to_json_dict(0)), args.output)
     return 0
 
 
-def _theta_values(args) -> list:
+def _theta_values(args) -> np.ndarray:
     values = []
     if args.thetas:
         for tok in args.thetas.split(","):
@@ -408,40 +496,39 @@ def _theta_values(args) -> list:
         values.extend(np.linspace(start, stop, count).tolist())
     if not values:
         raise ValueError("no theta values given; use --thetas or --theta-range")
-    return sorted(_finite("theta", values).tolist())
+    return np.sort(_finite("theta", values), kind="stable")
 
 
 def cmd_qfi(args) -> int:
     spec = _load_family(args.input)
     tol = _tolerance(args)
     thetas = _theta_values(args)
-    for theta in thetas:
-        _check_theta(spec, theta)
-    rows = []
-    for theta in thetas:
-        state, form, solution = _solve_family(spec, theta, args.method, tol,
-                                              fd_step=args.fd_step)
-        row = {"theta": float(theta),
-               "qfi": fisher.qfi_index(state, solution)}
-        if args.check_oracle:
-            row["qfi_oracle"] = oracle.qfi_eigenbasis(state, form, tol)
-            row["abs_dev"] = abs(row["qfi"] - row["qfi_oracle"])
-        rows.append(row)
+    _check_thetas(spec, thetas)
+    run = functools.partial(_sweep_block, spec, method=args.method, tol=tol,
+                            fd_step=_fd_step(spec, args.fd_step),
+                            check_oracle=args.check_oracle)
+    size = max(1, _BLOCK_BYTES // (8 * spec.n ** 4))
+    blocks = [_first_failure(run, thetas[i:i + size])
+              for i in range(0, thetas.size, size)]
+    qfi = np.concatenate([q for q, _ in blocks])
+    columns = {"theta": thetas.tolist(), "qfi": qfi.tolist()}
+    if args.check_oracle:
+        qfi_oracle = np.concatenate([o for _, o in blocks])
+        columns["qfi_oracle"] = qfi_oracle.tolist()
+        columns["abs_dev"] = np.abs(qfi - qfi_oracle).tolist()
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     if args.format == "csv":
-        columns = ["theta", "qfi"]
-        if args.check_oracle:
-            columns += ["qfi_oracle", "abs_dev"]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([repr(row[c]) for c in columns])
+            writer.writerow([repr(value) for value in row.values()])
         _emit(buf.getvalue(), args.output)
     else:
         payload = {"rows": rows}
         if args.check_oracle:
-            payload["max_abs_dev"] = max(row["abs_dev"] for row in rows)
+            payload["max_abs_dev"] = max(columns["abs_dev"])
         _emit(_dump_json(payload), args.output)
     return 0
 

@@ -56,9 +56,9 @@ class FisherTensorResult:
     antisymmetric: np.ndarray
 
     def to_json_dict(self) -> dict:
+        """``g``, ``omega`` and ``directions``; F = g + i omega, so the
+        components are not written twice."""
         return {
-            "F_re": self.components.real.tolist(),
-            "F_im": self.components.imag.tolist(),
             "g": self.symmetric.tolist(),
             "omega": self.antisymmetric.tolist(),
             "directions": int(self.directions),
@@ -73,8 +73,21 @@ def qfi_index(state: DensityState, sld: SLDSolution) -> float:
     """
     if sld.dimension != state.dimension:
         raise ValueError("state and SLD dimensions do not match")
-    L = sld.matrix
-    return float(np.vdot(L, state.matrix @ L).real)
+    return float(_qfi(state.matrix, sld.matrix))
+
+
+def _qfi(rho: np.ndarray, L: np.ndarray):
+    """Tr(rho L^2) for Hermitian L, or per item of stacks of rho and L.
+
+    A stack takes one (1, n^2) x (n^2, 1) product per item, the same inner
+    product as ``vdot`` of one matrix, bit for bit.
+    """
+    rho_L = rho @ L
+    if L.ndim == 2:
+        return np.vdot(L, rho_L).real
+    lead, n = L.shape[:-2], L.shape[-1]
+    return np.matmul(L.conj().reshape(lead + (1, n * n)),
+                     rho_L.reshape(lead + (n * n, 1)))[..., 0, 0].real
 
 
 def fisher_tensor(state: DensityState, slds) -> FisherTensorResult:

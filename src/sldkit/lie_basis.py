@@ -28,6 +28,7 @@ All indices are 0-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,11 +126,23 @@ class StructureTensor:
         return 0.0
 
     def contract(self, vector) -> np.ndarray:
-        """``sum_i vector[i] T[i, j, k]`` as a (size, size) array over (j, k)."""
-        weights = np.asarray(vector, dtype=float)[self._rows] * self.values
-        return np.bincount(self._columns, weights,
-                           minlength=self.size ** 2).reshape(self.size,
-                                                             self.size)
+        """``sum_i vector[i] T[i, j, k]`` as a (size, size) array over (j, k).
+
+        A stack of vectors along leading axes gives the stack of results
+        from one ``bincount``, each vector's columns offset by its position
+        times size^2; every entry sums the same terms in the same order as
+        for that vector alone.
+        """
+        vector = np.asarray(vector, dtype=float)
+        lead, square = vector.shape[:-1], self.size ** 2
+        # take keeps a stack's gather C-ordered, so the ravel below is a view
+        weights = np.take(vector, self._rows, axis=-1) * self.values
+        columns, count = self._columns, math.prod(lead)
+        if lead:
+            columns = (columns + square * np.arange(count)[:, None]).ravel()
+        return np.bincount(columns, weights.ravel(),
+                           minlength=count * square).reshape(
+                               lead + (self.size, self.size))
 
     def to_dense(self) -> np.ndarray:
         """Expand to a new dense (size, size, size) array."""

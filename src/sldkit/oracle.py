@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lie_basis import GeneratorBasis
-from .sld_solver import SLDSolution, _finalize, _kept_pairs, _pair_rule
+from .sld_solver import (SLDSolution, _finalize, _in_frame, _kept_pairs,
+                         _kernel_gauge, _pair_rule)
 from .state_space import (DEFAULT_TOL, DensityState, TangentForm,
                           _resolve_basis, expand)
 
@@ -36,16 +37,23 @@ def sld_eigenbasis(state: DensityState, form: TangentForm,
     """
     basis = _resolve_basis(state.dimension, basis)
     vectors = state.eigenvectors
-    dtil = vectors.conj().T @ form.matrix @ vectors
-    L, gauge = _pair_rule(state.eigenvalues, vectors, dtil, tol)
-    return _finalize(L, *expand(L, basis), state.matrix, form.matrix, gauge)
+    L, kernel = _pair_rule(state.eigenvalues, vectors,
+                           _in_frame(vectors, form.matrix), tol)
+    return _finalize(L, *expand(L, basis), state.matrix, form.matrix,
+                     _kernel_gauge(vectors[:, kernel]))
 
 
 def qfi_eigenbasis(state: DensityState, form: TangentForm,
                    tol: float = DEFAULT_TOL) -> float:
     """Quantum Fisher information from the eigendecomposition of the state."""
-    vectors = state.eigenvectors
-    dtil = vectors.conj().T @ form.matrix @ vectors
-    pair_sums, kept, _ = _kept_pairs(state.eigenvalues, dtil, tol)
+    return float(_qfi(state.eigenvalues, state.eigenvectors, form.matrix, tol))
+
+
+def _qfi(lam: np.ndarray, vectors: np.ndarray, drho: np.ndarray,
+         tol: float):
+    """:func:`qfi_eigenbasis` from the eigenframe (lam, vectors) and drho;
+    every argument may carry a leading stack axis."""
+    dtil = _in_frame(vectors, drho)
+    pair_sums, kept, _ = _kept_pairs(lam, dtil, tol)
     terms = 2.0 * np.abs(dtil) ** 2 / np.where(kept, pair_sums, 1.0)
-    return float(np.sum(terms[kept]))
+    return np.where(kept, terms, 0.0).sum((-2, -1))

@@ -28,13 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .lie_basis import GeneratorBasis, StructureConstants, matrix_to_pairs
 from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
-                          TangentForm, _coefficients, _resolve_basis,
-                          check_tolerance, expand, kernel_mask, reconstruct)
+                          TangentForm, _any, _coefficients, _expand_each,
+                          _reconstruct, _resolve_basis, check_tolerance,
+                          expand, kernel_mask)
 
 
 class NumericalError(Exception):
@@ -97,13 +99,60 @@ class SLDSolution:
         return len(self.gauge_basis)
 
     def to_json_dict(self) -> dict:
-        return {
-            "L_identity": float(self.coeff_identity),
-            "L": self.coeffs.tolist(),
-            "matrix": matrix_to_pairs(self.matrix),
-            "gauge_dim": int(self.gauge_dim),
-            "residual": float(self.residual),
-        }
+        return _solution_json(self.coeff_identity, self.coeffs, self.matrix,
+                              self.gauge_dim, self.residual)
+
+
+def _solution_json(coeff_identity, coeffs, matrix, gauge_dim,
+                   residual) -> dict:
+    return {
+        "L_identity": float(coeff_identity),
+        "L": coeffs.tolist(),
+        "matrix": matrix_to_pairs(matrix),
+        "gauge_dim": int(gauge_dim),
+        "residual": float(residual),
+    }
+
+
+class _SolutionStack(NamedTuple):
+    """SLDs of a stack of states, one direction each: the fields of
+    :class:`SLDSolution` with a leading axis, and the gauge dimension in
+    place of the gauge basis."""
+
+    coeff_identity: np.ndarray
+    coeffs: np.ndarray
+    matrix: np.ndarray
+    gauge_dim: np.ndarray
+    residual: np.ndarray
+
+    @classmethod
+    def from_matrices(cls, L: np.ndarray, state_matrix: np.ndarray,
+                      form_matrix: np.ndarray, kernel: np.ndarray,
+                      basis: GeneratorBasis) -> "_SolutionStack":
+        """Expand each L and take its residual; ``kernel`` is the mask of
+        kernel levels, per state or shared."""
+        gauge_dim = np.count_nonzero(kernel, axis=-1) ** 2
+        return cls(*_expand_each(L, basis), L,
+                   np.broadcast_to(gauge_dim, L.shape[:-2]),
+                   _residual(state_matrix, L, form_matrix))
+
+    def to_json_dict(self, i: int) -> dict:
+        """Item ``i`` as :meth:`SLDSolution.to_json_dict` writes it."""
+        return _solution_json(*(field[i] for field in self))
+
+
+def _frobenius(x: np.ndarray):
+    """||x||_F of a matrix, or of each matrix of a stack."""
+    if x.ndim == 2:  # one matrix: numpy takes its flat norm by one dot
+        return np.linalg.norm(x)
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def _residual(state_matrix: np.ndarray, L: np.ndarray,
+              form_matrix: np.ndarray):
+    """||drho - 1/2 {rho, L}||_F, per item of a stack."""
+    return _frobenius(form_matrix
+                      - 0.5 * (state_matrix @ L + L @ state_matrix))
 
 
 def _finalize(L: np.ndarray, coeff_identity: float, coeffs: np.ndarray,
@@ -111,8 +160,7 @@ def _finalize(L: np.ndarray, coeff_identity: float, coeffs: np.ndarray,
               gauge) -> SLDSolution:
     """Freeze L, its coefficients and the gauge basis; attach the residual."""
     coeffs = np.asarray(coeffs, dtype=float).copy()
-    recon = 0.5 * (state_matrix @ L + L @ state_matrix)
-    residual = float(np.linalg.norm(form_matrix - recon))
+    residual = float(_residual(state_matrix, L, form_matrix))
     gauge = tuple(gauge)
     for array in (L, coeffs, *gauge):
         array.setflags(write=False)
@@ -151,7 +199,9 @@ def assemble(state: DensityState, form: TangentForm,
             f"constants {constants.dimension}")
     held = state._operator
     if held is None or held.constants is not constants:
-        held = _StateOperator(constants, _operator_matrix(state, constants))
+        M = _operator_matrix(state, constants)
+        M.setflags(write=False)
+        held = _StateOperator(constants, M)
         object.__setattr__(state, "_operator", held)
     rhs = np.concatenate(([form.coeff_identity], form.coeffs))
     rhs.setflags(write=False)
@@ -159,24 +209,26 @@ def assemble(state: DensityState, form: TangentForm,
                      tuple(constants.diagonal_indices))
 
 
-def _operator_matrix(state: DensityState,
-                     constants: StructureConstants) -> np.ndarray:
+def _operator_matrix(state, constants: StructureConstants) -> np.ndarray:
     """M: rho_id 1 + the rho_k f_kjl rows, with the identity couplings.
 
+    ``state`` is a :class:`DensityState` or a stack of states (its fields
+    with a leading axis), which gets a stack of M from one ``bincount``.
     The contraction of the totally symmetric f is symmetric bit for bit
     (each (j, l) and (l, j) sums the same products in the same order), so
     it is written into M as it is.
     """
-    n = state.dimension
-    rho_id = state.coeff_identity
+    n = constants.dimension
+    rho_id = np.asarray(state.coeff_identity)
     rho = state.coeffs
-    M = np.empty((n * n, n * n))
-    M[0, 0] = rho_id
-    M[0, 1:] = (2.0 / n) * rho
-    M[1:, 0] = rho
-    M[1:, 1:] = constants.f.contract(rho)
-    M.flat[n * n + 1::n * n + 1] += rho_id
-    M.setflags(write=False)
+    M = np.empty(rho_id.shape + (n * n, n * n))
+    M[..., 0, 0] = rho_id
+    M[..., 0, 1:] = (2.0 / n) * rho
+    M[..., 1:, 0] = rho
+    M[..., 1:, 1:] = constants.f.contract(rho)
+    # the diagonal past M[0, 0]: every (n^2 + 1)-th entry of the flat M
+    M.reshape(rho_id.shape + (-1,))[..., n * n + 1::n * n + 1] += \
+        rho_id[..., None]
     return M
 
 
@@ -214,19 +266,67 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
         raise ValueError("state dimension does not match system")
     basis = _resolve_basis(n, basis)
     tol = check_tolerance(tol)
-    gauge, kernel, weights, projector, operator = _scaled_operator(
-        system, state, tol, basis)
-    form = system.form_matrix
+    gauge, kernel, *parts = _scaled_operator(system, state, tol, basis)
+    x, L = _solve_directions(parts, kernel, state.eigenvectors, system.rhs,
+                             system.form_matrix, basis, tol)
+    return _finalize(L, x[0], x[1:], state.matrix, system.form_matrix, gauge)
+
+
+def _solve_stack(states, forms, constants: StructureConstants, tol: float,
+                 basis: GeneratorBasis) -> _SolutionStack:
+    """:func:`solve` for a stack of states, one direction at each.
+
+    ``states`` and ``forms`` hold the fields of :class:`DensityState` and
+    :class:`TangentForm` with a leading axis.  M is built for every state
+    at once; the scaled operator, the rejection test and the LU solve run
+    once per group of states with the same kernel size r.  ``eigh`` sorts
+    eigenvalues in ascending order, so the kernel is each state's leading
+    r levels.  Every step is the one :func:`solve` takes, with a stack axis.
+
+    Raises
+    ------
+    KernelInconsistentError
+        As :func:`solve`, for some state of the stack.
+    """
+    tol = check_tolerance(tol)
+    M = _operator_matrix(states, constants)
+    sizes = np.count_nonzero(kernel_mask(states.eigenvalues, tol), axis=-1)
+    rhs = np.concatenate((forms.coeff_identity[:, None], forms.coeffs), -1)
+    x = np.empty(rhs.shape)
+    L = np.empty(forms.matrix.shape, dtype=complex)
+    groups = np.flatnonzero(np.bincount(sizes))  # np.unique imports numpy.ma
+    for r in groups:
+        # one group scales M itself; several scale copies of their rows
+        group = np.flatnonzero(sizes == r) if groups.size > 1 else slice(None)
+        vectors = states.eigenvectors[group]
+        _, *parts = _scaled_parts(M[group], vectors[..., :r], basis)
+        x[group], L[group] = _solve_directions(
+            parts, np.arange(r), vectors, rhs[group], forms.matrix[group],
+            basis, tol)
+    return _SolutionStack(x[:, 0], x[:, 1:], L, sizes ** 2,
+                          _residual(states.matrix, L, forms.matrix))
+
+
+def _solve_directions(parts, kernel: np.ndarray, eigenvectors: np.ndarray,
+                      rhs: np.ndarray, form: np.ndarray,
+                      basis: GeneratorBasis, tol: float) -> tuple:
+    """The per-direction steps of :func:`solve`: (x, L).
+
+    ``parts`` are W, Z^T Z (None for an empty gauge) and the scaled
+    operator; ``kernel`` the kernel levels' indices in the eigenframe.  The
+    rest may carry a leading stack axis, with one operator per direction.
+    """
+    weights, projector, operator = parts
     if kernel.size:
-        vectors = state.eigenvectors[:, kernel]
-        _reject_kernel_pairs(vectors.conj().T @ form @ vectors, kernel,
-                             float(np.linalg.norm(form)), tol)
-    wd = weights * system.rhs
-    if gauge:
-        wd -= projector @ wd
-    x = np.linalg.solve(operator, wd) / weights
-    L = reconstruct(x[0], x[1:], basis)
-    return _finalize(L, x[0], x[1:], state.matrix, form, gauge)
+        _reject_kernel_pairs(_in_frame(eigenvectors[..., kernel], form),
+                             kernel, _frobenius(form), tol)
+    wd = weights * rhs
+    if projector is not None:
+        wd -= np.matmul(projector, wd[..., None])[..., 0]
+    # one right-hand side is solved as a vector, a stack as columns
+    x = np.linalg.solve(operator, wd if wd.ndim == 1 else wd[..., None])
+    x = x.reshape(wd.shape) / weights
+    return x, _reconstruct(x[..., 0], x[..., 1:], basis)
 
 
 def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
@@ -249,36 +349,48 @@ def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
 
 def _build_scaled(matrix: np.ndarray, state: DensityState, tol: float,
                   basis: GeneratorBasis) -> tuple:
-    """Build the parts :func:`_scaled_operator` hands out.
-
-    W M W^-1 differs from M only on the identity row and column, since
-    every generator weight is sqrt(2).  Z expands the whole gauge as one
-    stack; at full rank no gauge is built, the projector Z^T Z is None
-    and nothing is added.
-    """
-    n = state.dimension
+    """Build the parts :func:`_scaled_operator` hands out: the gauge basis,
+    the kernel levels, then :func:`_scaled_parts`' W, Z^T Z and operator."""
     kernel = np.flatnonzero(kernel_mask(state.eigenvalues, tol))
+    gauge, *parts = _scaled_parts(matrix.copy(),
+                                  state.eigenvectors[:, kernel], basis)
+    return (tuple(gauge), kernel, *parts)
+
+
+def _scaled_parts(operator: np.ndarray, vectors: np.ndarray,
+                  basis: GeneratorBasis) -> tuple:
+    """The kernel gauge, W, Z^T Z and W M W^-1 + Z^T Z.
+
+    ``operator`` is M, turned into W M W^-1 + Z^T Z in place; ``vectors``
+    are the kernel levels' eigenvectors; both may carry a leading stack
+    axis.  W M W^-1 differs from M only on the identity row and column,
+    since every generator weight is sqrt(2).  Z expands the whole gauge as
+    one stack; with no kernel levels no gauge is built, the projector
+    Z^T Z is None and nothing is added.
+    """
+    n = basis.dimension
     # Tr(X^2) = n x_id^2 + 2 sum_k x_k^2 for X = x_id 1 + sum x_k t_k
     weights = np.sqrt(np.concatenate(([n], np.full(n * n - 1, 2.0))))
-    operator = matrix.copy()
-    operator[0, 1:] *= weights[0] * (1.0 / weights[1])
-    operator[1:, 0] *= weights[1] * (1.0 / weights[0])
+    operator[..., 0, 1:] *= weights[0] * (1.0 / weights[1])
+    operator[..., 1:, 0] *= weights[1] * (1.0 / weights[0])
     gauge, projector = (), None
-    if kernel.size:
-        gauge = _kernel_gauge(state.eigenvectors[:, kernel])
-        Z = weights * np.column_stack(_coefficients(gauge, basis))
-        projector = Z.T @ Z
+    if vectors.shape[-1]:
+        gauge = _kernel_gauge(vectors)
+        coeff_identity, coeffs = _coefficients(gauge, basis)
+        Z = weights * np.concatenate((coeff_identity[..., None], coeffs), -1)
+        projector = np.matmul(Z.swapaxes(-1, -2), Z)
         operator += projector
-    return tuple(gauge), kernel, weights, projector, operator
+    return gauge, weights, projector, operator
 
 
 def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
     """Pair sums lam_a + lam_b, the mask of kept pairs and the kernel mask.
 
-    ``form`` is drho in the frame where the state is diag(lam).  The kernel
-    levels are those of :func:`state_space.kernel_mask`, lam_a <= tol; a
-    pair is dropped exactly when both its levels are kernel, and there
-    D_ab = (lam_a + lam_b) L_ab / 2 has a solution only if D_ab vanishes.
+    ``form`` is drho in the frame where the state is diag(lam); both may
+    carry leading stack axes.  The kernel levels are those of
+    :func:`state_space.kernel_mask`, lam_a <= tol; a pair is dropped exactly
+    when both its levels are kernel, and there D_ab = (lam_a + lam_b) L_ab / 2
+    has a solution only if D_ab vanishes.
 
     Raises
     ------
@@ -286,35 +398,43 @@ def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
         If ``form`` exceeds ``tol * max(1, ||form||_F)`` on a dropped pair.
     """
     kernel = kernel_mask(lam, tol)
-    levels = np.flatnonzero(kernel)
-    if levels.size:
-        _reject_kernel_pairs(form[np.ix_(levels, levels)], levels,
-                             float(np.linalg.norm(form)), float(tol))
-    dropped = kernel[:, None] & kernel[None, :]
-    return lam[:, None] + lam[None, :], ~dropped, kernel
+    dropped = kernel[..., :, None] & kernel[..., None, :]
+    if _any(kernel):
+        # the kept pairs zeroed: the largest entry left is on a dropped pair
+        _reject_kernel_pairs(np.where(dropped, form, 0.0),
+                             np.arange(lam.shape[-1]), _frobenius(form),
+                             float(tol))
+    return lam[..., :, None] + lam[..., None, :], ~dropped, kernel
 
 
 def _reject_kernel_pairs(block: np.ndarray, levels: np.ndarray,
-                         norm: float, tol: float) -> None:
+                         norm, tol: float) -> None:
     """The rejection test on drho's kernel block in rho's eigenframe.
 
     ``block`` is drho on the kernel levels ``levels`` (their indices in the
-    eigenframe) and ``norm`` is ||drho||_F.  On a pair of kernel levels
-    D_ab = (lam_a + lam_b) L_ab / 2 has a solution only if D_ab vanishes.
+    eigenframe) and ``norm`` is ||drho||_F, or a stack of both.  On a pair
+    of kernel levels D_ab = (lam_a + lam_b) L_ab / 2 has a solution only if
+    D_ab vanishes.
 
     Raises
     ------
     KernelInconsistentError
-        If some |D_ab| on the block exceeds ``tol * max(1, norm)``.  The
-        message names the largest entry's mirror with a <= b, so rounding
-        between D_ab and D_ba cannot change it.
+        If some |D_ab| on the block exceeds ``tol * max(1, norm)``; for a
+        stack, at the first such item.  The message names the largest
+        entry's mirror with a <= b, so rounding between D_ab and D_ba cannot
+        change it.
     """
     blocked = np.abs(block)
-    if blocked.max() > tol * max(1.0, norm):
+    bad = blocked.max((-2, -1)) > tol * np.maximum(1.0, norm)
+    if _any(bad):
+        size = blocked.shape[-1]
+        item = np.ravel(bad).argmax()
+        blocked = blocked.reshape(-1, size, size)[item]
         a, b = sorted(np.unravel_index(np.argmax(blocked), blocked.shape))
+        value = block.reshape(-1, size, size)[item, a, b]
         raise KernelInconsistentError(
             f"kernel-inconsistent tangent: <{levels[a]}|drho|{levels[b]}> = "
-            f"{block[a, b]:.3e} on a pair of kernel levels "
+            f"{value:.3e} on a pair of kernel levels "
             f"(eigenvalues <= tol = {tol:.3e})")
 
 
@@ -336,27 +456,35 @@ def _kernel_gauge(vectors: np.ndarray) -> np.ndarray:
 
     The stack V E V^dag over the units E: for orthonormal columns v_a,
     v_a v_a^dag, then (v_a v_b^dag + v_b v_a^dag) / sqrt(2) and
-    i(v_b v_a^dag - v_a v_b^dag) / sqrt(2) for each b > a.
+    i(v_b v_a^dag - v_a v_b^dag) / sqrt(2) for each b > a.  A stack of
+    (n, r) blocks gives a stack of bases.
     """
-    n, r = vectors.shape
+    *lead, n, r = vectors.shape
     # V E as one (r^2 n) x r block takes V^dag in one product
-    return ((vectors @ _hermitian_units(r)).reshape(r * r * n, r)
-            @ vectors.conj().T).reshape(r * r, n, n)
+    block = np.matmul(vectors[..., None, :, :], _hermitian_units(r))
+    return (block.reshape(*lead, r * r * n, r)
+            @ vectors.conj().swapaxes(-1, -2)).reshape(*lead, r * r, n, n)
+
+
+def _in_frame(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """V^dag X V: ``matrix`` on the columns of ``vectors`` (or stacks)."""
+    return vectors.conj().swapaxes(-1, -2) @ matrix @ vectors
 
 
 def _pair_rule(lam: np.ndarray, vectors: np.ndarray, form: np.ndarray,
                tol: float):
-    """Minimum-norm SLD and kernel gauge basis of the state V diag(lam) V^dag.
+    """Minimum-norm SLD of the state V diag(lam) V^dag and its kernel mask.
 
     ``vectors`` is V and ``form`` is drho in its frame, where
     L_ab = 2 D_ab / (lam_a + lam_b), except on pairs of two kernel levels
-    (lam <= tol, :func:`state_space.kernel_mask`), where L_ab = 0.  Both
-    results are returned in the state's own frame.
+    (lam <= tol, :func:`state_space.kernel_mask`), where L_ab = 0.  L is
+    returned in the state's own frame; every argument may carry a leading
+    stack axis.
     """
     pair_sums, kept, kernel = _kept_pairs(lam, form, tol)
     L = np.where(kept, 2.0 * form / np.where(kept, pair_sums, 1.0), 0.0)
-    L = vectors @ L @ vectors.conj().T
-    return 0.5 * (L + L.conj().T), _kernel_gauge(vectors[:, kernel])
+    L = vectors @ L @ vectors.conj().swapaxes(-1, -2)
+    return 0.5 * (L + L.conj().swapaxes(-1, -2)), kernel
 
 
 def closed_form(weights: MixingWeights, form: TangentForm,
@@ -383,7 +511,8 @@ def closed_form(weights: MixingWeights, form: TangentForm,
     if form.dimension != n:
         raise ValueError(f"dimension mismatch: weights {n}, form {form.dimension}")
     basis = _resolve_basis(n, None)
-    L, gauge = _pair_rule(weights.values, np.eye(n, dtype=complex),
-                          form.matrix, tol)
+    frame = np.eye(n, dtype=complex)
+    L, kernel = _pair_rule(weights.values, frame, form.matrix, tol)
     state_matrix = np.diag(weights.values).astype(complex)
-    return _finalize(L, *expand(L, basis), state_matrix, form.matrix, gauge)
+    return _finalize(L, *expand(L, basis), state_matrix, form.matrix,
+                     _kernel_gauge(frame[:, kernel]))

@@ -9,11 +9,18 @@ expansion on the generator basis,
 so the structure-constant solver can work purely on coefficient vectors.
 Tangents along the orbit are commutators -i[K, rho] with Hermitian K; tangents
 transversal to the orbit vary the mixing weights at a diagonal base point.
+
+The numeric steps behind :class:`DensityState` and :class:`TangentForm`
+(the checks, the expansion, the eigenframe, the tangents) also take a stack
+of matrices along leading axes, one item per theta of a sweep.  Each product
+keeps its per-item shape, so an item of a stack gets bit for bit what the
+single-matrix call gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +77,37 @@ def _as_square(matrix) -> np.ndarray:
     return m
 
 
+def _any(bad) -> bool:
+    """Whether ``bad`` holds anywhere in a stack, or for one matrix (0-d),
+    whose truth value is much cheaper than its ``any()``."""
+    return bool(bad.any() if bad.ndim else bad)
+
+
+def _raise_first(bad, values, message) -> None:
+    """Raise ``ValueError(message(v))`` for the first item where ``bad`` holds.
+
+    ``bad`` and ``values`` have a stack's leading shape (0-d for one
+    matrix); ``v`` is that item's value as a Python float.
+    """
+    if _any(bad):
+        first = np.ravel(bad).argmax()
+        raise ValueError(message(float(np.ravel(values)[first])))
+
+
+def _check_hermitian(m: np.ndarray, atol: float, what: str = "matrix") -> None:
+    """Reject a matrix, or the first of a stack, that is not Hermitian."""
+    deviation = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1))
+    _raise_first(deviation > atol, deviation,
+                 lambda d: f"{what} is not Hermitian (max deviation {d:.3e})")
+
+
+def _check_unit_sum(values) -> None:
+    """Reject weights, or the first row of a stack, not summing to one."""
+    total = np.sum(values, axis=-1)
+    _raise_first(np.abs(total - 1.0) > 1e-12, total,
+                 lambda t: f"weights must sum to 1, got {t!r}")
+
+
 class MixingWeights:
     """Ordered mixing weights k_1..k_m, zero-padded to the matrix dimension n.
 
@@ -87,9 +125,7 @@ class MixingWeights:
             raise ValueError("weights must be finite")
         if np.any(vals < 0):
             raise ValueError("weights must be nonnegative")
-        total = float(vals.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
+        _check_unit_sum(vals)
         padded = np.zeros(n)
         padded[:vals.size] = vals
         padded.setflags(write=False)
@@ -136,9 +172,7 @@ def expand(matrix, basis: GeneratorBasis | None = None, *,
         If the matrix is not Hermitian within ``atol``.
     """
     m = _as_square(matrix)
-    herm_dev = np.abs(m - m.conj().T).max()
-    if herm_dev > atol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
+    _check_hermitian(m, atol)
     coeff_identity, coeffs = _coefficients(
         m, _resolve_basis(m.shape[0], basis))
     return float(coeff_identity), coeffs
@@ -147,18 +181,31 @@ def expand(matrix, basis: GeneratorBasis | None = None, *,
 def _coefficients(m: np.ndarray, basis: GeneratorBasis):
     """:func:`expand` without the Hermitian check.
 
-    ``m`` is a square complex matrix or a stack of them; for a stack both
-    results gain its leading axes.
+    ``m`` is a square complex matrix, a stack (k, n, n) of them expanded in
+    one matrix product, or such stacks along further leading axes, one
+    product each; both results gain the leading axes.
     """
     n = m.shape[-1]
     # Re Tr(t_k M) = sum_ij Re(t_k)_ij Re M_ij + Im(t_k)_ij Im M_ij, as t_k
-    # is Hermitian: one product of the flat matrices' real views (for the
+    # is Hermitian: one product with the flat matrices' real views (for the
     # C-contiguous generator stack, a view)
     flat = basis.generators.view(float).reshape(n * n - 1, 2 * n * n)
     real = np.ascontiguousarray(m).view(float).reshape(
         m.shape[:-2] + (2 * n * n,))
-    coeffs = (flat @ real.T).T / 2.0
-    return m.trace(0, -2, -1).real / n, coeffs
+    if real.ndim == 1:
+        coeffs = flat @ real
+    else:
+        coeffs = np.matmul(flat, real.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return m.trace(0, -2, -1).real / n, coeffs / 2.0
+
+
+def _expand_each(m: np.ndarray, basis: GeneratorBasis):
+    """:func:`_coefficients` with one product per matrix, so that a matrix
+    of a stack gets bit for bit what it gets alone."""
+    if m.ndim == 2:
+        return _coefficients(m, basis)
+    coeff_identity, coeffs = _coefficients(m[..., None, :, :], basis)
+    return coeff_identity[..., 0], coeffs[..., 0, :]
 
 
 def reconstruct(coeff_identity: float, coeffs,
@@ -173,10 +220,68 @@ def reconstruct(coeff_identity: float, coeffs,
     if n * n - 1 != coeffs.size:
         raise ValueError(f"coefficient vector of length {coeffs.size} "
                          "does not match any dimension")
-    basis = _resolve_basis(n, basis)
-    matrix = (coeffs @ basis.generators.reshape(n * n - 1, n * n)).reshape(n, n)
-    matrix.flat[::n + 1] += coeff_identity
-    return matrix
+    return _reconstruct(coeff_identity, coeffs, _resolve_basis(n, basis))
+
+
+def _reconstruct(coeff_identity, coeffs: np.ndarray,
+                 basis: GeneratorBasis) -> np.ndarray:
+    """:func:`reconstruct` for a coefficient vector or a stack of them."""
+    n = basis.dimension
+    lead = coeffs.shape[:-1]
+    matrix = np.matmul(coeffs[..., None, :],
+                       basis.generators.reshape(n * n - 1, n * n))
+    # the diagonal is every (n + 1)-th entry of each flat matrix
+    matrix[..., 0, ::n + 1] += np.asarray(coeff_identity)[..., None]
+    return matrix.reshape(lead + (n, n))
+
+
+def _state_parts(m: np.ndarray, basis: GeneratorBasis, atol: float) -> tuple:
+    """Check a density matrix or a stack of them; expand and diagonalise.
+
+    The checks run in this order over the whole stack: Hermitian within
+    ``atol``, unit trace within ``atol``, smallest eigenvalue at least
+    ``POSITIVITY_FLOOR``; a failure names the first matrix that fails that
+    check.  Returns the identity and generator coefficients and the
+    ascending eigenvalues and eigenvectors from one (stacked) ``eigh``.
+    """
+    _check_hermitian(m, atol)
+    coeff_identity, coeffs = _expand_each(m, basis)
+    trace = m.trace(0, -2, -1).real
+    _raise_first(np.abs(trace - 1.0) > atol, trace,
+                 lambda t: f"density matrix must have unit trace, got {t!r}")
+    eigenvalues, eigenvectors = np.linalg.eigh(m)
+    lowest = eigenvalues[..., 0]
+    _raise_first(lowest < POSITIVITY_FLOOR, lowest,
+                 lambda v: "density matrix is not positive semidefinite "
+                           f"(smallest eigenvalue {v:.3e})")
+    return coeff_identity, coeffs, eigenvalues, eigenvectors
+
+
+class _StateStack(NamedTuple):
+    """Density states of a sweep: the fields of :class:`DensityState`, each
+    with a leading axis over the states."""
+
+    matrix: np.ndarray
+    coeff_identity: np.ndarray
+    coeffs: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @classmethod
+    def from_matrices(cls, matrices: np.ndarray,
+                      basis: GeneratorBasis) -> "_StateStack":
+        """The checks and eigenframes of :meth:`DensityState.from_matrix`,
+        for a stack of matrices at once."""
+        return cls(matrices, *_state_parts(matrices, basis, 1e-10))
+
+
+class _FormStack(NamedTuple):
+    """Tangent directions of a sweep: the fields of :class:`TangentForm`,
+    each with a leading axis over the directions."""
+
+    coeff_identity: np.ndarray
+    coeffs: np.ndarray
+    matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,20 +308,13 @@ class DensityState:
     @classmethod
     def from_matrix(cls, matrix, basis: GeneratorBasis | None = None, *,
                     atol: float = 1e-10) -> "DensityState":
-        m = np.asarray(matrix, dtype=complex)  # expand checks it
-        coeff_identity, coeffs = expand(m, basis, atol=atol)
-        trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > atol:
-            raise ValueError(f"density matrix must have unit trace, got {trace!r}")
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
-        if eigenvalues[0] < POSITIVITY_FLOOR:
-            raise ValueError(
-                f"density matrix is not positive semidefinite "
-                f"(smallest eigenvalue {eigenvalues[0]:.3e})")
+        m = _as_square(matrix)
+        coeff_identity, coeffs, eigenvalues, eigenvectors = _state_parts(
+            m, _resolve_basis(m.shape[0], basis), atol)
         m = m.copy()
         for array in (m, coeffs, eigenvalues, eigenvectors):
             array.setflags(write=False)
-        return cls(m, coeff_identity, coeffs, eigenvalues, eigenvectors)
+        return cls(m, float(coeff_identity), coeffs, eigenvalues, eigenvectors)
 
     def to_json_dict(self) -> dict:
         return {"n": int(self.dimension), "matrix": matrix_to_pairs(self.matrix)}
@@ -299,17 +397,22 @@ def tangent_from_generator(K, state: DensityState,
     diagonal-generator coefficients.
     """
     K = _as_square(K)
-    herm_dev = np.abs(K - K.conj().T).max()
-    if herm_dev > atol:
-        raise ValueError(f"generator is not Hermitian (max deviation {herm_dev:.3e})")
-    comm = K @ state.matrix - state.matrix @ K
-    mat = -1j * comm
-    mat = 0.5 * (mat + mat.conj().T)
-    coeff_identity, coeffs = _coefficients(
-        mat, _resolve_basis(mat.shape[0], basis))
+    _check_hermitian(K, atol, "generator")
+    coeff_identity, coeffs, mat = _orbit_tangent(
+        K, state.matrix, _resolve_basis(K.shape[0], basis))
     mat.setflags(write=False)
     coeffs.setflags(write=False)
     return TangentForm(float(coeff_identity), coeffs, mat)
+
+
+def _orbit_tangent(K: np.ndarray, rho: np.ndarray,
+                   basis: GeneratorBasis) -> tuple:
+    """-i[K, rho] Hermitised as 0.5 (A + A^dag), with its expansion, for a
+    state matrix or a stack of them: (identity coefficient, coefficients,
+    matrix)."""
+    mat = -1j * (K @ rho - rho @ K)
+    mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+    return (*_expand_each(mat, basis), mat)
 
 
 def numeric_tangent(family, theta: float, step: float = DEFAULT_FD_STEP,
@@ -322,10 +425,22 @@ def numeric_tangent(family, theta: float, step: float = DEFAULT_FD_STEP,
     if not np.isfinite(step) or step <= 0:
         raise ValueError("finite-difference step must be finite and positive")
     plus = _as_square(family(theta + step))
-    minus = _as_square(family(theta - step))
+    coeff_identity, coeffs, diff = _difference_quotient(
+        plus, _as_square(family(theta - step)), step,
+        _resolve_basis(plus.shape[0], basis))
+    diff.setflags(write=False)
+    coeffs.setflags(write=False)
+    return TangentForm(float(coeff_identity), coeffs, diff)
+
+
+def _difference_quotient(plus: np.ndarray, minus: np.ndarray, step: float,
+                         basis: GeneratorBasis) -> tuple:
+    """(plus - minus) / (2 step) Hermitised, with its expansion, for one
+    pair of matrices or two stacks: (identity coefficient, coefficients,
+    matrix).  Hermitian by construction, so it is not checked again."""
     diff = (plus - minus) / (2.0 * step)
-    diff = 0.5 * (diff + diff.conj().T)
-    return TangentForm.from_matrix(diff, basis)
+    diff = 0.5 * (diff + diff.conj().swapaxes(-1, -2))
+    return (*_expand_each(diff, basis), diff)
 
 
 def transversal_tangent(weight_rates, state: DensityState,

@@ -570,6 +570,63 @@ class TestFamilyValidation:
                        "for theta in [-0.5, 0.5]\n")
         assert evaluated == []
 
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "fd_step must be positive, got 0.0"),
+        (-1e-3, "fd_step must be positive, got -0.001"),
+        (float("nan"), "fd_step must be finite"),
+        (float("inf"), "fd_step must be finite")])
+    def test_fd_step_must_be_finite_and_positive(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            parse_family(dict(SAMPLED_FAMILY, fd_step=value))
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        evaluated = []
+        evaluate = cli.family_state_and_tangent
+
+        def counting(spec, thetas, **kwargs):
+            evaluated.append(thetas)
+            return evaluate(spec, thetas, **kwargs)
+
+        monkeypatch.setattr(cli, "family_state_and_tangent", counting)
+        return evaluated
+
+    @pytest.mark.parametrize("payload", [QUBIT_FAMILY, SAMPLED_FAMILY,
+                                         WEIGHT_PATH_FAMILY],
+                             ids=["exp_generator", "explicit", "weight_path"])
+    @pytest.mark.parametrize("step, message", [
+        ("-5", "fd_step must be positive, got -5.0"),
+        ("0", "fd_step must be positive, got 0.0"),
+        ("nan", "fd_step must be finite")])
+    @pytest.mark.parametrize("command", [["qfi", "--thetas", "0,0.05"],
+                                         ["sld", "--theta", "0.05"]],
+                             ids=["qfi", "sld"])
+    def test_fd_step_flag_checked_for_every_kind(
+            self, tmp_path, capsys, monkeypatch, payload, step, message,
+            command):
+        family = write_family(tmp_path, payload)
+        evaluated = self.count_evaluations(monkeypatch)
+        got = run(command[:1] + ["--input", family, "--fd-step", step]
+                  + command[1:], capsys)
+        assert got == (1, "", f"error: {message}\n")
+        assert evaluated == []
+
+    def test_fd_step_range_checked_before_first_theta(
+            self, tmp_path, capsys, monkeypatch):
+        # the first sample is not Hermitian: evaluating theta 0 would fail
+        # there, but the step is checked before any theta is evaluated
+        family = write_family(tmp_path, dict(SAMPLED_FAMILY, fd_step=0.2,
+                                             matrices=[
+            [0.0, matrix_to_pairs([[0.7, 0.3], [0.0, 0.3]])],
+            [0.1, matrix_to_pairs(np.diag([0.6, 0.4]))]]))
+        evaluated = self.count_evaluations(monkeypatch)
+        code, out, err = run(["qfi", "--input", family, "--thetas", "0,0.1"],
+                             capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: fd_step 0.2 exceeds half the sampled range "
+                       "[0.0, 0.1]\n")
+        assert evaluated == []
+
     def test_usage_error_on_unknown_flag(self, capsys):
         code, _, err = run(["basis", "--n", "2", "--bogus"], capsys)
         assert code == 1
@@ -667,7 +724,7 @@ SHUFFLED_THETAS = [0.9, -0.3, 0.45, 0.0, 1.3, 0.45, 0.1]
 class TestPerThetaWork:
     """A parsed family holds what theta does not change."""
 
-    @pytest.mark.parametrize("count", [1, 3, 8])
+    @pytest.mark.parametrize("count", [1, 3, 8, 900])
     def test_exp_generator_sweep_eigh_calls(self, tmp_path, capsys,
                                             monkeypatch, count):
         family = write_family(tmp_path, PURE_QUTRIT_FAMILY)
@@ -682,8 +739,10 @@ class TestPerThetaWork:
         code, _, _ = run(["qfi", "--input", family, "--theta-range",
                           f"0:1:{count}", "--check-oracle"], capsys)
         assert code == 0
-        # K's eigh once, then one per state
-        assert len(calls) == count + 1
+        # K's eigh once, then one stacked eigh per block of thetas
+        block = cli._BLOCK_BYTES // (8 * 3 ** 4)
+        assert len(calls) == 1 + -(-count // block)
+        assert (count > block) == (len(calls) > 2)
 
     @pytest.mark.parametrize("payload, method, thetas", [
         (QUBIT_FAMILY, "general", SHUFFLED_THETAS),
@@ -703,11 +762,12 @@ class TestPerThetaWork:
                                                    thetas):
         spec = parse_family(payload)
         for theta in thetas:
-            shared = cli._solve_family(spec, theta, method, DEFAULT_TOL)
-            fresh = cli._solve_family(parse_family(payload), theta, method,
-                                      DEFAULT_TOL)
+            shared = cli._solve_family(spec, np.array([theta]), method,
+                                       DEFAULT_TOL)
+            fresh = cli._solve_family(parse_family(payload),
+                                      np.array([theta]), method, DEFAULT_TOL)
             for a, b in zip(shared, fresh):
                 assert np.array_equal(a.matrix, b.matrix)
                 assert np.array_equal(a.coeffs, b.coeffs)
-            assert shared[2].residual == fresh[2].residual
-            assert shared[2].gauge_dim == fresh[2].gauge_dim
+            assert np.array_equal(shared[2].residual, fresh[2].residual)
+            assert np.array_equal(shared[2].gauge_dim, fresh[2].gauge_dim)
