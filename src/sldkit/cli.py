@@ -13,9 +13,11 @@ solve), ``oracle`` (spectral), or ``closed``, which applies the pair-rule
 closed form at the diagonal base point of an exp_generator family of any n
 and transports the result to theta.
 
-``tensor`` solves one direction pair per level pair a < b with distinct
+``tensor`` takes one direction pair per level pair a < b with distinct
 weights (lexicographic; directions 2i and 2i + 1 are the gap-weighted
-symmetric and antisymmetric generators of the i-th kept pair).  Repeated
+symmetric and antisymmetric generators of the i-th kept pair) and solves
+every direction in one call: one LU solve at the base point, with the
+directions as the columns of its right-hand side.  Repeated
 weights drop their pairs, which gives the partial flag manifold
 U(n)/(U(n_1) x ... x U(n_j)); equal weights give a 0-direction tensor.
 
@@ -71,6 +73,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -78,7 +81,7 @@ import numpy as np
 
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
-from .sld_solver import NumericalError, SLDSolution
+from .sld_solver import NumericalError
 from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, MixingWeights,
                           TangentForm, _check_unit_sum, _difference_quotient,
                           _FormStack, _orbit_tangent, _StateStack, base_point,
@@ -346,12 +349,6 @@ def family_state_and_tangent(spec: FamilySpec, thetas, *,
           for a in (tangent.coeffs, tangent.matrix)))
 
 
-def _solve_general(state, form, tol) -> SLDSolution:
-    constants = compute_structure_constants(build_basis(state.dimension))
-    system = sld_solver.assemble(state, form, constants)
-    return sld_solver.solve(system, state, tol)
-
-
 def _solve_family(spec: FamilySpec, thetas: np.ndarray, method: str,
                   tol: float, *, fd_step: float | None = None):
     """Return (states, forms, solutions) at the thetas for the selected
@@ -419,6 +416,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors raise, and which reads an argument
+    that starts with ``-`` and a digit (``-1:1:40``, ``-0.5,0.5``) as a
+    value, never as an option: no option of ours starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d.*")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -543,9 +548,9 @@ def cmd_tensor(args) -> int:
     tol = _tolerance(args)
     basis = build_basis(weights.dimension)
     state = base_point(weights, basis)
-    slds = [_solve_general(state, form, tol)
-            for form in fisher.chart_tangents(weights, basis)]
-    tensor = fisher.fisher_tensor(state, slds)
+    system = sld_solver.assemble(state, fisher.chart_tangents(weights, basis),
+                                 compute_structure_constants(basis))
+    tensor = fisher.fisher_tensor(state, sld_solver.solve(system, state, tol))
     closed = fisher.closed_form_fisher(weights)
     payload = {
         "weights": [float(v) for v in weights.values],

@@ -145,13 +145,26 @@ def chart_tangents(weights: MixingWeights,
     kept pair, each weighted by the gap k_a - k_b.  Pairs of equal weights
     are left out, so repeated weights give the tangents of the partial flag
     manifold, and equal weights none.
+
+    Each form is built from its slot: coefficients gap * e_slot and matrix
+    gap * t_slot, what expanding that matrix gives bit for bit (t_slot is
+    trace-orthogonal to every other generator and to the identity).
     """
     basis = _resolve_basis(weights.dimension, basis)
     k = weights.values
     slot = {label: i for i, label in enumerate(basis.labels)}
-    return [TangentForm.from_matrix(
-        float(k[a] - k[b]) * basis.generators[slot[kind, a, b]], basis)
-        for a, b in _chart_pairs(weights) for kind in ("sym", "antisym")]
+    forms = []
+    for a, b in _chart_pairs(weights):
+        gap = float(k[a] - k[b])
+        for kind in ("sym", "antisym"):
+            i = slot[kind, a, b]
+            coeffs = np.zeros(len(basis.generators))
+            coeffs[i] = gap
+            matrix = gap * basis.generators[i]
+            coeffs.setflags(write=False)
+            matrix.setflags(write=False)
+            forms.append(TangentForm(0.0, coeffs, matrix))
+    return forms
 
 
 def _pair_coefficients(ka: float, kb: float):

@@ -26,6 +26,7 @@ applies the same pair rule in the eigenframe of an arbitrary state.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -55,7 +56,9 @@ class KernelInconsistentError(InconsistentSystemError):
 class SLDSystem:
     """Assembled linear system M x = d over (L_id, L_1, ..., L_{n^2-1}).
 
-    ``form_matrix`` is drho, the matrix whose coefficients are d.
+    ``rhs`` is d, (n^2,) for one form or (k, n^2) for a sequence of k, and
+    ``form_matrix`` drho, the matrix whose coefficients are d, (n, n) or
+    (k, n, n).
     """
 
     matrix: np.ndarray
@@ -142,10 +145,11 @@ class _SolutionStack(NamedTuple):
 
 
 def _frobenius(x: np.ndarray):
-    """||x||_F of a matrix, or of each matrix of a stack."""
-    if x.ndim == 2:  # one matrix: numpy takes its flat norm by one dot
-        return np.linalg.norm(x)
-    return np.linalg.norm(x, axis=(-2, -1))
+    """||x||_F of a matrix, or of each matrix of a stack: one
+    (1, 2n^2) x (2n^2, 1) product of its flat real view per matrix."""
+    flat = np.ascontiguousarray(x).reshape(
+        x.shape[:-2] + (1, x.shape[-2] * x.shape[-1])).view(float)
+    return np.sqrt(np.matmul(flat, flat.swapaxes(-1, -2))[..., 0, 0])
 
 
 def _residual(state_matrix: np.ndarray, L: np.ndarray,
@@ -184,18 +188,26 @@ class _StateOperator:
     scaled: tuple = ((), ())
 
 
-def assemble(state: DensityState, form: TangentForm,
+def assemble(state: DensityState, forms,
              constants: StructureConstants) -> SLDSystem:
     """Assemble the n^2 x n^2 system M x = d for the SLD coefficients.
 
+    ``forms`` is one :class:`TangentForm` or a sequence of them; the system
+    holds one right-hand side per form, and :func:`solve` answers in kind.
     M depends on rho alone: it is built on the first call for a state and
     held on it for these ``constants``, so further directions at the same
     state share M and, in :func:`solve`, its kernel gauge and scaling.
     """
     n = state.dimension
-    if form.dimension != n or constants.dimension != n:
+    single = isinstance(forms, TangentForm)
+    if not single:
+        forms = list(forms)
+    # the first form of another dimension, if any
+    other = (forms.dimension if single else
+             next((f.dimension for f in forms if f.dimension != n), n))
+    if other != n or constants.dimension != n:
         raise ValueError(
-            f"dimension mismatch: state {n}, form {form.dimension}, "
+            f"dimension mismatch: state {n}, form {other}, "
             f"constants {constants.dimension}")
     held = state._operator
     if held is None or held.constants is not constants:
@@ -203,9 +215,19 @@ def assemble(state: DensityState, form: TangentForm,
         M.setflags(write=False)
         held = _StateOperator(constants, M)
         object.__setattr__(state, "_operator", held)
-    rhs = np.concatenate(([form.coeff_identity], form.coeffs))
+    if single:
+        rhs = np.concatenate(([forms.coeff_identity], forms.coeffs))
+        form_matrix = forms.matrix
+    else:
+        rhs = np.empty((len(forms), n * n))
+        form_matrix = np.empty((len(forms), n, n), dtype=complex)
+        for i, form in enumerate(forms):
+            rhs[i, 0] = form.coeff_identity
+            rhs[i, 1:] = form.coeffs
+            form_matrix[i] = form.matrix
+        form_matrix.setflags(write=False)
     rhs.setflags(write=False)
-    return SLDSystem(held.matrix, rhs, form.matrix, n,
+    return SLDSystem(held.matrix, rhs, form_matrix, n,
                      tuple(constants.diagonal_indices))
 
 
@@ -233,8 +255,11 @@ def _operator_matrix(state, constants: StructureConstants) -> np.ndarray:
 
 
 def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
-          basis: GeneratorBasis | None = None) -> SLDSolution:
+          basis: GeneratorBasis | None = None):
     """Solve the assembled system for the SLD coefficients.
+
+    Returns one :class:`SLDSolution` for a system assembled from one form,
+    and a tuple of them, in the forms' order, for a sequence of forms.
 
     The kernel is decided by :func:`state_space.kernel_mask` (an eigenvalue
     of rho is kernel iff it is <= ``tol``); the gauge basis spans the
@@ -247,19 +272,23 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
 
     When ``system`` was assembled at ``state``, the gauge, the kernel
     levels and the scaled operator are built once per state and tolerance
-    and reused.  Each call then validates ``tol`` once, rotates drho onto
+    and reused.  Each call then validates ``tol`` once and runs one body
+    for its k forms (k = 1 for a single form): it rotates every drho onto
     the kernel levels for the rejection test (nothing at a full-rank
-    state), removes the gauge component of W d (only when the gauge is
-    non-empty), does one LU solve, rebuilds L and takes the residual.
+    state), removes the gauge component of each W d (only when the gauge
+    is non-empty), does one LU solve with the k right-hand sides as
+    columns, rebuilds every L in one product and takes the residuals.  A
+    one-element sequence gives bit for bit the single form's solution.
 
     Raises
     ------
     ValueError
         If ``tol`` is not finite or below ``-POSITIVITY_FLOOR``.
     KernelInconsistentError
-        If, in rho's eigenframe, the form exceeds ``tol * max(1, ||drho||_F)``
+        If, in rho's eigenframe, a form exceeds ``tol * max(1, ||drho||_F)``
         on a pair of kernel levels, where no SLD exists (e.g. a trace-changing
-        direction at a pure state).
+        direction at a pure state); for a sequence, the first such form's
+        error, as a loop over the forms would raise it.
     """
     n = system.dimension
     if state.dimension != n:
@@ -269,7 +298,14 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     gauge, kernel, *parts = _scaled_operator(system, state, tol, basis)
     x, L = _solve_directions(parts, kernel, state.eigenvectors, system.rhs,
                              system.form_matrix, basis, tol)
-    return _finalize(L, x[0], x[1:], state.matrix, system.form_matrix, gauge)
+    residual = _residual(state.matrix, L, system.form_matrix)
+    gauge = tuple(gauge)
+    for array in (x, L, *gauge):
+        array.setflags(write=False)
+    if x.ndim == 1:
+        return SLDSolution(float(x[0]), x[1:], L, gauge, float(residual))
+    return tuple(map(SLDSolution, x[:, 0].tolist(), x[:, 1:], L,
+                     itertools.repeat(gauge), residual.tolist()))
 
 
 def _solve_stack(states, forms, constants: StructureConstants, tol: float,
@@ -313,20 +349,29 @@ def _solve_directions(parts, kernel: np.ndarray, eigenvectors: np.ndarray,
     """The per-direction steps of :func:`solve`: (x, L).
 
     ``parts`` are W, Z^T Z (None for an empty gauge) and the scaled
-    operator; ``kernel`` the kernel levels' indices in the eigenframe.  The
-    rest may carry a leading stack axis, with one operator per direction.
+    operator; ``kernel`` the kernel levels' indices in the eigenframe.
+    One operator (one state) takes ``rhs`` (n^2,) and ``form`` (n, n) for
+    one direction, or (k, n^2) and (k, n, n) for k: its directions are the
+    columns of one LU solve, and every L comes from one product.  A stack
+    of operators (the states of a sweep) takes one direction per state, as
+    (n^2, 1) columns and (1, n^2 - 1) rows, so that each state gets the
+    bits of its own solve.
     """
     weights, projector, operator = parts
     if kernel.size:
         _reject_kernel_pairs(_in_frame(eigenvectors[..., kernel], form),
                              kernel, _frobenius(form), tol)
     wd = weights * rhs
+    one = operator.ndim == 2
+    columns = wd.T if one else wd[..., None]  # .T of one direction: itself
     if projector is not None:
-        wd -= np.matmul(projector, wd[..., None])[..., 0]
-    # one right-hand side is solved as a vector, a stack as columns
-    x = np.linalg.solve(operator, wd if wd.ndim == 1 else wd[..., None])
-    x = x.reshape(wd.shape) / weights
-    return x, _reconstruct(x[..., 0], x[..., 1:], basis)
+        columns -= projector @ columns
+    columns = np.linalg.solve(operator, columns)
+    if one:
+        x = np.ascontiguousarray(columns.T) / weights
+        return x, _reconstruct(x[..., 0], x[..., 1:], basis)
+    x = columns[..., 0] / weights
+    return x, _reconstruct(x[:, None, 0], x[:, None, 1:], basis)[:, 0]
 
 
 def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,

@@ -187,9 +187,8 @@ def _coefficients(m: np.ndarray, basis: GeneratorBasis):
     """
     n = m.shape[-1]
     # Re Tr(t_k M) = sum_ij Re(t_k)_ij Re M_ij + Im(t_k)_ij Im M_ij, as t_k
-    # is Hermitian: one product with the flat matrices' real views (for the
-    # C-contiguous generator stack, a view)
-    flat = basis.generators.view(float).reshape(n * n - 1, 2 * n * n)
+    # is Hermitian: one product with the flat matrices' real views
+    flat = basis.real_rows
     real = np.ascontiguousarray(m).view(float).reshape(
         m.shape[:-2] + (2 * n * n,))
     if real.ndim == 1:
@@ -225,14 +224,19 @@ def reconstruct(coeff_identity: float, coeffs,
 
 def _reconstruct(coeff_identity, coeffs: np.ndarray,
                  basis: GeneratorBasis) -> np.ndarray:
-    """:func:`reconstruct` for a coefficient vector or a stack of them."""
+    """:func:`reconstruct` for a coefficient vector or a stack of them.
+
+    A (k, n^2 - 1) block of rows is one product with the generators viewed
+    as an (n^2 - 1) x n^2 matrix, a vector one such row, and further leading
+    axes give one product per block; so a stack of (1, n^2 - 1) rows gets
+    bit for bit what each row gets alone.
+    """
     n = basis.dimension
-    lead = coeffs.shape[:-1]
-    matrix = np.matmul(coeffs[..., None, :],
+    matrix = np.matmul(coeffs[None] if coeffs.ndim == 1 else coeffs,
                        basis.generators.reshape(n * n - 1, n * n))
     # the diagonal is every (n + 1)-th entry of each flat matrix
-    matrix[..., 0, ::n + 1] += np.asarray(coeff_identity)[..., None]
-    return matrix.reshape(lead + (n, n))
+    matrix[..., ::n + 1] += np.asarray(coeff_identity)[..., None]
+    return matrix.reshape(coeffs.shape[:-1] + (n, n))
 
 
 def _state_parts(m: np.ndarray, basis: GeneratorBasis, atol: float) -> tuple:

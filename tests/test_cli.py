@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from sldkit import cli
+from sldkit import (MixingWeights, assemble, base_point, build_basis,
+                    chart_tangents, cli, compute_structure_constants,
+                    fisher_tensor, solve)
 from sldkit.cli import build_parser, main, parse_family
 from sldkit.lie_basis import matrix_to_pairs
 from sldkit.state_space import DEFAULT_TOL
@@ -106,6 +108,20 @@ class TestSldCommand:
         assert np.abs(data["L"][1:]).max() < 1e-12
         assert data["gauge_dim"] == 0
         assert data["residual"] < 1e-10
+
+    @pytest.mark.parametrize("theta", ["-0.5", "-1e-3", "-.25"])
+    def test_negative_theta(self, tmp_path, capsys, theta):
+        # --theta took a negative number before the qfi theta values did;
+        # both spellings still give the solve at that theta
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        spaced = run(["sld", "--input", family, "--theta", theta], capsys)
+        joined = run(["sld", "--input", family, f"--theta={theta}"], capsys)
+        assert spaced == joined and spaced[0] == 0
+        _, _, solutions = cli._solve_family(
+            parse_family(QUBIT_FAMILY), np.array([float(theta)]), "general",
+            DEFAULT_TOL)
+        assert json.loads(spaced[1]) == json.loads(
+            json.dumps(solutions.to_json_dict(0)))
 
     @staticmethod
     def assert_closed_matches_general(tmp_path, capsys, payload, theta):
@@ -220,6 +236,31 @@ class TestQfiCommand:
         assert [row["theta"] for row in rows] == [0.0, 0.5, 1.0]
         for row in rows:
             assert row["qfi"] == pytest.approx(0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("args, thetas", [
+        (["--theta-range", "-1:1:3"], [-1.0, 0.0, 1.0]),
+        (["--theta-range=-1:1:3"], [-1.0, 0.0, 1.0]),
+        (["--theta-range", "-1:1:40"], np.linspace(-1, 1, 40).tolist()),
+        (["--thetas", "-0.5,0.5"], [-0.5, 0.5]),
+        (["--thetas", "-1e-3,-.5", "--theta-range", "-2:-1:2"],
+         [-2.0, -1.0, -0.5, -1e-3]),
+    ], ids=["range", "range-equals", "range-40", "thetas", "both"])
+    def test_negative_first_theta(self, tmp_path, capsys, args, thetas):
+        # a value that starts with "-" and a digit is read as a value
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        code, out, err = run(["qfi", "--input", family] + args, capsys)
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [row["theta"] for row in rows] == thetas
+        for row in rows:
+            assert row["qfi"] == pytest.approx(0.25, abs=1e-9)
+
+    def test_option_is_no_theta_value(self, tmp_path, capsys):
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        code, out, err = run(["qfi", "--input", family, "--thetas",
+                              "--check-oracle"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: argument --thetas: expected one argument\n"
 
     def test_maximally_mixed_is_zero(self, tmp_path, capsys):
         family = write_family(tmp_path, MIXED_FAMILY)
@@ -407,6 +448,50 @@ class TestTensorCommand:
         assert len(data["closed_form"]["pairs"]) == n * (n - 1) // 2
         assert data["tensor"]["directions"] == directions
         assert data["max_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("weights", [
+        "0.5,0.3,0.2", "0.5,0.5,0,0", "0.6,0.4,0,0,0",
+        ",".join(repr(float(v)) for v in np.arange(16, 0, -1) / 136),
+    ], ids=["n3", "n4-rank2", "n5-rank2", "n16"])
+    def test_one_lu_solve_for_every_direction(self, capsys, monkeypatch,
+                                              weights):
+        calls = []
+        lu_solve = np.linalg.solve
+
+        def counting(a, b):
+            calls.append((np.shape(a), np.shape(b)))
+            return lu_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        code, out, _ = run(["tensor", "--weights", weights], capsys)
+        assert code == 0
+        data = json.loads(out)
+        n, directions = len(weights.split(",")), data["tensor"]["directions"]
+        assert calls == [((n * n, n * n), (n * n, directions))]
+        assert data["max_deviation"] < 1e-9
+
+    @pytest.mark.parametrize("weights", [
+        "0.75,0.25", "0.5,0.3,0.2", "1,0,0", "0.6,0.2,0.2",
+        "0.4,0.3,0.2,0.1", "0.5,0.2,0.2,0.1,0", "0.3,0.25,0.2,0.15,0.1,0"])
+    def test_tensor_matches_direction_by_direction_solves(self, capsys,
+                                                         weights):
+        # the chart solved in one call against one solve per direction
+        code, out, _ = run(["tensor", "--weights", weights], capsys)
+        assert code == 0
+        tensor = json.loads(out)["tensor"]
+        k = MixingWeights([float(v) for v in weights.split(",")])
+        basis = build_basis(k.dimension)
+        constants = compute_structure_constants(basis)
+        state = base_point(k, basis)
+        reference = fisher_tensor(state, [
+            solve(assemble(state, form, constants), state)
+            for form in chart_tangents(k, basis)])
+        assert tensor["directions"] == reference.directions
+        g = np.array(tensor["g"]).reshape(reference.symmetric.shape)
+        omega = np.array(tensor["omega"]).reshape(g.shape)
+        assert np.abs(g - reference.symmetric).max(initial=0.0) <= 1e-14
+        assert np.abs(omega - reference.antisymmetric).max(initial=0.0) \
+            <= 1e-14
 
     @pytest.mark.parametrize("args, message", [
         (["--weights", "1"], "tensor needs 2 to 16 weights, got 1"),

@@ -15,6 +15,8 @@ from sldkit import (DensityState, MixingWeights, TangentForm,
                     horizontal_transversal_split_check, qfi_index, solve,
                     tangent_from_generator, transversal_tangent)
 
+from sldkit.fisher import GAP_FLOOR
+
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
@@ -198,6 +200,30 @@ class TestChartTangents:
 
     def test_equal_weights_have_no_directions(self):
         assert chart_tangents(MixingWeights([0.25] * 4)) == []
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_forms_are_the_expanded_gap_weighted_generators(self, n):
+        # each form is built from its slot, bit for bit what expanding the
+        # gap-weighted generator gives; distinct, repeated and zero weights
+        basis = build_basis(n)
+        slot = {label: i for i, label in enumerate(basis.labels)}
+        counts = np.random.default_rng(300 + n).integers(0, 4, n)
+        counts[0], counts[-1] = 3, 0
+        for c in (np.arange(n, 0, -1), counts, np.ones(n)):
+            weights = MixingWeights(c / c.sum())
+            k = weights.values
+            expected = [TangentForm.from_matrix(
+                float(k[a] - k[b]) * basis.generators[slot[kind, a, b]], basis)
+                for a in range(n) for b in range(a + 1, n)
+                if abs(k[a] - k[b]) > GAP_FLOOR for kind in ("sym", "antisym")]
+            forms = chart_tangents(weights, basis)
+            assert len(forms) == len(expected)
+            for form, reference in zip(forms, expected):
+                assert form.coeff_identity == reference.coeff_identity == 0.0
+                assert form.coeffs.tobytes() == reference.coeffs.tobytes()
+                assert form.matrix.tobytes() == reference.matrix.tobytes()
+                assert not (form.coeffs.flags.writeable
+                            or form.matrix.flags.writeable)
 
     def test_lexicographic_pairs_at_n4(self):
         k = [0.4, 0.3, 0.3, 0.0]

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import assert_same_modulo_gauge, haar_unitary, random_hermitian
+from helpers import (assert_same_modulo_gauge, assert_within_kappa_bound,
+                     haar_unitary, random_hermitian)
 
 from sldkit import (DensityState, KernelInconsistentError, MixingWeights,
                     TangentForm, assemble, base_point, build_basis,
@@ -203,3 +204,56 @@ def test_shared_state_matches_fresh_states(problem):
         assert np.abs(shared.coeffs - alone.coeffs).max() <= scale
         assert np.abs(shared.matrix - alone.matrix).max() <= scale
         assert abs(shared.residual - alone.residual) <= scale
+
+
+def _solve_or_message(call):
+    try:
+        return call()
+    except KernelInconsistentError as exc:
+        return str(exc)
+
+
+@st.composite
+def stacked_problems(draw):
+    """A near-cutoff state, 1-6 forms (some coupling its small levels) and
+    one tolerance for all of them."""
+    state, sequence = draw(direction_sequences())
+    return state, [form for form, _ in sequence], \
+        draw(st.sampled_from(SWITCH_TOLS))
+
+
+@settings(deadline=None)
+@given(stacked_problems())
+def test_stacked_forms_match_single_solves(problem):
+    # one LU solve for every form against one per form: the same rejection,
+    # the first form's, else each SLD within the kappa-scaled LU bound
+    state, forms, tol = problem
+    constants = compute_structure_constants(build_basis(state.dimension))
+    singles = [_solve_or_message(
+        lambda form=form: solve(assemble(state, form, constants), state, tol))
+        for form in forms]
+    stacked = _solve_or_message(
+        lambda: solve(assemble(state, forms, constants), state, tol))
+    rejected = [s for s in singles if isinstance(s, str)]
+    if rejected:
+        assert stacked == rejected[0]
+        return
+    assert len(stacked) == len(singles)
+    for a, b in zip(stacked, singles):
+        assert_within_kappa_bound(a, b, state.eigenvalues, tol)
+
+
+@settings(deadline=None)
+@given(diagonal_weights())
+def test_chart_stack_matches_single_solves(weights):
+    # the chart of sldkit tensor in one call, repeated and zero weights too
+    basis = build_basis(weights.dimension)
+    constants = compute_structure_constants(basis)
+    state = base_point(weights, basis)
+    tangents = chart_tangents(weights, basis)
+    stacked = solve(assemble(state, tangents, constants), state)
+    assert len(stacked) == len(tangents)
+    for form, sol in zip(tangents, stacked):
+        assert_within_kappa_bound(
+            sol, solve(assemble(state, form, constants), state),
+            state.eigenvalues, DEFAULT_TOL)

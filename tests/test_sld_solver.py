@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (anticommutator_matrix, assert_same_modulo_gauge,
+                     assert_within_kappa_bound, condition_number,
                      haar_unitary, loop_kernel_gauge, random_full_rank_weights,
                      random_hermitian)
 
@@ -423,6 +424,146 @@ class TestPerStateReuse:
         # the earlier system no longer holds the state's M: it still solves
         assert_same_solution(solve(first, state), solve(second, state))
         assert assemble(state, form, copy).matrix is second.matrix
+
+
+def _counting_solve(monkeypatch):
+    """Record the shapes of every ``np.linalg.solve`` call."""
+    calls = []
+    lu_solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return lu_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def _kernel_coupling(state, rng, scale=1e-3):
+    """A Hermitian drho on the state's kernel levels only."""
+    V = state.eigenvectors[:, state.eigenvalues <= 1e-10]
+    return scale * V @ random_hermitian(V.shape[1], rng) @ V.conj().T
+
+
+class TestStackedForms:
+    """A sequence of forms at one state: one system, one LU solve."""
+
+    @pytest.mark.parametrize("n, rank", [(3, 3), (4, 2), (6, 6), (6, 3)])
+    @pytest.mark.parametrize("k", [1, 3, "all"])
+    def test_one_lu_solve_per_state(self, monkeypatch, n, rank, k):
+        rng = np.random.default_rng(50 + 10 * n + rank)
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        state = _random_state(n, rank, rng, basis)
+        generators = basis.generators if k == "all" else basis.generators[:k]
+        forms = [tangent_from_generator(t / 2, state, basis)
+                 for t in generators]
+        calls = _counting_solve(monkeypatch)
+        system = assemble(state, forms, constants)
+        assert system.rhs.shape == (len(forms), n * n)
+        assert system.form_matrix.shape == (len(forms), n, n)
+        solutions = solve(system, state)
+        assert calls == [((n * n, n * n), (n * n, len(forms)))]
+        assert isinstance(solutions, tuple) and len(solutions) == len(forms)
+        for form, sol in zip(forms, solutions):
+            assert sol.gauge_dim == (n - rank) ** 2
+            assert sol.residual <= 1e-12
+            assert not (sol.matrix.flags.writeable or sol.coeffs.flags.writeable)
+            assert_within_kappa_bound(
+                sol, solve(assemble(state, form, constants), state),
+                state.eigenvalues, 1e-10)
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_ill_conditioned_state_within_the_kappa_bound(self, n):
+        # lambda_min = 1e-8, kappa ~ 1e8: the stacked and the single solves
+        # differ by up to about 1e-10 here, where a fixed 1e-13 would not
+        # hold, but within c kappa eps max(1, |L|)
+        rng = np.random.default_rng(70 + n)
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        k = random_full_rank_weights(n, rng)
+        k[0] = 1e-8
+        k /= k.sum()
+        U = haar_unitary(n, rng)
+        state = DensityState.from_matrix((U * k) @ U.conj().T, basis)
+        assert 1e7 < condition_number(state.eigenvalues, 1e-10) < 1e9
+        forms = [tangent_from_generator(t / 2, state, basis)
+                 for t in basis.generators]
+        stacked = solve(assemble(state, forms, constants), state)
+        for form, sol in zip(forms, stacked):
+            assert_within_kappa_bound(
+                sol, solve(assemble(state, form, constants), state),
+                state.eigenvalues, 1e-10)
+
+    @pytest.mark.parametrize("n, rank", [(3, 3), (4, 2), (6, 6), (6, 4)])
+    def test_condition_number_is_the_operators(self, n, rank):
+        # the held W M W^-1 + Z^T Z is symmetric up to rounding, so its
+        # 2-norm condition number is the spectrum's kappa
+        rng = np.random.default_rng(80 + n + rank)
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        state = _random_state(n, rank, rng, basis)
+        solve(assemble(state, zero_form(n, basis), constants), state)
+        operator = state._operator.scaled[1][-1]
+        assert np.abs(operator - operator.T).max() <= 1e-15
+        assert np.linalg.cond(operator) == pytest.approx(
+            condition_number(state.eigenvalues, 1e-10), rel=1e-8)
+
+    @pytest.mark.parametrize("rank", [4, 2])
+    def test_one_element_sequence_is_the_single_form_bit_for_bit(self, rank):
+        rng = np.random.default_rng(60 + rank)
+        basis = build_basis(4)
+        constants = compute_structure_constants(basis)
+        state = _random_state(4, rank, rng, basis)
+        form = orbit_form(state, rng, basis)
+        single = solve(assemble(state, form, constants), state)
+        assert isinstance(single, sld_solver.SLDSolution)
+        (alone,) = solve(assemble(state, (form,), constants), state)
+        assert alone.coeff_identity == single.coeff_identity
+        assert alone.residual == single.residual
+        assert alone.coeffs.tobytes() == single.coeffs.tobytes()
+        assert alone.matrix.tobytes() == single.matrix.tobytes()
+        assert alone.gauge_basis == single.gauge_basis
+
+    def test_forms_may_be_any_iterable(self):
+        rng = np.random.default_rng(61)
+        basis = build_basis(3)
+        constants = compute_structure_constants(basis)
+        state = _random_state(3, 3, rng, basis)
+        forms = [orbit_form(state, rng, basis) for _ in range(3)]
+        from_list = solve(assemble(state, forms, constants), state)
+        from_generator = solve(assemble(state, iter(forms), constants), state)
+        for a, b in zip(from_list, from_generator):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert solve(assemble(state, [], constants), state) == ()
+
+    def test_first_inconsistent_form_is_reported(self):
+        # forms 2 and 4 (1-based) couple the kernel levels; the error is the
+        # one solving form 2 alone raises, as a loop over the forms would
+        rng = np.random.default_rng(62)
+        basis = build_basis(5)
+        constants = compute_structure_constants(basis)
+        state = _random_state(5, 2, rng, basis)
+        forms = [orbit_form(state, rng, basis) for _ in range(5)]
+        for i, scale in ((1, 1e-3), (3, 1.0)):
+            forms[i] = TangentForm.from_matrix(
+                forms[i].matrix + _kernel_coupling(state, rng, scale), basis)
+        messages = []
+        for form in forms:
+            try:
+                solve(assemble(state, form, constants), state)
+            except KernelInconsistentError as exc:
+                messages.append(str(exc))
+        assert len(messages) == 2 and messages[0] != messages[1]
+        with pytest.raises(KernelInconsistentError) as excinfo:
+            solve(assemble(state, forms, constants), state)
+        assert str(excinfo.value) == messages[0]
+
+    def test_dimension_mismatch_names_the_form(self, constants3):
+        state = base_point(MixingWeights([0.5, 0.3, 0.2]))
+        forms = [zero_form(3), zero_form(2), zero_form(4)]
+        with pytest.raises(ValueError, match="state 3, form 2, constants 3"):
+            assemble(state, forms, constants3)
 
 
 class TestClosedFormU2:
