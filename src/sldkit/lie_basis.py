@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,13 +183,6 @@ class GeneratorBasis:
 
     def generator(self, i: int) -> np.ndarray:
         return self.generators[i]
-
-    @cached_property
-    def real_rows(self) -> np.ndarray:
-        """The generators as one (n^2 - 1) x 2n^2 real matrix: row k is the
-        real view of the flat t_k (a view, read-only like ``generators``)."""
-        n = self.dimension
-        return self.generators.view(float).reshape(n * n - 1, 2 * n * n)
 
     def to_json_dict(self) -> dict:
         return {

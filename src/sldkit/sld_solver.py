@@ -159,16 +159,22 @@ def _residual(state_matrix: np.ndarray, L: np.ndarray,
                       - 0.5 * (state_matrix @ L + L @ state_matrix))
 
 
-def _finalize(L: np.ndarray, coeff_identity: float, coeffs: np.ndarray,
-              state_matrix: np.ndarray, form_matrix: np.ndarray,
-              gauge) -> SLDSolution:
-    """Freeze L, its coefficients and the gauge basis; attach the residual."""
-    coeffs = np.asarray(coeffs, dtype=float).copy()
-    residual = float(_residual(state_matrix, L, form_matrix))
+def _finalize(L: np.ndarray, coeff_identity, coeffs: np.ndarray,
+              state_matrix: np.ndarray, form_matrix: np.ndarray, gauge):
+    """Freeze L, its coefficients and the gauge basis; attach the residual.
+
+    One L gives one :class:`SLDSolution`; a stack of them (with their
+    coefficients and forms) a tuple, every item sharing the gauge basis.
+    """
+    residual = _residual(state_matrix, L, form_matrix)
     gauge = tuple(gauge)
     for array in (L, coeffs, *gauge):
         array.setflags(write=False)
-    return SLDSolution(float(coeff_identity), coeffs, L, gauge, residual)
+    if L.ndim == 2:
+        return SLDSolution(float(coeff_identity), coeffs, L, gauge,
+                           float(residual))
+    return tuple(map(SLDSolution, coeff_identity.tolist(), coeffs, L,
+                     itertools.repeat(gauge), residual.tolist()))
 
 
 @dataclass(eq=False)
@@ -298,14 +304,8 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     gauge, kernel, *parts = _scaled_operator(system, state, tol, basis)
     x, L = _solve_directions(parts, kernel, state.eigenvectors, system.rhs,
                              system.form_matrix, basis, tol)
-    residual = _residual(state.matrix, L, system.form_matrix)
-    gauge = tuple(gauge)
-    for array in (x, L, *gauge):
-        array.setflags(write=False)
-    if x.ndim == 1:
-        return SLDSolution(float(x[0]), x[1:], L, gauge, float(residual))
-    return tuple(map(SLDSolution, x[:, 0].tolist(), x[:, 1:], L,
-                     itertools.repeat(gauge), residual.tolist()))
+    return _finalize(L, x[..., 0], x[..., 1:], state.matrix,
+                     system.form_matrix, gauge)
 
 
 def _solve_stack(states, forms, constants: StructureConstants, tol: float,

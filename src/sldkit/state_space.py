@@ -187,8 +187,9 @@ def _coefficients(m: np.ndarray, basis: GeneratorBasis):
     """
     n = m.shape[-1]
     # Re Tr(t_k M) = sum_ij Re(t_k)_ij Re M_ij + Im(t_k)_ij Im M_ij, as t_k
-    # is Hermitian: one product with the flat matrices' real views
-    flat = basis.real_rows
+    # is Hermitian: one product with the flat matrices' real views (for the
+    # C-contiguous generator stack, a view)
+    flat = basis.generators.view(float).reshape(n * n - 1, 2 * n * n)
     real = np.ascontiguousarray(m).view(float).reshape(
         m.shape[:-2] + (2 * n * n,))
     if real.ndim == 1:
