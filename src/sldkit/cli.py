@@ -50,7 +50,9 @@ range, and a theta outside the family's domain (the sampled range of
 explicit_matrices, or where a weight_path weight turns negative) are usage
 errors.  Every theta and the step are checked before the first theta is
 evaluated.  A request too large for memory (such as a --theta-range COUNT
-of 10**13) is a usage error too.
+of 10**13) is a usage error too.  An argument that starts with "-" and a
+digit is a value, so a sweep may start below zero: --theta-range -1:1:40,
+--thetas -0.5,0.5.
 
 A family is parsed once per command: :class:`FamilySpec` holds what does not
 depend on theta.  ``sld`` and ``qfi`` then work on blocks of sorted thetas
