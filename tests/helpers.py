@@ -139,6 +139,20 @@ def loop_kernel_gauge(vectors):
     return gauge
 
 
+def count_lu_solves(monkeypatch):
+    """Record the (operator, right-hand side) shapes of every
+    ``np.linalg.solve`` call from here on; returns the growing list."""
+    calls = []
+    lu_solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return lu_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
 def condition_number(eigenvalues, tol):
     """kappa of the solver's scaled operator W M W^-1 + Z^T Z, read off the
     state's spectrum.

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import count_lu_solves
+
 from sldkit import (MixingWeights, assemble, base_point, build_basis,
                     chart_tangents, cli, compute_structure_constants,
                     fisher_tensor, solve)
@@ -455,14 +457,7 @@ class TestTensorCommand:
     ], ids=["n3", "n4-rank2", "n5-rank2", "n16"])
     def test_one_lu_solve_for_every_direction(self, capsys, monkeypatch,
                                               weights):
-        calls = []
-        lu_solve = np.linalg.solve
-
-        def counting(a, b):
-            calls.append((np.shape(a), np.shape(b)))
-            return lu_solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        calls = count_lu_solves(monkeypatch)
         code, out, _ = run(["tensor", "--weights", weights], capsys)
         assert code == 0
         data = json.loads(out)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (anticommutator_matrix, assert_same_modulo_gauge,
                      assert_within_kappa_bound, condition_number,
-                     haar_unitary, loop_kernel_gauge, random_full_rank_weights,
+                     count_lu_solves, haar_unitary, loop_kernel_gauge, random_full_rank_weights,
                      random_hermitian)
 
 from sldkit import sld_solver
@@ -426,19 +426,6 @@ class TestPerStateReuse:
         assert assemble(state, form, copy).matrix is second.matrix
 
 
-def _counting_solve(monkeypatch):
-    """Record the shapes of every ``np.linalg.solve`` call."""
-    calls = []
-    lu_solve = np.linalg.solve
-
-    def counting(a, b):
-        calls.append((np.shape(a), np.shape(b)))
-        return lu_solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    return calls
-
-
 def _kernel_coupling(state, rng, scale=1e-3):
     """A Hermitian drho on the state's kernel levels only."""
     V = state.eigenvectors[:, state.eigenvalues <= 1e-10]
@@ -458,7 +445,7 @@ class TestStackedForms:
         generators = basis.generators if k == "all" else basis.generators[:k]
         forms = [tangent_from_generator(t / 2, state, basis)
                  for t in generators]
-        calls = _counting_solve(monkeypatch)
+        calls = count_lu_solves(monkeypatch)
         system = assemble(state, forms, constants)
         assert system.rhs.shape == (len(forms), n * n)
         assert system.form_matrix.shape == (len(forms), n, n)
