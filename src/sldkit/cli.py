@@ -40,31 +40,31 @@ differences, one-sided within fd_step of either end); and
 
 for transversal weight variation rho(theta) = diag(k + theta dk).
 
-Exit status: 0 success, 1 usage error, 2 numerical error; diagnostics are a
-single stderr line prefixed "error:".  SLDKIT_TOL overrides the default
-tolerance 1e-10 (an explicit --tol wins over the environment); a tolerance
-that is not finite or is below 1e-10, any non-finite number in a family, a
-theta or the tensor weights, a finite-difference step (fd_step or --fd-step,
-for any family kind) that is not positive or exceeds half the sampled
-range, and a theta outside the family's domain (the sampled range of
-explicit_matrices, or where a weight_path weight turns negative) are usage
-errors.  Every theta and the step are checked before the first theta is
-evaluated.  A request too large for memory (such as a --theta-range COUNT
-of 10**13) is a usage error too.  An argument that starts with "-" and a
-digit is a value, so a sweep may start below zero: --theta-range -1:1:40,
---thetas -0.5,0.5.
+Exit status: 0 success (nothing on stderr), 1 usage error, 2 numerical error;
+diagnostics are a single stderr line prefixed "error:".  SLDKIT_TOL overrides
+the default tolerance 1e-10 (an explicit --tol wins; an error in SLDKIT_TOL
+names it); a tolerance that is not a number, not finite or below 1e-10, any
+non-finite number in a family, a theta or the tensor weights, a
+finite-difference step (fd_step or --fd-step, for any family kind) that is not
+positive or exceeds half the sampled range, and a theta outside the family's
+domain (the sampled range of explicit_matrices, or where a weight_path weight
+turns negative) are usage errors.  Every theta and the step are checked before
+the first theta is evaluated.  A request too large for memory (such as a
+--theta-range COUNT of 10**13) is a usage error too.  An argument that starts
+with "-" and a digit is a value, so a sweep may start below zero:
+--theta-range -1:1:40, --thetas -0.5,0.5.
 
 A family is parsed once per command: :class:`FamilySpec` holds what does not
-depend on theta.  ``sld`` and ``qfi`` then work on blocks of sorted thetas
-as stacks along a leading axis: per block, :func:`family_state_and_tangent`
-evaluates every state and tangent at once (one stacked ``eigh``), the solve
-builds every M from one ``bincount`` and runs one stacked LU per group of
-states with the same kernel size, and the QFI and the oracle's QFI are
-stacked too.  A block holds as many thetas as fit one stacked n^2 x n^2
-float array into ``_BLOCK_BYTES``.  When a block fails, its thetas are
-bisected for the first failing one, so the error is the one a loop over the
-thetas in order would meet first.  :func:`main` builds its parser on the
-first call and reuses it.
+depend on theta, with the command's finite-difference step.  ``sld`` and
+``qfi`` then work on blocks of sorted thetas as stacks along a leading axis:
+per block, :func:`family_state_and_tangent` evaluates every state and
+tangent at once (one stacked ``eigh``), the solve builds every M from one
+``bincount`` and runs one stacked LU per group of states with the same
+kernel size, and the QFI and the oracle's QFI are stacked too.  A block
+holds as many thetas as fit one stacked n^2 x n^2 float array into
+``_BLOCK_BYTES``.  When a block fails, its thetas are bisected for the first
+failing one, so the error is the one a loop over the thetas in order would
+meet first.  :func:`main` builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,51 +106,23 @@ _TENSOR_MAX_N = 16
 class FamilySpec:
     """Parsed one-parameter family description.
 
-    What does not depend on theta is computed once, on construction: for
-    exp_generator, K = sum_k c_k t_k, its eigendecomposition and diag(k);
-    for explicit_matrices, the sample thetas and the stacked samples; for
-    weight_path, the tangent diag(dk), the same at every theta.
+    :func:`parse_family` computes what does not depend on theta once, as
+    read-only arrays: K = sum_k c_k t_k, its eigh and diag(k); the sorted
+    sample thetas and samples; the weight_path tangent diag(dk).
+    ``fd_step`` is the command's: the family's, or ``--fd-step``.
     """
 
     kind: str
     n: int
     weights: MixingWeights | None = None
-    generator_coeffs: np.ndarray | None = None
-    matrices: list | None = None
     weight_rates: np.ndarray | None = None
     fd_step: float = DEFAULT_FD_STEP
-    _generator: np.ndarray | None = field(default=None, init=False, repr=False)
-    _generator_eigh: tuple = field(default=(), init=False, repr=False)
-    _base_matrix: np.ndarray | None = field(default=None, init=False,
-                                            repr=False)
-    _sample_thetas: np.ndarray | None = field(default=None, init=False,
-                                              repr=False)
-    _sample_matrices: np.ndarray | None = field(default=None, init=False,
-                                                repr=False)
-    _tangent: TangentForm | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        basis = build_basis(self.n)
-        if self.kind == "exp_generator":
-            K = reconstruct(0.0, self.generator_coeffs, basis)
-            w, V = np.linalg.eigh(K)
-            base = np.diag(self.weights.values).astype(complex)
-            held = {"_generator": K, "_generator_eigh": (w, V),
-                    "_base_matrix": base}
-            arrays = (K, w, V, base)
-        elif self.kind == "explicit_matrices":
-            thetas = np.array([s[0] for s in self.matrices])
-            mats = np.stack([s[1] for s in self.matrices])
-            held = {"_sample_thetas": thetas, "_sample_matrices": mats}
-            arrays = (thetas, mats)
-        else:
-            tangent = transversal_tangent(
-                self.weight_rates, base_point(self.weights, basis), basis)
-            held, arrays = {"_tangent": tangent}, ()
-        for array in arrays:
-            array.setflags(write=False)
-        for name, value in held.items():
-            object.__setattr__(self, name, value)
+    generator: np.ndarray | None = None
+    generator_eigh: tuple | None = None
+    base_matrix: np.ndarray | None = None
+    sample_thetas: np.ndarray | None = None
+    sample_matrices: np.ndarray | None = None
+    tangent: TangentForm | None = None
 
 
 def _finite(name: str, values) -> np.ndarray:
@@ -201,6 +173,7 @@ def parse_family(data: dict) -> FamilySpec:
         raise ValueError(f"family kind {kind!r} does not accept fields: "
                          f"{', '.join(sorted(extra))}")
 
+    basis = build_basis(n)
     fields = {}
     if "weights" in required:
         fields["weights"] = MixingWeights(_finite("weights", data["weights"]), n)
@@ -210,7 +183,10 @@ def parse_family(data: dict) -> FamilySpec:
             raise ValueError(
                 f"generator_coeffs must have length {n * n - 1}, "
                 f"got shape {coeffs.shape}")
-        fields["generator_coeffs"] = coeffs
+        K = reconstruct(0.0, coeffs, basis)
+        base = np.diag(fields["weights"].values).astype(complex)
+        fields.update(generator=K, generator_eigh=np.linalg.eigh(K),
+                      base_matrix=base)
     elif kind == "explicit_matrices":
         if not isinstance(data["matrices"], list):
             raise ValueError("matrices must be a list of [theta, matrix] pairs")
@@ -227,15 +203,20 @@ def parse_family(data: dict) -> FamilySpec:
         if len(samples) < 2:
             raise ValueError("explicit_matrices needs at least two samples")
         samples.sort(key=lambda s: s[0])
-        fields["matrices"] = samples
-        fields["fd_step"] = _positive_step(data.get("fd_step",
-                                                    DEFAULT_FD_STEP))
+        fields.update(sample_thetas=np.array([s[0] for s in samples]),
+                      sample_matrices=np.stack([s[1] for s in samples]),
+                      fd_step=_positive_step(data.get("fd_step",
+                                                      DEFAULT_FD_STEP)))
     else:
         rates = _finite("weight_rates", data["weight_rates"])
         if rates.shape != (n,):
             raise ValueError(f"weight_rates must have length {n}, "
                              f"got shape {rates.shape}")
-        fields["weight_rates"] = rates
+        fields.update(weight_rates=rates, tangent=transversal_tangent(
+            rates, base_point(fields["weights"], basis), basis))
+    for value in (*fields.values(), *fields.get("generator_eigh", ())):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return FamilySpec(kind=kind, n=n, **fields)
 
 
@@ -246,17 +227,17 @@ def _positive_step(value) -> float:
     return step
 
 
-def _fd_step(spec: FamilySpec, override) -> float:
-    """The finite-difference step of a command: ``--fd-step`` if given,
-    else the family's.  An explicit_matrices family needs the sampled range
-    to hold a central difference."""
+def _with_fd_step(spec: FamilySpec, override) -> FamilySpec:
+    """``spec`` with the finite-difference step of a command: ``--fd-step``
+    if given, else the family's.  An explicit_matrices family needs the
+    sampled range to hold a central difference."""
     step = spec.fd_step if override is None else _positive_step(override)
     if spec.kind == "explicit_matrices":
-        lo, hi = (float(t) for t in spec._sample_thetas[[0, -1]])
+        lo, hi = (float(t) for t in spec.sample_thetas[[0, -1]])
         if hi - lo < 2.0 * step:
             raise ValueError(f"fd_step {step!r} exceeds half the sampled range "
                              f"[{lo!r}, {hi!r}]")
-    return step
+    return replace(spec, fd_step=step)
 
 
 def _check_thetas(spec: FamilySpec, thetas: np.ndarray) -> None:
@@ -266,7 +247,7 @@ def _check_thetas(spec: FamilySpec, thetas: np.ndarray) -> None:
     only where every weight k_i + theta dk_i stays nonnegative.
     """
     if spec.kind == "explicit_matrices":
-        lo, hi = (float(t) for t in spec._sample_thetas[[0, -1]])
+        lo, hi = (float(t) for t in spec.sample_thetas[[0, -1]])
         outside = (thetas < lo - _RANGE_SLACK) | (thetas > hi + _RANGE_SLACK)
         if outside.any():
             theta = float(thetas[outside.argmax()])
@@ -291,24 +272,24 @@ def _check_thetas(spec: FamilySpec, thetas: np.ndarray) -> None:
 def _rotation(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
     """U(theta) = exp(-i theta K) at each theta, from the held
     eigendecomposition of K."""
-    w, V = spec._generator_eigh
+    w, V = spec.generator_eigh
     return (V * np.exp(-1j * thetas[:, None, None] * w)) @ V.conj().T
 
 
 def _interpolate(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
     """An explicit_matrices family at each theta, linear between its
-    samples (thetas clamped into the sampled range)."""
-    samples, mats = spec._sample_thetas, spec._sample_matrices
+    samples (thetas clamped into the sampled range).  A zero-width first
+    segment is met only at its left end, which takes the first sample."""
+    samples, mats = spec.sample_thetas, spec.sample_matrices
     thetas = np.minimum(np.maximum(thetas, samples[0]), samples[-1])
     j = np.clip(np.searchsorted(samples, thetas), 1, samples.size - 1)
     t0, t1 = samples[j - 1], samples[j]
-    frac = ((thetas - t0) / (t1 - t0))[:, None, None]
+    frac = ((thetas - t0) / np.where(t1 > t0, t1 - t0, 1.0))[:, None, None]
     inside = (1.0 - frac) * mats[j - 1] + frac * mats[j]
     return np.where((thetas <= samples[0])[:, None, None], mats[0], inside)
 
 
-def family_state_and_tangent(spec: FamilySpec, thetas, *,
-                             fd_step: float | None = None):
+def family_state_and_tangent(spec: FamilySpec, thetas):
     """Evaluate the states and tangents of a family at an array of thetas.
 
     Returns a :class:`state_space._StateStack` and a
@@ -316,25 +297,24 @@ def family_state_and_tangent(spec: FamilySpec, thetas, *,
     theta-dependent work is done here: exp_generator families get
     rho(theta) = U diag(k) U^dag, with U from the eigendecomposition of K
     held on ``spec``, and the analytic tangent -i[K, rho(theta)];
-    explicit_matrices use central differences with ``fd_step`` (checked
-    by the caller; the family's own by default) on the interpolated
-    samples, taken at theta clamped into [lo + step, hi - step] so that
-    they stay in the sampled range (the end segment's slope near an end);
-    weight_path families get diag(k + theta dk) and the held transversal
-    tangent sum dk_i P_i.
+    explicit_matrices use central differences with ``spec.fd_step`` on
+    the interpolated samples, taken at theta clamped into [lo + step,
+    hi - step] so that they stay in the sampled range (the end segment's
+    slope near an end); weight_path families get diag(k + theta dk) and
+    the held transversal tangent sum dk_i P_i.
     """
     thetas = np.asarray(thetas, dtype=float)
     basis = build_basis(spec.n)
     if spec.kind == "exp_generator":
         U = _rotation(spec, thetas)
         states = _StateStack.from_matrices(
-            U @ spec._base_matrix @ U.conj().swapaxes(-1, -2), basis)
-        return states, _FormStack(*_orbit_tangent(spec._generator,
+            U @ spec.base_matrix @ U.conj().swapaxes(-1, -2), basis)
+        return states, _FormStack(*_orbit_tangent(spec.generator,
                                                   states.matrix, basis))
     if spec.kind == "explicit_matrices":
-        step = spec.fd_step if fd_step is None else fd_step
+        step = spec.fd_step
         states = _StateStack.from_matrices(_interpolate(spec, thetas), basis)
-        lo, hi = spec._sample_thetas[[0, -1]]
+        lo, hi = spec.sample_thetas[[0, -1]]
         centres = np.minimum(np.maximum(thetas, lo + step), hi - step)
         return states, _FormStack(*_difference_quotient(
             _interpolate(spec, centres + step),
@@ -344,7 +324,7 @@ def family_state_and_tangent(spec: FamilySpec, thetas, *,
     matrices = np.zeros(values.shape + (spec.n,), dtype=complex)
     levels = np.arange(spec.n)
     matrices[:, levels, levels] = values
-    tangent = spec._tangent
+    tangent = spec.tangent
     return _StateStack.from_matrices(matrices, basis), _FormStack(
         np.full(thetas.shape, tangent.coeff_identity),
         *(np.broadcast_to(a, thetas.shape + a.shape)
@@ -352,10 +332,10 @@ def family_state_and_tangent(spec: FamilySpec, thetas, *,
 
 
 def _solve_family(spec: FamilySpec, thetas: np.ndarray, method: str,
-                  tol: float, *, fd_step: float | None = None):
+                  tol: float):
     """Return (states, forms, solutions) at the thetas for the selected
     method, each stacked along the thetas."""
-    states, forms = family_state_and_tangent(spec, thetas, fd_step=fd_step)
+    states, forms = family_state_and_tangent(spec, thetas)
     basis = build_basis(spec.n)
     if method == "general":
         constants = compute_structure_constants(basis)
@@ -378,10 +358,9 @@ def _solve_family(spec: FamilySpec, thetas: np.ndarray, method: str,
 
 
 def _sweep_block(spec: FamilySpec, thetas: np.ndarray, method: str,
-                 tol: float, fd_step: float, check_oracle: bool) -> tuple:
+                 tol: float, check_oracle: bool) -> tuple:
     """The QFI at each theta of a block, and the oracle's if asked for."""
-    states, forms, solutions = _solve_family(spec, thetas, method, tol,
-                                             fd_step=fd_step)
+    states, forms, solutions = _solve_family(spec, thetas, method, tol)
     qfi = fisher._qfi(states.matrix, solutions.matrix)
     if not check_oracle:
         return qfi, None
@@ -451,10 +430,10 @@ def _load_family(path: str) -> FamilySpec:
 def _tolerance(args) -> float:
     if args.tol is not None:
         return check_tolerance(args.tol)
-    env = os.environ.get("SLDKIT_TOL")
-    if env is not None:
-        return check_tolerance(env)
-    return DEFAULT_TOL
+    try:
+        return check_tolerance(os.environ.get("SLDKIT_TOL", DEFAULT_TOL))
+    except ValueError as exc:
+        raise ValueError(f"SLDKIT_TOL: {exc}") from None
 
 
 def _require_json_format(args):
@@ -478,9 +457,8 @@ def cmd_sld(args) -> int:
     tol = _tolerance(args)
     thetas = np.array([_number("theta", args.theta)])
     _check_thetas(spec, thetas)
-    step = _fd_step(spec, args.fd_step)
-    _, _, solutions = _solve_family(spec, thetas, args.method, tol,
-                                    fd_step=step)
+    spec = _with_fd_step(spec, args.fd_step)
+    _, _, solutions = _solve_family(spec, thetas, args.method, tol)
     _emit(_dump_json(solutions.to_json_dict(0)), args.output)
     return 0
 
@@ -511,8 +489,8 @@ def cmd_qfi(args) -> int:
     tol = _tolerance(args)
     thetas = _theta_values(args)
     _check_thetas(spec, thetas)
-    run = functools.partial(_sweep_block, spec, method=args.method, tol=tol,
-                            fd_step=_fd_step(spec, args.fd_step),
+    run = functools.partial(_sweep_block, _with_fd_step(spec, args.fd_step),
+                            method=args.method, tol=tol,
                             check_oracle=args.check_oracle)
     size = max(1, _BLOCK_BYTES // (8 * spec.n ** 4))
     blocks = [_first_failure(run, thetas[i:i + size])

@@ -20,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from .lie_basis import GeneratorBasis
-from .sld_solver import (SLDSolution, _finalize, _in_frame, _kept_pairs,
-                         _kernel_gauge, _pair_rule)
+from .sld_solver import (SLDSolution, _in_frame, _kept_pairs,
+                         _pair_rule_solution)
 from .state_space import (DEFAULT_TOL, DensityState, TangentForm,
-                          _resolve_basis, expand)
+                          _resolve_basis)
 
 
 def sld_eigenbasis(state: DensityState, form: TangentForm,
@@ -35,12 +35,10 @@ def sld_eigenbasis(state: DensityState, form: TangentForm,
     zero; the returned gauge basis spans the Hermitian matrices supported on
     the kernel of the state.
     """
-    basis = _resolve_basis(state.dimension, basis)
     vectors = state.eigenvectors
-    L, kernel = _pair_rule(state.eigenvalues, vectors,
-                           _in_frame(vectors, form.matrix), tol)
-    return _finalize(L, *expand(L, basis), state.matrix, form.matrix,
-                     _kernel_gauge(vectors[:, kernel]))
+    return _pair_rule_solution(
+        state.eigenvalues, vectors, _in_frame(vectors, form.matrix),
+        state.matrix, form.matrix, tol, _resolve_basis(state.dimension, basis))
 
 
 def qfi_eigenbasis(state: DensityState, form: TangentForm,

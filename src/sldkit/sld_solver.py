@@ -182,11 +182,10 @@ class _StateOperator:
     """The part of the SLD system that rho alone fixes, held on the state.
 
     ``matrix`` is M for ``constants``.  ``scaled`` is ((tol, basis), parts)
-    with parts the kernel gauge basis, the kernel levels' indices in rho's
-    eigenframe, the Frobenius weights W, the projector Z^T Z (None when the
-    gauge is empty) and W M W^-1 + Z^T Z for that tolerance and basis; it
-    is replaced as one tuple, so a key is never paired with another
-    tolerance's parts.
+    with parts the kernel gauge basis, the kernel size r, the Frobenius
+    weights W, the projector Z^T Z (None when the gauge is empty) and
+    W M W^-1 + Z^T Z for that tolerance and basis; it is replaced as one
+    tuple, so a key is never paired with another tolerance's parts.
     """
 
     constants: StructureConstants
@@ -277,7 +276,7 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     the projector Z^T Z makes it invertible and leaves y zero on the block.
 
     When ``system`` was assembled at ``state``, the gauge, the kernel
-    levels and the scaled operator are built once per state and tolerance
+    size and the scaled operator are built once per state and tolerance
     and reused.  Each call then validates ``tol`` once and runs one body
     for its k forms (k = 1 for a single form): it rotates every drho onto
     the kernel levels for the rejection test (nothing at a full-rank
@@ -301,8 +300,8 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
         raise ValueError("state dimension does not match system")
     basis = _resolve_basis(n, basis)
     tol = check_tolerance(tol)
-    gauge, kernel, *parts = _scaled_operator(system, state, tol, basis)
-    x, L = _solve_directions(parts, kernel, state.eigenvectors, system.rhs,
+    gauge, r, *parts = _scaled_operator(system, state, tol, basis)
+    x, L = _solve_directions(parts, r, state.eigenvectors, system.rhs,
                              system.form_matrix, basis, tol)
     return _finalize(L, x[..., 0], x[..., 1:], state.matrix,
                      system.form_matrix, gauge)
@@ -337,19 +336,18 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
         vectors = states.eigenvectors[group]
         _, *parts = _scaled_parts(M[group], vectors[..., :r], basis)
         x[group], L[group] = _solve_directions(
-            parts, np.arange(r), vectors, rhs[group], forms.matrix[group],
-            basis, tol)
+            parts, r, vectors, rhs[group], forms.matrix[group], basis, tol)
     return _SolutionStack(x[:, 0], x[:, 1:], L, sizes ** 2,
                           _residual(states.matrix, L, forms.matrix))
 
 
-def _solve_directions(parts, kernel: np.ndarray, eigenvectors: np.ndarray,
+def _solve_directions(parts, r: int, eigenvectors: np.ndarray,
                       rhs: np.ndarray, form: np.ndarray,
                       basis: GeneratorBasis, tol: float) -> tuple:
     """The per-direction steps of :func:`solve`: (x, L).
 
     ``parts`` are W, Z^T Z (None for an empty gauge) and the scaled
-    operator; ``kernel`` the kernel levels' indices in the eigenframe.
+    operator; the kernel is the leading ``r`` levels of the eigenframe.
     One operator (one state) takes ``rhs`` (n^2,) and ``form`` (n, n) for
     one direction, or (k, n^2) and (k, n, n) for k: its directions are the
     columns of one LU solve, and every L comes from one product.  A stack
@@ -358,9 +356,9 @@ def _solve_directions(parts, kernel: np.ndarray, eigenvectors: np.ndarray,
     bits of its own solve.
     """
     weights, projector, operator = parts
-    if kernel.size:
-        _reject_kernel_pairs(_in_frame(eigenvectors[..., kernel], form),
-                             kernel, _frobenius(form), tol)
+    if r:  # copied contiguous: strided columns round differently in BLAS
+        kernel = np.ascontiguousarray(eigenvectors[..., :r])
+        _reject_kernel_pairs(_in_frame(kernel, form), _frobenius(form), tol)
     wd = weights * rhs
     one = operator.ndim == 2
     columns = wd.T if one else wd[..., None]  # .T of one direction: itself
@@ -376,30 +374,24 @@ def _solve_directions(parts, kernel: np.ndarray, eigenvectors: np.ndarray,
 
 def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
                      basis: GeneratorBasis) -> tuple:
-    """The kernel gauge and levels, W, Z^T Z and W M W^-1 + Z^T Z.
+    """The kernel gauge, the kernel size r, W, Z^T Z and W M W^-1 + Z^T Z.
 
-    Taken from the state's held operator when ``system`` carries its M, and
-    built there once per (tol, basis); a system assembled elsewhere gets
-    them built from its own M.
+    The kernel is the leading r levels of rho's eigenframe (``eigh`` sorts
+    eigenvalues ascending).  Taken from the state's held operator when
+    ``system`` carries its M, and built there once per (tol, basis); a
+    system assembled elsewhere gets them built from its own M.
     """
     held = state._operator
-    if held is None or system.matrix is not held.matrix:
-        return _build_scaled(system.matrix, state, tol, basis)
-    key, parts = held.scaled
-    if key != (tol, basis):
-        parts = _build_scaled(held.matrix, state, tol, basis)
+    own = held is not None and system.matrix is held.matrix
+    if own and held.scaled[0] == (tol, basis):
+        return held.scaled[1]
+    r = int(np.count_nonzero(kernel_mask(state.eigenvalues, tol)))
+    gauge, *parts = _scaled_parts(system.matrix.copy(),
+                                  state.eigenvectors[:, :r], basis)
+    parts = (tuple(gauge), r, *parts)
+    if own:
         held.scaled = ((tol, basis), parts)
     return parts
-
-
-def _build_scaled(matrix: np.ndarray, state: DensityState, tol: float,
-                  basis: GeneratorBasis) -> tuple:
-    """Build the parts :func:`_scaled_operator` hands out: the gauge basis,
-    the kernel levels, then :func:`_scaled_parts`' W, Z^T Z and operator."""
-    kernel = np.flatnonzero(kernel_mask(state.eigenvalues, tol))
-    gauge, *parts = _scaled_parts(matrix.copy(),
-                                  state.eigenvectors[:, kernel], basis)
-    return (tuple(gauge), kernel, *parts)
 
 
 def _scaled_parts(operator: np.ndarray, vectors: np.ndarray,
@@ -446,20 +438,18 @@ def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
     dropped = kernel[..., :, None] & kernel[..., None, :]
     if _any(kernel):
         # the kept pairs zeroed: the largest entry left is on a dropped pair
-        _reject_kernel_pairs(np.where(dropped, form, 0.0),
-                             np.arange(lam.shape[-1]), _frobenius(form),
+        _reject_kernel_pairs(np.where(dropped, form, 0.0), _frobenius(form),
                              float(tol))
     return lam[..., :, None] + lam[..., None, :], ~dropped, kernel
 
 
-def _reject_kernel_pairs(block: np.ndarray, levels: np.ndarray,
-                         norm, tol: float) -> None:
+def _reject_kernel_pairs(block: np.ndarray, norm, tol: float) -> None:
     """The rejection test on drho's kernel block in rho's eigenframe.
 
-    ``block`` is drho on the kernel levels ``levels`` (their indices in the
-    eigenframe) and ``norm`` is ||drho||_F, or a stack of both.  On a pair
-    of kernel levels D_ab = (lam_a + lam_b) L_ab / 2 has a solution only if
-    D_ab vanishes.
+    ``block`` is drho on the leading levels of rho's eigenframe, zero off
+    the pairs of kernel levels, and ``norm`` is ||drho||_F, or a stack of
+    both.  On a pair of kernel levels D_ab = (lam_a + lam_b) L_ab / 2 has a
+    solution only if D_ab vanishes.
 
     Raises
     ------
@@ -478,7 +468,7 @@ def _reject_kernel_pairs(block: np.ndarray, levels: np.ndarray,
         a, b = sorted(np.unravel_index(np.argmax(blocked), blocked.shape))
         value = block.reshape(-1, size, size)[item, a, b]
         raise KernelInconsistentError(
-            f"kernel-inconsistent tangent: <{levels[a]}|drho|{levels[b]}> = "
+            f"kernel-inconsistent tangent: <{a}|drho|{b}> = "
             f"{value:.3e} on a pair of kernel levels "
             f"(eigenvalues <= tol = {tol:.3e})")
 
@@ -532,6 +522,15 @@ def _pair_rule(lam: np.ndarray, vectors: np.ndarray, form: np.ndarray,
     return 0.5 * (L + L.conj().swapaxes(-1, -2)), kernel
 
 
+def _pair_rule_solution(lam, vectors, frame_form, state_matrix, form, tol,
+                        basis) -> SLDSolution:
+    """:func:`_pair_rule` as an :class:`SLDSolution`, its gauge on the kernel
+    columns of V = ``vectors``; ``frame_form`` is drho in V's frame."""
+    L, kernel = _pair_rule(lam, vectors, frame_form, tol)
+    return _finalize(L, *expand(L, basis), state_matrix, form,
+                     _kernel_gauge(vectors[:, kernel]))
+
+
 def closed_form(weights: MixingWeights, form: TangentForm,
                 tol: float = DEFAULT_TOL) -> SLDSolution:
     """Closed-form SLD at the diagonal base point diag(k_1, ..., k_n).
@@ -555,9 +554,6 @@ def closed_form(weights: MixingWeights, form: TangentForm,
     n = weights.dimension
     if form.dimension != n:
         raise ValueError(f"dimension mismatch: weights {n}, form {form.dimension}")
-    basis = _resolve_basis(n, None)
-    frame = np.eye(n, dtype=complex)
-    L, kernel = _pair_rule(weights.values, frame, form.matrix, tol)
-    state_matrix = np.diag(weights.values).astype(complex)
-    return _finalize(L, *expand(L, basis), state_matrix, form.matrix,
-                     _kernel_gauge(frame[:, kernel]))
+    return _pair_rule_solution(
+        weights.values, np.eye(n, dtype=complex), form.matrix,
+        np.diag(weights.values).astype(complex), form.matrix, tol, None)

@@ -32,6 +32,8 @@ POSITIVITY_FLOOR = -1e-10
 DEFAULT_FD_STEP = 1e-5
 #: default tolerance of the rank rule, relative to Tr(rho) = 1
 DEFAULT_TOL = 1e-10
+#: absolute tolerance of the input checks (Hermitian, unit trace, unitary)
+INPUT_ATOL = 1e-10
 
 
 def check_tolerance(tol) -> float:
@@ -41,7 +43,10 @@ def check_tolerance(tol) -> float:
     States may carry eigenvalues down to ``POSITIVITY_FLOOR``, so a smaller
     tolerance would keep a level pair whose sum lam_a + lam_b is negative.
     """
-    tol = float(tol)
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError):
+        raise ValueError(f"tolerance must be a number, got {tol!r}") from None
     if not np.isfinite(tol) or tol < -POSITIVITY_FLOOR:
         raise ValueError(
             f"tolerance must be finite and at least {-POSITIVITY_FLOOR:g} "
@@ -94,10 +99,10 @@ def _raise_first(bad, values, message) -> None:
         raise ValueError(message(float(np.ravel(values)[first])))
 
 
-def _check_hermitian(m: np.ndarray, atol: float, what: str = "matrix") -> None:
-    """Reject a matrix, or the first of a stack, that is not Hermitian."""
+def _check_hermitian(m: np.ndarray, what: str = "matrix") -> None:
+    """Reject a matrix, or the first of a stack, not Hermitian to INPUT_ATOL."""
     deviation = np.abs(m - m.conj().swapaxes(-1, -2)).max((-2, -1))
-    _raise_first(deviation > atol, deviation,
+    _raise_first(deviation > INPUT_ATOL, deviation,
                  lambda d: f"{what} is not Hermitian (max deviation {d:.3e})")
 
 
@@ -152,8 +157,7 @@ class MixingWeights:
         return f"MixingWeights({self.values.tolist()})"
 
 
-def expand(matrix, basis: GeneratorBasis | None = None, *,
-           atol: float = 1e-10):
+def expand(matrix, basis: GeneratorBasis | None = None):
     """Expand a Hermitian matrix on the identity and the generator basis.
 
     Each call checks Hermiticity, then takes all n^2 - 1 traces in one
@@ -169,10 +173,10 @@ def expand(matrix, basis: GeneratorBasis | None = None, *,
     Raises
     ------
     ValueError
-        If the matrix is not Hermitian within ``atol``.
+        If the matrix is not Hermitian within ``INPUT_ATOL``.
     """
     m = _as_square(matrix)
-    _check_hermitian(m, atol)
+    _check_hermitian(m)
     coeff_identity, coeffs = _coefficients(
         m, _resolve_basis(m.shape[0], basis))
     return float(coeff_identity), coeffs
@@ -240,19 +244,19 @@ def _reconstruct(coeff_identity, coeffs: np.ndarray,
     return matrix.reshape(coeffs.shape[:-1] + (n, n))
 
 
-def _state_parts(m: np.ndarray, basis: GeneratorBasis, atol: float) -> tuple:
+def _state_parts(m: np.ndarray, basis: GeneratorBasis) -> tuple:
     """Check a density matrix or a stack of them; expand and diagonalise.
 
     The checks run in this order over the whole stack: Hermitian within
-    ``atol``, unit trace within ``atol``, smallest eigenvalue at least
-    ``POSITIVITY_FLOOR``; a failure names the first matrix that fails that
-    check.  Returns the identity and generator coefficients and the
-    ascending eigenvalues and eigenvectors from one (stacked) ``eigh``.
+    ``INPUT_ATOL``, unit trace within ``INPUT_ATOL``, smallest eigenvalue
+    at least ``POSITIVITY_FLOOR``; a failure names the first matrix that
+    fails that check.  Returns the identity and generator coefficients and
+    the ascending eigenvalues and eigenvectors from one (stacked) ``eigh``.
     """
-    _check_hermitian(m, atol)
+    _check_hermitian(m)
     coeff_identity, coeffs = _expand_each(m, basis)
     trace = m.trace(0, -2, -1).real
-    _raise_first(np.abs(trace - 1.0) > atol, trace,
+    _raise_first(np.abs(trace - 1.0) > INPUT_ATOL, trace,
                  lambda t: f"density matrix must have unit trace, got {t!r}")
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     lowest = eigenvalues[..., 0]
@@ -277,7 +281,7 @@ class _StateStack(NamedTuple):
                       basis: GeneratorBasis) -> "_StateStack":
         """The checks and eigenframes of :meth:`DensityState.from_matrix`,
         for a stack of matrices at once."""
-        return cls(matrices, *_state_parts(matrices, basis, 1e-10))
+        return cls(matrices, *_state_parts(matrices, basis))
 
 
 class _FormStack(NamedTuple):
@@ -311,11 +315,11 @@ class DensityState:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, matrix, basis: GeneratorBasis | None = None, *,
-                    atol: float = 1e-10) -> "DensityState":
+    def from_matrix(cls, matrix,
+                    basis: GeneratorBasis | None = None) -> "DensityState":
         m = _as_square(matrix)
         coeff_identity, coeffs, eigenvalues, eigenvectors = _state_parts(
-            m, _resolve_basis(m.shape[0], basis), atol)
+            m, _resolve_basis(m.shape[0], basis))
         m = m.copy()
         for array in (m, coeffs, eigenvalues, eigenvectors):
             array.setflags(write=False)
@@ -338,10 +342,10 @@ class TangentForm:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, matrix, basis: GeneratorBasis | None = None, *,
-                    atol: float = 1e-10) -> "TangentForm":
+    def from_matrix(cls, matrix,
+                    basis: GeneratorBasis | None = None) -> "TangentForm":
         m = np.asarray(matrix, dtype=complex)  # expand checks it
-        coeff_identity, coeffs = expand(m, basis, atol=atol)
+        coeff_identity, coeffs = expand(m, basis)
         m = m.copy()
         m.setflags(write=False)
         coeffs.setflags(write=False)
@@ -370,8 +374,7 @@ def base_point(weights: MixingWeights,
     return DensityState.from_matrix(matrix, basis)
 
 
-def adjoint_transport(U, obj, basis: GeneratorBasis | None = None, *,
-                      atol: float = 1e-10):
+def adjoint_transport(U, obj, basis: GeneratorBasis | None = None):
     """Conjugate a state or tangent form by a unitary: X -> U^dag X U.
 
     Coefficients are recomputed from the transported matrix; the spectrum of
@@ -380,29 +383,28 @@ def adjoint_transport(U, obj, basis: GeneratorBasis | None = None, *,
     U = _as_square(U)
     n = U.shape[0]
     unit_dev = np.abs(U.conj().T @ U - np.eye(n)).max()
-    if unit_dev > atol:
+    if unit_dev > INPUT_ATOL:
         raise ValueError(f"matrix is not unitary (max deviation {unit_dev:.3e})")
     transported = U.conj().T @ obj.matrix @ U
     if isinstance(obj, DensityState):
-        return DensityState.from_matrix(transported, basis, atol=atol)
+        return DensityState.from_matrix(transported, basis)
     if isinstance(obj, TangentForm):
-        return TangentForm.from_matrix(transported, basis, atol=atol)
+        return TangentForm.from_matrix(transported, basis)
     raise ValueError(f"cannot transport object of type {type(obj).__name__}")
 
 
 def tangent_from_generator(K, state: DensityState,
-                           basis: GeneratorBasis | None = None, *,
-                           atol: float = 1e-10) -> TangentForm:
+                           basis: GeneratorBasis | None = None) -> TangentForm:
     """Orbit tangent -i[K, rho] generated by a Hermitian K.
 
-    Each call checks that K is Hermitian within ``atol``, forms the
+    Each call checks that K is Hermitian within ``INPUT_ATOL``, forms the
     commutator, Hermitises it as 0.5 (A + A^dag) and expands that matrix
     once; it is Hermitian by construction, so no second check or copy is
     made.  At a diagonal base point the result has vanishing identity and
     diagonal-generator coefficients.
     """
     K = _as_square(K)
-    _check_hermitian(K, atol, "generator")
+    _check_hermitian(K, "generator")
     coeff_identity, coeffs, mat = _orbit_tangent(
         K, state.matrix, _resolve_basis(K.shape[0], basis))
     mat.setflags(write=False)
@@ -464,7 +466,7 @@ def transversal_tangent(weight_rates, state: DensityState,
     if abs(total) > 1e-12:
         raise ValueError(f"weight rates must sum to zero, got {total!r}")
     offdiag = np.abs(state.matrix - np.diag(np.diag(state.matrix))).max()
-    if offdiag > 1e-10:
+    if offdiag > INPUT_ATOL:
         raise ValueError("transversal tangents are defined at diagonal base "
                          f"points only (max off-diagonal entry {offdiag:.3e})")
     return TangentForm.from_matrix(np.diag(rates).astype(complex), basis)

@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit-status contract."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,37 @@ class TestQfiCommand:
         assert code == 1
         assert "fd_step 0.2 exceeds half the sampled range" in err
 
+    @pytest.mark.parametrize("command", [["qfi", "--thetas", "0"],
+                                         ["sld", "--theta", "0"]],
+                             ids=["qfi", "sld"])
+    def test_repeated_lowest_sample_warns_nothing(self, tmp_path, capsys,
+                                                  command):
+        # two samples at the lowest theta make a zero-width first segment:
+        # theta 0 takes the first sample, and no numpy warning reaches
+        # stderr (pytest's own capture would hide it, so warnings raise)
+        first, second = np.diag([0.7, 0.3]), np.diag([0.6, 0.4])
+        family = write_family(tmp_path, {
+            "kind": "explicit_matrices", "n": 2,
+            "matrices": [[0.0, matrix_to_pairs(first)],
+                         [0.0, matrix_to_pairs(second)],
+                         [1.0, matrix_to_pairs(np.diag([0.5, 0.5]))]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(command[:1] + ["--input", family]
+                                 + command[1:], capsys)
+        assert (code, err) == (0, "")
+        # the difference spans theta 0 (the first sample) and 2 fd_step
+        # (on the segment from the second sample)
+        plus = (1 - 2e-5) * second + 2e-5 * np.diag([0.5, 0.5])
+        rates = np.diag(plus - first) / 2e-5
+        if command[0] == "qfi":
+            assert json.loads(out)["rows"][0]["qfi"] == pytest.approx(
+                np.sum(rates ** 2 / np.diag(first)), rel=1e-8)
+        else:
+            # L = diag(dk / k), whose sigma_z coefficient is half the gap
+            assert json.loads(out)["L"][-1] == pytest.approx(
+                (rates[0] / 0.7 - rates[1] / 0.3) / 2, rel=1e-8)
+
     @pytest.mark.parametrize("thetas, code, message", [
         ("0,1", 2, "kernel-inconsistent tangent: <0|drho|0> = "
                    "2.000e-01+0.000e+00j on a pair of kernel levels "
@@ -510,16 +542,23 @@ class TestTensorCommand:
 
 
 class TestInvalidNumbers:
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1e-12"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1e-12",
+                                     "abc", ""])
     def test_rejects_tolerance(self, tmp_path, capsys, monkeypatch, tol):
         family = write_family(tmp_path, QUBIT_FAMILY)
+        numeric = tol not in ("abc", "")
         code, _, err = run(["sld", "--input", family, "--tol", tol], capsys)
         assert code == 1
-        assert "tolerance" in err
+        # argparse itself rejects a --tol that is not a number
+        assert ("tolerance" if numeric else "argument --tol") in err
         monkeypatch.setenv("SLDKIT_TOL", tol)
         code, _, err = run(["sld", "--input", family], capsys)
         assert code == 1
         assert "tolerance" in err
+        assert err.startswith("error: SLDKIT_TOL: ")
+        if not numeric:
+            assert err == ("error: SLDKIT_TOL: tolerance must be a number, "
+                           f"got {tol!r}\n")
 
     @pytest.mark.parametrize("field, value, family", [
         ("weights", [float("nan"), 0.25], QUBIT_FAMILY),

@@ -27,7 +27,7 @@ from sldkit import (DensityState, KernelInconsistentError, MixingWeights,
                     compute_structure_constants, fisher_tensor,
                     sld_eigenbasis, solve, tangent_from_generator)
 from sldkit.fisher import GAP_FLOOR
-from sldkit.state_space import DEFAULT_TOL
+from sldkit.state_space import DEFAULT_TOL, kernel_mask
 
 
 @st.composite
@@ -187,6 +187,12 @@ def test_shared_state_matches_fresh_states(problem):
     lam = state.eigenvalues
     for form, tol in sequence:
         fresh = DensityState.from_matrix(state.matrix)
+        for at in (state, fresh):
+            # ascending eigenvalues, so the kernel is a prefix of the
+            # eigenframe, as the solver takes it
+            assert np.all(np.diff(at.eigenvalues) >= 0)
+            mask = kernel_mask(at.eigenvalues, tol)
+            assert np.array_equal(mask, np.arange(n) < np.count_nonzero(mask))
         shared, alone = (
             _solve_or_reject(
                 lambda at=at: solve(assemble(at, form, constants), at, tol))

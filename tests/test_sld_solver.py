@@ -137,9 +137,10 @@ class TestPerStateOperator:
                             + constants.f.contract(state.coeffs).T)
         assert np.array_equal(M, expected)
 
-        gauge, kernel, weights, projector, operator = (
-            sld_solver._build_scaled(M, state, 1e-10, basis))
-        assert len(gauge) == (n - rank) ** 2 == kernel.size ** 2
+        system = assemble(state, zero_form(n, basis), constants)
+        gauge, r, weights, projector, operator = (
+            sld_solver._scaled_operator(system, state, 1e-10, basis))
+        assert len(gauge) == (n - rank) ** 2 == r ** 2
         Z = weights * np.array([np.r_[expand(g, basis)] for g in gauge]
                                ).reshape(-1, n * n)
         reference = Z.T @ Z
@@ -241,13 +242,13 @@ class TestSolve:
         # |D_31| is one ulp above |D_13|; the message still names <1|drho|3>
         upper = 0.5j
         lower = -np.nextafter(0.5, 1.0) * 1j
-        block = np.array([[0.0, upper], [lower, 0.0]])
+        block = np.zeros((4, 4), dtype=complex)
+        block[1, 3], block[3, 1] = upper, lower
         message = ("kernel-inconsistent tangent: <1|drho|3> = "
                    "0.000e+00+5.000e-01j on a pair of kernel levels "
                    "(eigenvalues <= tol = 1.000e-10)")
         with pytest.raises(KernelInconsistentError) as excinfo:
-            sld_solver._reject_kernel_pairs(block, np.array([1, 3]), 1.0,
-                                            1e-10)
+            sld_solver._reject_kernel_pairs(block, 1.0, 1e-10)
         assert str(excinfo.value) == message
         drho = np.zeros((4, 4), dtype=complex)
         drho[0, 2] = drho[2, 0] = 0.3

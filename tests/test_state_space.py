@@ -10,7 +10,7 @@ from sldkit import (DensityState, MixingWeights, TangentForm, adjoint_transport,
                     base_point, build_basis, expand, numeric_tangent,
                     qfi_eigenbasis, reconstruct, tangent_from_generator,
                     transversal_tangent)
-from sldkit.state_space import POSITIVITY_FLOOR, check_tolerance
+from sldkit.state_space import INPUT_ATOL, POSITIVITY_FLOOR, check_tolerance
 
 
 class TestMixingWeights:
@@ -52,6 +52,32 @@ def test_messages_print_plain_numbers(build, number):
     message = str(info.value)
     assert message.endswith(f"got {number}")
     assert "np.float64" not in message
+
+
+HALF_MIXED = np.diag([0.5, 0.5])
+
+#: each input check, with its input off by ``e`` in the quantity it bounds
+INPUT_CHECKS = {
+    "expand": lambda e: expand(HALF_MIXED + [[0, e], [0, 0]]),
+    "state-hermitian": lambda e: DensityState.from_matrix(
+        HALF_MIXED + [[0, e], [0, 0]]),
+    "state-trace": lambda e: DensityState.from_matrix(np.diag([0.5 + e, 0.5])),
+    "form": lambda e: TangentForm.from_matrix([[0, e], [0, 0]]),
+    "generator": lambda e: tangent_from_generator(
+        np.array([[0, e], [0, 0]]), DensityState.from_matrix(HALF_MIXED)),
+    "unitary": lambda e: adjoint_transport(
+        np.diag([np.sqrt(1.0 + e), 1.0]), DensityState.from_matrix(HALF_MIXED)),
+    "diagonal": lambda e: transversal_tangent(
+        [1.0, -1.0], DensityState.from_matrix(HALF_MIXED + [[0, e], [e, 0]])),
+}
+
+
+@pytest.mark.parametrize("check", sorted(INPUT_CHECKS))
+def test_every_input_check_uses_input_atol(check):
+    # one absolute tolerance, set by no caller, bounds every input check
+    INPUT_CHECKS[check](0.5 * INPUT_ATOL)
+    with pytest.raises(ValueError):
+        INPUT_CHECKS[check](2.0 * INPUT_ATOL)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf, "all-nan"])

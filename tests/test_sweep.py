@@ -105,8 +105,7 @@ def _sweep(spec, thetas, budget):
                 block = thetas[i:i + size]
                 qfi, qfi_oracle = cli._first_failure(
                     lambda part: cli._sweep_block(spec, part, "general",
-                                                  DEFAULT_TOL, spec.fd_step,
-                                                  True), block)
+                                                  DEFAULT_TOL, True), block)
                 _, _, solutions = cli._solve_family(spec, block, "general",
                                                     DEFAULT_TOL)
                 rows += zip(qfi.tolist(), qfi_oracle.tolist(),
