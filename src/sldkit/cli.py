@@ -58,13 +58,17 @@ A family is parsed once per command: :class:`FamilySpec` holds what does not
 depend on theta, with the command's finite-difference step.  ``sld`` and
 ``qfi`` then work on blocks of sorted thetas as stacks along a leading axis:
 per block, :func:`family_state_and_tangent` evaluates every state and
-tangent at once (one stacked ``eigh``), the solve builds every M from one
-``bincount`` and runs one stacked LU per group of states with the same
-kernel size, and the QFI and the oracle's QFI are stacked too.  A block
-holds as many thetas as fit one stacked n^2 x n^2 float array into
-``_BLOCK_BYTES``.  When a block fails, its thetas are bisected for the first
-failing one, so the error is the one a loop over the thetas in order would
-meet first.  :func:`main` builds its parser on the first call and reuses it.
+tangent at once (one stacked ``eigh``), the solve runs the rejection test
+once per kernel size and rebuilds every L and its residual at once, and
+the QFI and the oracle's QFI are stacked too.  A block holds as many thetas
+as fit one stacked n x n complex array into ``_BLOCK_BYTES`` (64 at n = 8,
+40 at n = 10).  Only M, the scaled operator and the stacked LU, which hold
+an n^2 x n^2 array per state, run in chunks of the states with one kernel
+size: as many as fit one stacked n^2 x n^2 float array into the same
+budget (2 at n = 8, one from n = 9 on).  When a block fails, its thetas
+are bisected for the first failing one, so the error is the one a loop
+over the thetas in order would meet first.  :func:`main` builds its parser
+on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ import numpy as np
 
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
-from .sld_solver import NumericalError
+from .sld_solver import _BLOCK_BYTES, NumericalError
 from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, MixingWeights,
                           TangentForm, _check_unit_sum, _difference_quotient,
                           _FormStack, _orbit_tangent, _StateStack, base_point,
@@ -92,12 +96,6 @@ from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, MixingWeights,
 _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
 #: slack on both ends of a sampled theta range
 _RANGE_SLACK = 1e-12
-#: bytes of one n^2 x n^2 float array stacked over a block of thetas: 2
-#: thetas at n = 8, 6 at n = 6, one from n = 9 on.  A sweep's peak memory
-#: grows with the block, not with the sweep.  Larger blocks bought little
-#: speed here (arrays above malloc's 128 KiB mmap threshold are mapped and
-#: page-faulted afresh for every block) and held more memory.
-_BLOCK_BYTES = 1 << 16
 #: the largest dimension ``tensor`` accepts
 _TENSOR_MAX_N = 16
 
@@ -492,7 +490,9 @@ def cmd_qfi(args) -> int:
     run = functools.partial(_sweep_block, _with_fd_step(spec, args.fd_step),
                             method=args.method, tol=tol,
                             check_oracle=args.check_oracle)
-    size = max(1, _BLOCK_BYTES // (8 * spec.n ** 4))
+    # as many thetas as fit one stacked n x n complex array: the solver
+    # chunks the n^2 x n^2 arrays of a block by the same budget
+    size = max(1, _BLOCK_BYTES // (16 * spec.n ** 2))
     blocks = [_first_failure(run, thetas[i:i + size])
               for i in range(0, thetas.size, size)]
     qfi = np.concatenate([q for q, _ in blocks])

@@ -39,6 +39,19 @@ from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
                           _reconstruct, _resolve_basis, check_tolerance,
                           expand, kernel_mask)
 
+#: bytes of one n^2 x n^2 float array stacked over a chunk of states: 2
+#: states at n = 8, 6 at n = 6, one from n = 9 on.  :func:`_solve_stack`
+#: builds M, the scaled operator and Z^T Z and runs its LU solve a chunk at
+#: a time.  ``sldkit qfi`` sizes its blocks of thetas from the same budget,
+#: as one stacked n x n complex array (64 thetas at n = 8, 40 at n = 10),
+#: so a sweep's memory grows with the block, not with the sweep.  Larger
+#: chunks cost time: arrays above malloc's mmap threshold are mapped and
+#: page-faulted afresh for every chunk.  A stacked ``f.contract`` took
+#: 74 us for 4 states at n = 8, but 334 us with 132 minor page faults per
+#: call for 8 states, and 1,278 us with 394 faults for 8 states at n = 10
+#: (``timeit`` minima, one BLAS thread, 2-core x86-64 VM).
+_BLOCK_BYTES = 1 << 16
+
 
 class NumericalError(Exception):
     """Numerical failure (an inconsistent system), as opposed to bad usage."""
@@ -312,11 +325,16 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
     """:func:`solve` for a stack of states, one direction at each.
 
     ``states`` and ``forms`` hold the fields of :class:`DensityState` and
-    :class:`TangentForm` with a leading axis.  M is built for every state
-    at once; the scaled operator, the rejection test and the LU solve run
-    once per group of states with the same kernel size r.  ``eigh`` sorts
-    eigenvalues in ascending order, so the kernel is each state's leading
-    r levels.  Every step is the one :func:`solve` takes, with a stack axis.
+    :class:`TangentForm` with a leading axis.  ``eigh`` sorts eigenvalues
+    in ascending order, so the kernel is each state's leading r levels.
+    The rejection test runs once per group of states with the same kernel
+    size r, and L and the residuals once for the stack.  The steps that
+    hold an n^2 x n^2 array per state (M, the scaled operator with Z^T Z,
+    and the LU solve) run per chunk of a group: as many states as fit one
+    stacked n^2 x n^2 float array into ``_BLOCK_BYTES``.  Every state gets
+    its own M, LU and products, so its bits do not depend on the stack, the
+    group or the chunk.  Every step is the one :func:`solve` takes, with a
+    stack axis.
 
     Raises
     ------
@@ -324,21 +342,52 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
         As :func:`solve`, for some state of the stack.
     """
     tol = check_tolerance(tol)
-    M = _operator_matrix(states, constants)
     sizes = np.count_nonzero(kernel_mask(states.eigenvalues, tol), axis=-1)
     rhs = np.concatenate((forms.coeff_identity[:, None], forms.coeffs), -1)
     x = np.empty(rhs.shape)
-    L = np.empty(forms.matrix.shape, dtype=complex)
+    chunk = max(1, _BLOCK_BYTES // (8 * basis.dimension ** 4))
     groups = np.flatnonzero(np.bincount(sizes))  # np.unique imports numpy.ma
     for r in groups:
-        # one group scales M itself; several scale copies of their rows
+        # one group is the stack itself; several take copies of their rows
         group = np.flatnonzero(sizes == r) if groups.size > 1 else slice(None)
-        vectors = states.eigenvectors[group]
-        _, *parts = _scaled_parts(M[group], vectors[..., :r], basis)
-        x[group], L[group] = _solve_directions(
-            parts, r, vectors, rhs[group], forms.matrix[group], basis, tol)
+        _reject_on_kernel(states.eigenvectors[group], r, forms.matrix[group],
+                          tol)
+        count = sizes.size if groups.size == 1 else group.size
+        for start in range(0, count, chunk):
+            # the group itself when one chunk holds it, else a part of it
+            part = (group if count <= chunk else
+                    group[start:start + chunk] if groups.size > 1 else
+                    slice(start, start + chunk))
+            x[part] = _solve_chunk(
+                states._make(field[part] for field in states), rhs[part], r,
+                constants, basis)
+    L = _reconstruct(x[:, None, 0], x[:, None, 1:], basis)[:, 0]
     return _SolutionStack(x[:, 0], x[:, 1:], L, sizes ** 2,
                           _residual(states.matrix, L, forms.matrix))
+
+
+def _solve_chunk(states, rhs: np.ndarray, r: int,
+                 constants: StructureConstants,
+                 basis: GeneratorBasis) -> np.ndarray:
+    """x for a chunk of :func:`_solve_stack`'s states of kernel size r:
+    their M, W M W^-1 + Z^T Z and one stacked LU solve.  Its n^2 x n^2
+    arrays are freed on return, before the next chunk builds its own."""
+    _, weights, projector, operator = _scaled_parts(
+        _operator_matrix(states, constants), states.eigenvectors[..., :r],
+        basis)
+    columns = (weights * rhs)[..., None]
+    if projector is not None:
+        columns -= projector @ columns
+    return np.linalg.solve(operator, columns)[..., 0] / weights
+
+
+def _reject_on_kernel(eigenvectors: np.ndarray, r: int, form: np.ndarray,
+                      tol: float) -> None:
+    """:func:`_reject_kernel_pairs` on the kernel, the leading ``r`` levels
+    of the eigenframe (nothing when r = 0); one state or a stack."""
+    if r:  # copied contiguous: strided columns round differently in BLAS
+        kernel = np.ascontiguousarray(eigenvectors[..., :r])
+        _reject_kernel_pairs(_in_frame(kernel, form), _frobenius(form), tol)
 
 
 def _solve_directions(parts, r: int, eigenvectors: np.ndarray,
@@ -347,29 +396,18 @@ def _solve_directions(parts, r: int, eigenvectors: np.ndarray,
     """The per-direction steps of :func:`solve`: (x, L).
 
     ``parts`` are W, Z^T Z (None for an empty gauge) and the scaled
-    operator; the kernel is the leading ``r`` levels of the eigenframe.
-    One operator (one state) takes ``rhs`` (n^2,) and ``form`` (n, n) for
-    one direction, or (k, n^2) and (k, n, n) for k: its directions are the
-    columns of one LU solve, and every L comes from one product.  A stack
-    of operators (the states of a sweep) takes one direction per state, as
-    (n^2, 1) columns and (1, n^2 - 1) rows, so that each state gets the
-    bits of its own solve.
+    operator of one state; the kernel is the leading ``r`` levels of the
+    eigenframe.  ``rhs`` is (n^2,) and ``form`` (n, n) for one direction,
+    or (k, n^2) and (k, n, n) for k: the directions are the columns of one
+    LU solve, and every L comes from one product.
     """
     weights, projector, operator = parts
-    if r:  # copied contiguous: strided columns round differently in BLAS
-        kernel = np.ascontiguousarray(eigenvectors[..., :r])
-        _reject_kernel_pairs(_in_frame(kernel, form), _frobenius(form), tol)
-    wd = weights * rhs
-    one = operator.ndim == 2
-    columns = wd.T if one else wd[..., None]  # .T of one direction: itself
+    _reject_on_kernel(eigenvectors, r, form, tol)
+    columns = (weights * rhs).T  # .T of one direction: itself
     if projector is not None:
         columns -= projector @ columns
-    columns = np.linalg.solve(operator, columns)
-    if one:
-        x = np.ascontiguousarray(columns.T) / weights
-        return x, _reconstruct(x[..., 0], x[..., 1:], basis)
-    x = columns[..., 0] / weights
-    return x, _reconstruct(x[:, None, 0], x[:, None, 1:], basis)[:, 0]
+    x = np.ascontiguousarray(np.linalg.solve(operator, columns).T) / weights
+    return x, _reconstruct(x[..., 0], x[..., 1:], basis)
 
 
 def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
@@ -457,7 +495,8 @@ def _reject_kernel_pairs(block: np.ndarray, norm, tol: float) -> None:
         If some |D_ab| on the block exceeds ``tol * max(1, norm)``; for a
         stack, at the first such item.  The message names the largest
         entry's mirror with a <= b, so rounding between D_ab and D_ba cannot
-        change it.
+        change it, and a diagonal D_aa with a zero imaginary part, so the
+        round-off of the product that formed the block cannot either.
     """
     blocked = np.abs(block)
     bad = blocked.max((-2, -1)) > tol * np.maximum(1.0, norm)
@@ -467,6 +506,8 @@ def _reject_kernel_pairs(block: np.ndarray, norm, tol: float) -> None:
         blocked = blocked.reshape(-1, size, size)[item]
         a, b = sorted(np.unravel_index(np.argmax(blocked), blocked.shape))
         value = block.reshape(-1, size, size)[item, a, b]
+        if a == b:
+            value = complex(value.real)
         raise KernelInconsistentError(
             f"kernel-inconsistent tangent: <{a}|drho|{b}> = "
             f"{value:.3e} on a pair of kernel levels "

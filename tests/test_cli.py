@@ -859,7 +859,7 @@ class TestPerThetaWork:
                           f"0:1:{count}", "--check-oracle"], capsys)
         assert code == 0
         # K's eigh once, then one stacked eigh per block of thetas
-        block = cli._BLOCK_BYTES // (8 * 3 ** 4)
+        block = cli._BLOCK_BYTES // (16 * 3 ** 2)
         assert len(calls) == 1 + -(-count // block)
         assert (count > block) == (len(calls) > 2)
 

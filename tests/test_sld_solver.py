@@ -258,6 +258,30 @@ class TestSolve:
                         TangentForm.from_matrix(drho))
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_diagonal_rejection_does_not_depend_on_layout(self, seed):
+        # a weight rate at the zero level of a rotated rank-7 state: V^dag
+        # drho V on the kernel column leaves a round-off imaginary part on
+        # D_00, different for strided and for contiguous columns
+        rng = np.random.default_rng(seed)
+        U = haar_unitary(8, rng)
+        k = np.zeros(8)
+        k[:7] = rng.dirichlet(np.ones(7))
+        state = DensityState.from_matrix((U * k) @ U.conj().T)
+        rates = rng.normal(size=8)
+        drho = (U * (rates - rates.mean())) @ U.conj().T
+        strided = state.eigenvectors[:, :1]
+        messages = set()
+        for vectors in (strided, np.ascontiguousarray(strided)):
+            with pytest.raises(KernelInconsistentError) as excinfo:
+                sld_solver._reject_kernel_pairs(
+                    sld_solver._in_frame(vectors, drho),
+                    np.linalg.norm(drho), 1e-10)
+            messages.add(str(excinfo.value))
+        (message,) = messages
+        assert message.startswith("kernel-inconsistent tangent: <0|drho|0> = ")
+        assert "+0.000e+00j on a pair of kernel levels" in message
+
     def test_closed_form_rejection_names_the_level_pair(self):
         # unsorted weights: the kernel levels 1 and 3 are not a prefix
         drho = np.zeros((4, 4), dtype=complex)

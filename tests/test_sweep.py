@@ -5,7 +5,8 @@ each block as a stack along a leading axis.  A row must not depend on the
 block it lands in: each equals the single-state library path on the same
 matrices (``DensityState.from_matrix``, ``solve``, ``qfi_index``,
 ``qfi_eigenbasis``), with the same gauge dimension and the same rejection,
-however the thetas are ordered, repeated, subset or cut into blocks.  Peak
+however the thetas are ordered, repeated, subset or cut into blocks, and
+a state's solve has the same bits in any chunk of the solver.  Peak
 memory grows with the block, not with the sweep.
 """
 
@@ -18,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_unitary
+from helpers import count_lu_solves, haar_unitary
 
 from sldkit import (DensityState, KernelInconsistentError, TangentForm,
                     assemble, build_basis, cli, compute_structure_constants,
-                    qfi_eigenbasis, qfi_index, solve)
+                    qfi_eigenbasis, qfi_index, sld_solver, solve)
 from sldkit.lie_basis import matrix_to_pairs
 from sldkit.state_space import DEFAULT_TOL
 
@@ -95,10 +96,12 @@ def _single(spec, theta, constants):
 
 
 def _sweep(spec, thetas, budget):
-    """The sweep's (qfi, qfi_oracle, gauge_dim) rows, or its error."""
+    """The sweep's (qfi, qfi_oracle, gauge_dim) rows, or its error, with
+    ``budget`` bytes for the blocks of thetas and the solver's chunks."""
     thetas = np.sort(np.array(thetas, dtype=float), kind="stable")
-    with mock.patch.object(cli, "_BLOCK_BYTES", budget):
-        size = max(1, cli._BLOCK_BYTES // (8 * spec.n ** 4))
+    with mock.patch.object(cli, "_BLOCK_BYTES", budget), \
+            mock.patch.object(sld_solver, "_BLOCK_BYTES", budget):
+        size = max(1, budget // (16 * spec.n ** 2))
         rows = []
         try:
             for i in range(0, thetas.size, size):
@@ -163,6 +166,44 @@ def test_kernel_sizes_mixed_in_one_sweep(budget):
     for row, theta in zip(rows, ordered):
         single = _single(spec, theta, constants)
         assert all(_close(x, y) for x, y in zip(row, single))
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_solver_chunks_do_not_change_the_stack(monkeypatch, n):
+    # kernel sizes 2 on [0, 0.4], 1 on (0.4, 0.7] and 0 after it, with
+    # tangents on the support; the sizes interleave in the stack
+    rng = np.random.default_rng(n)
+    U = haar_unitary(n, rng)
+    samples = []
+    for t, zeros in ((0.0, 2), (0.4, 2), (0.7, 1), (1.0, 0)):
+        w = np.zeros(n)
+        w[:n - zeros] = 0.9 * rng.dirichlet(np.ones(n - zeros)) + 0.1 / n
+        samples.append([t, matrix_to_pairs((U * (w / w.sum())) @ U.conj().T)])
+    spec = cli.parse_family({"kind": "explicit_matrices", "n": n,
+                             "fd_step": 1e-3, "matrices": samples})
+    thetas = np.array([0.9, 0.1, 0.5, 0.3, 0.8, 0.6, 0.2, 0.95, 0.45, 0.0,
+                       0.65])
+    states, forms = cli.family_state_and_tangent(spec, thetas)
+    basis = build_basis(n)
+    constants = compute_structure_constants(basis)
+    calls, results = count_lu_solves(monkeypatch), []
+    for chunk in (1, 2, 3, thetas.size):
+        calls.clear()
+        monkeypatch.setattr(sld_solver, "_BLOCK_BYTES", chunk * 8 * n ** 4)
+        results.append(sld_solver._solve_stack(states, forms, constants,
+                                               DEFAULT_TOL, basis))
+        # one LU call per chunk of each kernel size, in ascending r: 3
+        # states of r = 0, 4 of r = 1, 4 of r = 2
+        expected = []
+        for count in (3, 4, 4):
+            expected += [((min(chunk, count - start), n * n, n * n),
+                          (min(chunk, count - start), n * n, 1))
+                         for start in range(0, count, chunk)]
+        assert calls == expected
+    assert sorted(results[0].gauge_dim.tolist()) == [0] * 3 + [1] * 4 + [4] * 4
+    for other in results[1:]:
+        for a, b in zip(results[0], other):
+            assert a.tobytes() == b.tobytes()
 
 
 def _sweep_peak(tmp_path, count):
