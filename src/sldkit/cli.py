@@ -61,11 +61,11 @@ per block, :func:`family_state_and_tangent` evaluates every state and
 tangent at once (one stacked ``eigh``), the solve runs the rejection test
 once per kernel size and rebuilds every L and its residual at once, and
 the QFI and the oracle's QFI are stacked too.  A block holds as many thetas
-as fit one stacked n x n complex array into ``_BLOCK_BYTES`` (64 at n = 8,
-40 at n = 10).  Only M, the scaled operator and the stacked LU, which hold
-an n^2 x n^2 array per state, run in chunks of the states with one kernel
-size: as many as fit one stacked n^2 x n^2 float array into the same
-budget (2 at n = 8, one from n = 9 on).  When a block fails, its thetas
+as fit one stacked n x n complex array into ``sld_solver._BLOCK_BYTES`` (64
+at n = 8, 40 at n = 10).  Only M, the scaled operator and the stacked LU,
+which hold an n^2 x n^2 array per state, run in chunks of the states with
+one kernel size: as many as fit one stacked n^2 x n^2 float array into the
+same budget (2 at n = 8, one from n = 9 on).  When a block fails, its thetas
 are bisected for the first failing one, so the error is the one a loop
 over the thetas in order would meet first.  :func:`main` builds its parser
 on the first call and reuses it.
@@ -87,7 +87,6 @@ import numpy as np
 
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
-from .sld_solver import _BLOCK_BYTES, NumericalError
 from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, MixingWeights,
                           TangentForm, _check_unit_sum, _difference_quotient,
                           _FormStack, _orbit_tangent, _StateStack, base_point,
@@ -376,14 +375,14 @@ def _first_failure(run, thetas: np.ndarray):
     """
     try:
         return run(thetas)
-    except (ValueError, NumericalError):
+    except (ValueError, sld_solver.NumericalError):
         passing, failing = 0, thetas.size  # prefix lengths
         while failing - passing > 1:
             middle = (passing + failing) // 2
             try:
                 run(thetas[:middle])
                 passing = middle
-            except (ValueError, NumericalError):
+            except (ValueError, sld_solver.NumericalError):
                 failing = middle
         if failing < thetas.size:
             run(thetas[:failing])
@@ -461,19 +460,24 @@ def cmd_sld(args) -> int:
     return 0
 
 
+def _parsed(convert, text: str, message: str):
+    """``convert(text)``; its ValueError becomes ``message`` with ``text``
+    quoted."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{message}, got {text!r}") from None
+
+
 def _theta_values(args) -> np.ndarray:
-    values = []
-    if args.thetas:
-        for tok in args.thetas.split(","):
-            tok = tok.strip()
-            if tok:
-                values.append(float(tok))
+    values = [_parsed(float, tok, "thetas must be numeric")
+              for tok in map(str.strip, (args.thetas or "").split(",")) if tok]
     if args.theta_range:
         parts = args.theta_range.split(":")
         if len(parts) != 3:
             raise ValueError("theta range must be START:STOP:COUNT")
         start, stop = _finite("theta", parts[:2])
-        count = int(parts[2])
+        count = _parsed(int, parts[2], "theta range count must be an integer")
         if count < 1:
             raise ValueError("theta range count must be at least 1")
         values.extend(np.linspace(start, stop, count).tolist())
@@ -492,7 +496,7 @@ def cmd_qfi(args) -> int:
                             check_oracle=args.check_oracle)
     # as many thetas as fit one stacked n x n complex array: the solver
     # chunks the n^2 x n^2 arrays of a block by the same budget
-    size = max(1, _BLOCK_BYTES // (16 * spec.n ** 2))
+    size = max(1, sld_solver._BLOCK_BYTES // (16 * spec.n ** 2))
     blocks = [_first_failure(run, thetas[i:i + size])
               for i in range(0, thetas.size, size)]
     qfi = np.concatenate([q for q, _ in blocks])
@@ -619,7 +623,7 @@ def main(argv=None) -> int:
         return 0 if code in (None, 0) else int(code)
     try:
         return int(args.func(args))
-    except NumericalError as exc:
+    except sld_solver.NumericalError as exc:
         return _fail(str(exc), 2)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 1)

@@ -313,11 +313,13 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
         raise ValueError("state dimension does not match system")
     basis = _resolve_basis(n, basis)
     tol = check_tolerance(tol)
-    gauge, r, *parts = _scaled_operator(system, state, tol, basis)
-    x, L = _solve_directions(parts, r, state.eigenvectors, system.rhs,
-                             system.form_matrix, basis, tol)
-    return _finalize(L, x[..., 0], x[..., 1:], state.matrix,
-                     system.form_matrix, gauge)
+    gauge, r, weights, *parts = _scaled_operator(system, state, tol, basis)
+    _reject_on_kernel(state.eigenvectors, r, system.form_matrix, tol)
+    # the k directions as the columns of one LU solve; .T of one: itself
+    y = _lu_solve((weights * system.rhs).T, *parts)
+    x = np.ascontiguousarray(y.T) / weights
+    return _finalize(_reconstruct(x[..., 0], x[..., 1:], basis), x[..., 0],
+                     x[..., 1:], state.matrix, system.form_matrix, gauge)
 
 
 def _solve_stack(states, forms, constants: StructureConstants, tol: float,
@@ -330,55 +332,46 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
     The rejection test runs once per group of states with the same kernel
     size r, and L and the residuals once for the stack.  The steps that
     hold an n^2 x n^2 array per state (M, the scaled operator with Z^T Z,
-    and the LU solve) run per chunk of a group: as many states as fit one
-    stacked n^2 x n^2 float array into ``_BLOCK_BYTES``.  Every state gets
-    its own M, LU and products, so its bits do not depend on the stack, the
-    group or the chunk.  Every step is the one :func:`solve` takes, with a
-    stack axis.
+    and :func:`_lu_solve`) run per chunk of a group: as many states as fit
+    one stacked n^2 x n^2 float array into ``_BLOCK_BYTES``.  Every state
+    gets its own M, LU and products, so its bits do not depend on the
+    stack, the group or the chunk.  Every step is the one :func:`solve`
+    takes, with a stack axis.
 
     Raises
     ------
     KernelInconsistentError
         As :func:`solve`, for some state of the stack.
     """
-    tol = check_tolerance(tol)
     sizes = np.count_nonzero(kernel_mask(states.eigenvalues, tol), axis=-1)
     rhs = np.concatenate((forms.coeff_identity[:, None], forms.coeffs), -1)
     x = np.empty(rhs.shape)
     chunk = max(1, _BLOCK_BYTES // (8 * basis.dimension ** 4))
-    groups = np.flatnonzero(np.bincount(sizes))  # np.unique imports numpy.ma
-    for r in groups:
-        # one group is the stack itself; several take copies of their rows
-        group = np.flatnonzero(sizes == r) if groups.size > 1 else slice(None)
-        _reject_on_kernel(states.eigenvectors[group], r, forms.matrix[group],
+    for r in np.flatnonzero(np.bincount(sizes)):  # np.unique imports numpy.ma
+        group = np.flatnonzero(sizes == r)
+        rows = _rows(group)
+        _reject_on_kernel(states.eigenvectors[rows], r, forms.matrix[rows],
                           tol)
-        count = sizes.size if groups.size == 1 else group.size
-        for start in range(0, count, chunk):
-            # the group itself when one chunk holds it, else a part of it
-            part = (group if count <= chunk else
-                    group[start:start + chunk] if groups.size > 1 else
-                    slice(start, start + chunk))
-            x[part] = _solve_chunk(
-                states._make(field[part] for field in states), rhs[part], r,
-                constants, basis)
+        for start in range(0, group.size, chunk):
+            part = _rows(group[start:start + chunk])
+            chunk_states = states._make(field[part] for field in states)
+            weights, *parts = _scaled_parts(
+                _operator_matrix(chunk_states, constants),
+                chunk_states.eigenvectors[..., :r], basis)[1:]
+            x[part] = _lu_solve((weights * rhs[part])[..., None],
+                                *parts)[..., 0] / weights
+            del parts  # freed before the next chunk builds its M
     L = _reconstruct(x[:, None, 0], x[:, None, 1:], basis)[:, 0]
     return _SolutionStack(x[:, 0], x[:, 1:], L, sizes ** 2,
                           _residual(states.matrix, L, forms.matrix))
 
 
-def _solve_chunk(states, rhs: np.ndarray, r: int,
-                 constants: StructureConstants,
-                 basis: GeneratorBasis) -> np.ndarray:
-    """x for a chunk of :func:`_solve_stack`'s states of kernel size r:
-    their M, W M W^-1 + Z^T Z and one stacked LU solve.  Its n^2 x n^2
-    arrays are freed on return, before the next chunk builds its own."""
-    _, weights, projector, operator = _scaled_parts(
-        _operator_matrix(states, constants), states.eigenvectors[..., :r],
-        basis)
-    columns = (weights * rhs)[..., None]
-    if projector is not None:
-        columns -= projector @ columns
-    return np.linalg.solve(operator, columns)[..., 0] / weights
+def _rows(index: np.ndarray):
+    """Ascending indices of a stack's rows as an index: a slice, which
+    selects a view, when they are consecutive (every chunk of a stack with
+    one kernel size is), else the indices themselves, which copy."""
+    start, stop = index[0], index[-1] + 1
+    return slice(start, stop) if stop - start == index.size else index
 
 
 def _reject_on_kernel(eigenvectors: np.ndarray, r: int, form: np.ndarray,
@@ -390,24 +383,18 @@ def _reject_on_kernel(eigenvectors: np.ndarray, r: int, form: np.ndarray,
         _reject_kernel_pairs(_in_frame(kernel, form), _frobenius(form), tol)
 
 
-def _solve_directions(parts, r: int, eigenvectors: np.ndarray,
-                      rhs: np.ndarray, form: np.ndarray,
-                      basis: GeneratorBasis, tol: float) -> tuple:
-    """The per-direction steps of :func:`solve`: (x, L).
+def _lu_solve(columns: np.ndarray, projector, operator: np.ndarray):
+    """y from one LU solve of (W M W^-1 + Z^T Z) y = W d - Z^T Z W d.
 
-    ``parts`` are W, Z^T Z (None for an empty gauge) and the scaled
-    operator of one state; the kernel is the leading ``r`` levels of the
-    eigenframe.  ``rhs`` is (n^2,) and ``form`` (n, n) for one direction,
-    or (k, n^2) and (k, n, n) for k: the directions are the columns of one
-    LU solve, and every L comes from one product.
+    ``columns`` are the W d, overwritten: one state's k directions as the
+    columns of an (n^2, k) array (or one (n^2,) direction), or a stack of
+    (n^2, 1) columns, one per state.  ``projector`` (Z^T Z, None for an
+    empty gauge) and ``operator`` (the scaled operator) carry the stack
+    axis when the columns do.
     """
-    weights, projector, operator = parts
-    _reject_on_kernel(eigenvectors, r, form, tol)
-    columns = (weights * rhs).T  # .T of one direction: itself
     if projector is not None:
         columns -= projector @ columns
-    x = np.ascontiguousarray(np.linalg.solve(operator, columns).T) / weights
-    return x, _reconstruct(x[..., 0], x[..., 1:], basis)
+    return np.linalg.solve(operator, columns)
 
 
 def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,

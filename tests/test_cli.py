@@ -10,7 +10,7 @@ from helpers import count_lu_solves
 
 from sldkit import (MixingWeights, assemble, base_point, build_basis,
                     chart_tangents, cli, compute_structure_constants,
-                    fisher_tensor, solve)
+                    fisher_tensor, sld_solver, solve)
 from sldkit.cli import build_parser, main, parse_family
 from sldkit.lie_basis import matrix_to_pairs
 from sldkit.state_space import DEFAULT_TOL
@@ -419,6 +419,23 @@ class TestQfiCommand:
         got = run(["qfi", "--input", family, "--thetas", thetas], capsys)
         assert got == (code, "", f"error: {message}\n")
 
+    def test_first_failure_after_a_passing_prefix(self, tmp_path, capsys):
+        # thetas up to 0.4 pass; 0.5 is pure and its tangent sits on the
+        # kernel level (a solve-stage error); 0.8 is not Hermitian (a
+        # state-stage error, which the run of the whole block meets first).
+        # Only a bisection that keeps the passing prefix reaches 0.5.
+        family = write_family(tmp_path, {
+            "kind": "explicit_matrices", "n": 2,
+            "matrices": [[0.0, matrix_to_pairs(np.diag([0.9, 0.1]))],
+                         [0.5, matrix_to_pairs(np.diag([1.0, 0.0]))],
+                         [1.0, matrix_to_pairs([[0.5, 0.3], [0.0, 0.5]])]]})
+        got = run(["qfi", "--input", family,
+                   "--thetas", "0.1,0.2,0.3,0.4,0.5,0.8"], capsys)
+        assert got == (2, "", "error: kernel-inconsistent tangent: "
+                              "<0|drho|0> = 4.000e-01+0.000e+00j on a pair "
+                              "of kernel levels (eigenvalues <= tol = "
+                              "1.000e-10)\n")
+
     def test_requires_thetas(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
         code, _, err = run(["qfi", "--input", family], capsys)
@@ -610,6 +627,21 @@ class TestInvalidNumbers:
         assert code == 1
         assert "theta must be finite" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--theta-range", "0:1:1e3"],
+         "theta range count must be an integer, got '1e3'"),
+        (["--theta-range", "0:1:3.0"],
+         "theta range count must be an integer, got '3.0'"),
+        (["--theta-range", "0:1:"],
+         "theta range count must be an integer, got ''"),
+        (["--thetas", "0.1,abc"], "thetas must be numeric, got 'abc'"),
+    ], ids=["count-float", "count-decimal", "count-empty", "thetas-word"])
+    def test_rejects_unparsable_thetas(self, tmp_path, capsys, args,
+                                       message):
+        family = write_family(tmp_path, QUBIT_FAMILY)
+        got = run(["qfi", "--input", family] + args, capsys)
+        assert got == (1, "", f"error: {message}\n")
+
     def test_rejects_non_finite_tensor_weights(self, capsys):
         code, _, err = run(["tensor", "--weights", "0.5,0.3,nan"], capsys)
         assert code == 1
@@ -653,6 +685,28 @@ class TestFamilyValidation:
         spec["generator_coeffs"] = [0.0, 0.5]
         with pytest.raises(ValueError, match="length"):
             parse_family(spec)
+
+    @pytest.mark.parametrize("payload, message", [
+        ([QUBIT_FAMILY], "family description must be a JSON object"),
+        ({"kind": "exp_generator"}, "family description is missing 'n'"),
+        (dict(QUBIT_FAMILY, n=1), "dimension must be at least 2, got 1"),
+        (dict(SAMPLED_FAMILY, matrices=[[0.0], [0.1]]),
+         "each sample must be a [theta, matrix] pair"),
+        (dict(SAMPLED_FAMILY, matrices=[
+            [0.0, matrix_to_pairs(np.eye(3) / 3)],
+            [0.1, matrix_to_pairs(np.eye(3) / 3)]]),
+         "sample matrix has shape (3, 3), expected (2, 2)"),
+        (dict(SAMPLED_FAMILY, matrices=SAMPLED_FAMILY["matrices"][:1]),
+         "explicit_matrices needs at least two samples"),
+        (dict(WEIGHT_PATH_FAMILY, weight_rates=[0.5, -0.25, -0.25]),
+         "weight_rates must have length 2, got shape (3,)"),
+    ], ids=["not-object", "no-n", "n-1", "not-pair", "sample-shape",
+            "one-sample", "rates-length"])
+    def test_rejects_malformed_family(self, tmp_path, capsys, payload,
+                                      message):
+        family = write_family(tmp_path, payload)
+        got = run(["sld", "--input", family], capsys)
+        assert got == (1, "", f"error: {message}\n")
 
     def test_weight_path_validates_rates(self, tmp_path, capsys):
         family = write_family(tmp_path, {
@@ -859,7 +913,7 @@ class TestPerThetaWork:
                           f"0:1:{count}", "--check-oracle"], capsys)
         assert code == 0
         # K's eigh once, then one stacked eigh per block of thetas
-        block = cli._BLOCK_BYTES // (16 * 3 ** 2)
+        block = sld_solver._BLOCK_BYTES // (16 * 3 ** 2)
         assert len(calls) == 1 + -(-count // block)
         assert (count > block) == (len(calls) > 2)
 

@@ -293,6 +293,20 @@ def test_verify_basis_detects_scaled_generator(basis3, constants3):
                for msg in report)
 
 
+@pytest.mark.parametrize("shift, message", [
+    (np.array([[0, 0.1, 0], [0, 0, 0], [0, 0, 0]]),
+     "generator 0 not Hermitian (max deviation 1.000e-01)"),
+    (0.1 * np.eye(3), "generator 0 not traceless (|trace| 3.000e-01)"),
+], ids=["hermitian", "traceless"])
+def test_verify_basis_reports_broken_generator(basis3, constants3, shift,
+                                               message):
+    generators = basis3.generators.copy()
+    generators[0] = generators[0] + shift
+    broken = GeneratorBasis(3, generators, basis3.diagonal_indices,
+                            basis3.offdiagonal_indices, basis3.labels)
+    assert message in verify_basis(broken, constants3, 1e-12)
+
+
 def test_json_round_trip(basis3, constants3):
     payload = basis3.to_json_dict()
     payload.update(constants3.to_json_dict())

@@ -99,8 +99,7 @@ def _sweep(spec, thetas, budget):
     """The sweep's (qfi, qfi_oracle, gauge_dim) rows, or its error, with
     ``budget`` bytes for the blocks of thetas and the solver's chunks."""
     thetas = np.sort(np.array(thetas, dtype=float), kind="stable")
-    with mock.patch.object(cli, "_BLOCK_BYTES", budget), \
-            mock.patch.object(sld_solver, "_BLOCK_BYTES", budget):
+    with mock.patch.object(sld_solver, "_BLOCK_BYTES", budget):
         size = max(1, budget // (16 * spec.n ** 2))
         rows = []
         try:
@@ -229,8 +228,34 @@ def _sweep_peak(tmp_path, count):
 
 
 def test_sweep_memory_grows_with_the_block_not_the_sweep(tmp_path):
-    short, long = _sweep_peak(tmp_path, 24), _sweep_peak(tmp_path, 480)
+    # the short sweep fills one whole block of 64 thetas at n = 8
+    short, long = _sweep_peak(tmp_path, 64), _sweep_peak(tmp_path, 480)
     assert long < 2 * short, (short, long)
+
+
+def test_one_budget_sizes_the_blocks_and_the_chunks(tmp_path, capsys,
+                                                    monkeypatch):
+    # 4096 bytes hold 16 stacked 4 x 4 complex matrices and 2 stacked
+    # 16 x 16 float operators: 40 thetas run as blocks of 16, 16 and 8,
+    # each solved in chunks of 2 states
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "kind": "exp_generator", "n": 4, "weights": [0.4, 0.3, 0.2, 0.1],
+        "generator_coeffs": np.linspace(-0.7, 0.9, 15).tolist()}))
+    blocks = []
+    evaluate = cli.family_state_and_tangent
+
+    def counting(spec, thetas):
+        blocks.append(thetas.size)
+        return evaluate(spec, thetas)
+
+    monkeypatch.setattr(cli, "family_state_and_tangent", counting)
+    calls = count_lu_solves(monkeypatch)
+    monkeypatch.setattr(sld_solver, "_BLOCK_BYTES", 4096)
+    assert cli.main(["qfi", "--input", str(path),
+                     "--theta-range", "0:1:40"]) == 0
+    assert blocks == [16, 16, 8]
+    assert calls == [((2, 16, 16), (2, 16, 1))] * 20
 
 
 @pytest.mark.parametrize("budget", [1 << 18, 1])
@@ -244,6 +269,6 @@ def test_blocks_give_the_rows_of_one_stack(tmp_path, capsys, budget):
             "--check-oracle"]
     assert cli.main(argv) == 0
     whole = capsys.readouterr().out
-    with mock.patch.object(cli, "_BLOCK_BYTES", budget):
+    with mock.patch.object(sld_solver, "_BLOCK_BYTES", budget):
         assert cli.main(argv) == 0
     assert capsys.readouterr().out == whole
