@@ -59,16 +59,17 @@ depend on theta, with the command's finite-difference step.  ``sld`` and
 ``qfi`` then work on blocks of sorted thetas as stacks along a leading axis:
 per block, :func:`family_state_and_tangent` evaluates every state and
 tangent at once (one stacked ``eigh``), the solve runs the rejection test
-once per kernel size and rebuilds every L and its residual at once, and
-the QFI and the oracle's QFI are stacked too.  A block holds as many thetas
-as fit one stacked n x n complex array into ``sld_solver._BLOCK_BYTES`` (64
-at n = 8, 40 at n = 10).  Only M, the scaled operator and the stacked LU,
-which hold an n^2 x n^2 array per state, run in chunks of the states with
-one kernel size: as many as fit one stacked n^2 x n^2 float array into the
-same budget (2 at n = 8, one from n = 9 on).  When a block fails, its thetas
-are bisected for the first failing one, so the error is the one a loop
-over the thetas in order would meet first.  :func:`main` builds its parser
-on the first call and reuses it.
+once per run of consecutive thetas with one kernel size and rebuilds every
+L and its residual at once, and the QFI and the oracle's QFI are stacked
+too.  A block holds as many thetas as fit one stacked n x n complex array
+into ``sld_solver._BLOCK_BYTES`` (64 at n = 8, 40 at n = 10).  Only M, the
+scaled operator and the stacked LU, which hold an n^2 x n^2 array per
+state, run in chunks of a run of states with one kernel size: as many as
+fit one stacked n^2 x n^2 float array into the same budget (2 at n = 8,
+one from n = 9 on).  When a block fails, it is split in halves, in order,
+down to the first failing theta, so the error is the one a loop over the
+thetas in order would meet first.  :func:`main` builds its parser on the
+first call and reuses it.
 """
 
 from __future__ import annotations
@@ -369,23 +370,19 @@ def _first_failure(run, thetas: np.ndarray):
     """``run(thetas)``; if it fails, the error of the first theta that fails.
 
     A stacked step raises for some failing theta, not necessarily the
-    first.  The shortest failing prefix is found by bisection; in its run
-    only its last theta fails, so the error raised is that theta's at the
-    first step it fails, as in a loop over the thetas in order.
+    first.  So a failing block is split in halves, in order: the first half
+    is searched before the second, down to the first failing theta on its
+    own, whose run raises that theta's error at the first step it fails, as
+    in a loop over the thetas in order.  The block's own error is raised
+    only if neither half fails.
     """
     try:
         return run(thetas)
     except (ValueError, sld_solver.NumericalError):
-        passing, failing = 0, thetas.size  # prefix lengths
-        while failing - passing > 1:
-            middle = (passing + failing) // 2
-            try:
-                run(thetas[:middle])
-                passing = middle
-            except (ValueError, sld_solver.NumericalError):
-                failing = middle
-        if failing < thetas.size:
-            run(thetas[:failing])
+        if thetas.size > 1:
+            half = thetas.size // 2
+            _first_failure(run, thetas[:half])
+            _first_failure(run, thetas[half:])
         raise
 
 
@@ -524,7 +521,8 @@ def cmd_qfi(args) -> int:
 
 def cmd_tensor(args) -> int:
     _require_json_format(args)
-    values = [float(tok) for tok in args.weights.split(",") if tok.strip()]
+    values = [_parsed(float, tok, "weights must be numeric")
+              for tok in map(str.strip, args.weights.split(",")) if tok]
     if not 2 <= len(values) <= _TENSOR_MAX_N:
         raise ValueError(f"tensor needs 2 to {_TENSOR_MAX_N} weights, "
                          f"got {len(values)}")

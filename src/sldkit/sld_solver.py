@@ -42,9 +42,10 @@ from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
 #: bytes of one n^2 x n^2 float array stacked over a chunk of states: 2
 #: states at n = 8, 6 at n = 6, one from n = 9 on.  :func:`_solve_stack`
 #: builds M, the scaled operator and Z^T Z and runs its LU solve a chunk at
-#: a time.  ``sldkit qfi`` sizes its blocks of thetas from the same budget,
-#: as one stacked n x n complex array (64 thetas at n = 8, 40 at n = 10),
-#: so a sweep's memory grows with the block, not with the sweep.  Larger
+#: a time, each chunk a slice of a run of states with one kernel size.
+#: ``sldkit qfi`` sizes its blocks of thetas from the same budget, as one
+#: stacked n x n complex array (64 thetas at n = 8, 40 at n = 10), so a
+#: sweep's memory grows with the block, not with the sweep.  Larger
 #: chunks cost time: arrays above malloc's mmap threshold are mapped and
 #: page-faulted afresh for every chunk.  A stacked ``f.contract`` took
 #: 74 us for 4 states at n = 8, but 334 us with 132 minor page faults per
@@ -229,7 +230,7 @@ def assemble(state: DensityState, forms,
             f"constants {constants.dimension}")
     held = state._operator
     if held is None or held.constants is not constants:
-        M = _operator_matrix(state, constants)
+        M = _operator_matrix(state.coeff_identity, state.coeffs, constants)
         M.setflags(write=False)
         held = _StateOperator(constants, M)
         object.__setattr__(state, "_operator", held)
@@ -249,18 +250,18 @@ def assemble(state: DensityState, forms,
                      tuple(constants.diagonal_indices))
 
 
-def _operator_matrix(state, constants: StructureConstants) -> np.ndarray:
+def _operator_matrix(rho_id, rho: np.ndarray,
+                     constants: StructureConstants) -> np.ndarray:
     """M: rho_id 1 + the rho_k f_kjl rows, with the identity couplings.
 
-    ``state`` is a :class:`DensityState` or a stack of states (its fields
-    with a leading axis), which gets a stack of M from one ``bincount``.
+    ``rho_id`` and ``rho`` are a state's coefficients, or a stack of them
+    along a leading axis, which gets a stack of M from one ``bincount``.
     The contraction of the totally symmetric f is symmetric bit for bit
     (each (j, l) and (l, j) sums the same products in the same order), so
     it is written into M as it is.
     """
     n = constants.dimension
-    rho_id = np.asarray(state.coeff_identity)
-    rho = state.coeffs
+    rho_id = np.asarray(rho_id)
     M = np.empty(rho_id.shape + (n * n, n * n))
     M[..., 0, 0] = rho_id
     M[..., 0, 1:] = (2.0 / n) * rho
@@ -329,13 +330,15 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
     ``states`` and ``forms`` hold the fields of :class:`DensityState` and
     :class:`TangentForm` with a leading axis.  ``eigh`` sorts eigenvalues
     in ascending order, so the kernel is each state's leading r levels.
-    The rejection test runs once per group of states with the same kernel
-    size r, and L and the residuals once for the stack.  The steps that
-    hold an n^2 x n^2 array per state (M, the scaled operator with Z^T Z,
-    and :func:`_lu_solve`) run per chunk of a group: as many states as fit
-    one stacked n^2 x n^2 float array into ``_BLOCK_BYTES``.  Every state
-    gets its own M, LU and products, so its bits do not depend on the
-    stack, the group or the chunk.  Every step is the one :func:`solve`
+    The stack is taken in its own order, as runs of consecutive states
+    with one kernel size r (a sorted sweep changes r only where the
+    family's rank does).  The rejection test runs once per run, and L and
+    the residuals once for the stack.  The steps that hold an n^2 x n^2
+    array per state (M, the scaled operator with Z^T Z, and
+    :func:`_lu_solve`) run per chunk of a run, a slice of as many states
+    as fit one stacked n^2 x n^2 float array into ``_BLOCK_BYTES``.  Every
+    state gets its own M, LU and products, so its bits do not depend on
+    the stack, the run or the chunk.  Every step is the one :func:`solve`
     takes, with a stack axis.
 
     Raises
@@ -347,31 +350,23 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
     rhs = np.concatenate((forms.coeff_identity[:, None], forms.coeffs), -1)
     x = np.empty(rhs.shape)
     chunk = max(1, _BLOCK_BYTES // (8 * basis.dimension ** 4))
-    for r in np.flatnonzero(np.bincount(sizes)):  # np.unique imports numpy.ma
-        group = np.flatnonzero(sizes == r)
-        rows = _rows(group)
-        _reject_on_kernel(states.eigenvectors[rows], r, forms.matrix[rows],
-                          tol)
-        for start in range(0, group.size, chunk):
-            part = _rows(group[start:start + chunk])
-            chunk_states = states._make(field[part] for field in states)
+    # the runs end where the kernel size changes and at the stack's end
+    edges = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+    for start, stop in zip([0, *edges], [*edges, sizes.size]):
+        r, run = sizes[start], slice(start, stop)
+        _reject_on_kernel(states.eigenvectors[run], r, forms.matrix[run], tol)
+        for lo in range(start, stop, chunk):
+            part = slice(lo, min(lo + chunk, stop))
             weights, *parts = _scaled_parts(
-                _operator_matrix(chunk_states, constants),
-                chunk_states.eigenvectors[..., :r], basis)[1:]
+                _operator_matrix(states.coeff_identity[part],
+                                 states.coeffs[part], constants),
+                states.eigenvectors[part, :, :r], basis)[1:]
             x[part] = _lu_solve((weights * rhs[part])[..., None],
                                 *parts)[..., 0] / weights
             del parts  # freed before the next chunk builds its M
     L = _reconstruct(x[:, None, 0], x[:, None, 1:], basis)[:, 0]
     return _SolutionStack(x[:, 0], x[:, 1:], L, sizes ** 2,
                           _residual(states.matrix, L, forms.matrix))
-
-
-def _rows(index: np.ndarray):
-    """Ascending indices of a stack's rows as an index: a slice, which
-    selects a view, when they are consecutive (every chunk of a stack with
-    one kernel size is), else the indices themselves, which copy."""
-    start, stop = index[0], index[-1] + 1
-    return slice(start, stop) if stop - start == index.size else index
 
 
 def _reject_on_kernel(eigenvectors: np.ndarray, r: int, form: np.ndarray,

@@ -423,7 +423,8 @@ class TestQfiCommand:
         # thetas up to 0.4 pass; 0.5 is pure and its tangent sits on the
         # kernel level (a solve-stage error); 0.8 is not Hermitian (a
         # state-stage error, which the run of the whole block meets first).
-        # Only a bisection that keeps the passing prefix reaches 0.5.
+        # Only halves searched in order, the first before the second, and
+        # split down to one theta reach 0.5.
         family = write_family(tmp_path, {
             "kind": "explicit_matrices", "n": 2,
             "matrices": [[0.0, matrix_to_pairs(np.diag([0.9, 0.1]))],
@@ -435,6 +436,30 @@ class TestQfiCommand:
                               "<0|drho|0> = 4.000e-01+0.000e+00j on a pair "
                               "of kernel levels (eigenvalues <= tol = "
                               "1.000e-10)\n")
+
+    def test_failing_last_theta_of_a_block_costs_three_blocks(
+            self, tmp_path, capsys, monkeypatch):
+        # 0:1:1024 is one block at n = 2 and only theta 1 (not Hermitian)
+        # fails: halving in order evaluates each half of every failing
+        # part once, 1024 + 2 (512 + 256 + ... + 1) = 3070 thetas
+        family = write_family(tmp_path, {
+            "kind": "explicit_matrices", "n": 2,
+            "matrices": [[0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
+                         [0.9995, matrix_to_pairs(np.diag([0.6, 0.4]))],
+                         [1.0, matrix_to_pairs([[0.5, 0.3], [0.0, 0.5]])]]})
+        evaluated = []
+        evaluate = cli.family_state_and_tangent
+
+        def counting(spec, thetas):
+            evaluated.append(thetas.size)
+            return evaluate(spec, thetas)
+
+        monkeypatch.setattr(cli, "family_state_and_tangent", counting)
+        got = run(["qfi", "--input", family, "--theta-range", "0:1:1024"],
+                  capsys)
+        assert got == (1, "", "error: matrix is not Hermitian "
+                              "(max deviation 3.000e-01)\n")
+        assert evaluated[0] == 1024 and sum(evaluated) <= 3 * 1024
 
     def test_requires_thetas(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
@@ -635,17 +660,24 @@ class TestInvalidNumbers:
         (["--theta-range", "0:1:"],
          "theta range count must be an integer, got ''"),
         (["--thetas", "0.1,abc"], "thetas must be numeric, got 'abc'"),
-    ], ids=["count-float", "count-decimal", "count-empty", "thetas-word"])
+        (["--theta-range", "0:1"], "theta range must be START:STOP:COUNT"),
+        (["--theta-range", "0:1:0"], "theta range count must be at least 1"),
+    ], ids=["count-float", "count-decimal", "count-empty", "thetas-word",
+            "range-parts", "count-zero"])
     def test_rejects_unparsable_thetas(self, tmp_path, capsys, args,
                                        message):
         family = write_family(tmp_path, QUBIT_FAMILY)
         got = run(["qfi", "--input", family] + args, capsys)
         assert got == (1, "", f"error: {message}\n")
 
-    def test_rejects_non_finite_tensor_weights(self, capsys):
-        code, _, err = run(["tensor", "--weights", "0.5,0.3,nan"], capsys)
-        assert code == 1
-        assert "weights must be finite" in err
+    @pytest.mark.parametrize("weights, message", [
+        ("0.5,0.3,nan", "weights must be finite"),
+        ("0.5,abc", "weights must be numeric, got 'abc'"),
+    ], ids=["nan", "word"])
+    def test_rejects_non_finite_tensor_weights(self, capsys, weights,
+                                               message):
+        got = run(["tensor", "--weights", weights], capsys)
+        assert got == (1, "", f"error: {message}\n")
 
 
 class TestJsonRoundTrip:

@@ -397,3 +397,19 @@ def test_tensor_json_shape(constants3, basis3):
     assert set(payload) == {"g", "omega", "directions"}
     assert payload["directions"] == 6
     assert payload["g"][0][0] == pytest.approx(0.2, abs=1e-9)
+
+
+def _qubit_sld():
+    return transversal_sld([1.0, -1.0], MixingWeights([0.6, 0.4]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda state: qfi_index(state, _qubit_sld()),
+     "state and SLD dimensions do not match"),
+    (lambda state: fisher_tensor(state, [_qubit_sld()]),
+     "all SLDs must match the state dimension"),
+], ids=["qfi_index", "fisher_tensor"])
+def test_rejects_mismatched_dimensions(build, message):
+    with pytest.raises(ValueError) as info:
+        build(base_point(MixingWeights([0.5, 0.3, 0.2])))
+    assert str(info.value) == message

@@ -328,3 +328,12 @@ def test_matrix_pair_codec_rejects_bad_shapes():
     pairs = matrix_to_pairs([[complex(-0.0, 1.5), 2], [0.25j, -1e-300]])
     assert json.dumps(pairs) == ("[[[-0.0, 1.5], [2.0, 0.0]], "
                                  "[[0.0, 0.25], [-1e-300, 0.0]]]")
+
+
+@pytest.mark.parametrize("basis_n, constants_n", [(2, 3), (3, 2)])
+def test_verify_basis_rejects_constants_of_another_dimension(basis_n,
+                                                             constants_n):
+    constants = compute_structure_constants(build_basis(constants_n))
+    with pytest.raises(ValueError) as info:
+        verify_basis(build_basis(basis_n), constants)
+    assert str(info.value) == "basis and constants dimensions do not match"

@@ -128,7 +128,8 @@ class TestPerStateOperator:
         basis = build_basis(n)
         constants = compute_structure_constants(basis)
         state = _random_state(n, rank, rng, basis)
-        M = sld_solver._operator_matrix(state, constants)
+        M = sld_solver._operator_matrix(state.coeff_identity, state.coeffs,
+                                         constants)
         expected = np.zeros((n * n, n * n))
         expected[0, 0] = state.coeff_identity
         expected[0, 1:] = (2.0 / n) * state.coeffs
@@ -797,3 +798,22 @@ def test_kernel_gauge_matches_loop_reference(r):
     assert gauge.shape == (r * r, 10, 10) and len(reference) == r * r
     for got, expected in zip(gauge, reference):
         assert np.abs(got - expected).max() <= 1e-15
+
+
+def _qubit_system():
+    state = base_point(MixingWeights([0.6, 0.4]))
+    form = transversal_tangent([1.0, -1.0], state)
+    return assemble(state, form, compute_structure_constants(build_basis(2)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: solve(_qubit_system(), base_point(MixingWeights([0.5, 0.3,
+                                                              0.2]))),
+     "state dimension does not match system"),
+    (lambda: closed_form(MixingWeights([0.6, 0.4]), zero_form(3)),
+     "dimension mismatch: weights 2, form 3"),
+], ids=["solve", "closed_form"])
+def test_rejects_mismatched_dimensions(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

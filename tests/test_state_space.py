@@ -1,5 +1,7 @@
 """States, expansions, and tangent forms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -399,3 +401,28 @@ def test_tangent_form_from_coefficients_round_trip(basis3):
     c_id, back = expand(form.matrix, basis3)
     assert c_id == pytest.approx(0.1, abs=1e-12)
     assert np.allclose(back, coeffs, atol=1e-12)
+
+
+_QUBIT = DensityState.from_matrix(np.diag([0.6, 0.4]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DensityState.from_matrix(np.eye(3) / 3, build_basis(2)),
+     "basis dimension 2 does not match operand dimension 3"),
+    (lambda: DensityState.from_matrix(np.ones((2, 3)) / 3),
+     "expected a square matrix, got shape (2, 3)"),
+    (lambda: MixingWeights([]), "weights must be a nonempty 1-D sequence"),
+    (lambda: reconstruct(0.0, np.zeros(4)),
+     "coefficient vector of length 4 does not match any dimension"),
+    # an object with a matrix that is neither a state nor a form
+    (lambda: adjoint_transport(np.eye(2), SimpleNamespace(
+        matrix=_QUBIT.matrix)),
+     "cannot transport object of type SimpleNamespace"),
+    (lambda: transversal_tangent([0.5, -0.5, 0.0], _QUBIT),
+     "expected 2 weight rates, got shape (3,)"),
+], ids=["basis-dimension", "not-square", "no-weights", "coeffs-length",
+        "transport-type", "rates-shape"])
+def test_rejects_mismatched_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -167,10 +167,18 @@ def test_kernel_sizes_mixed_in_one_sweep(budget):
         assert all(_close(x, y) for x, y in zip(row, single))
 
 
+def _lu_calls_per_run(runs, chunk, n):
+    """The (operator, right-hand side) shapes of one LU call per chunk of
+    each run of states with one kernel size, in the stack's order."""
+    return [((min(chunk, count - start), n * n, n * n),
+             (min(chunk, count - start), n * n, 1))
+            for count in runs for start in range(0, count, chunk)]
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_solver_chunks_do_not_change_the_stack(monkeypatch, n):
     # kernel sizes 2 on [0, 0.4], 1 on (0.4, 0.7] and 0 after it, with
-    # tangents on the support; the sizes interleave in the stack
+    # tangents on the support
     rng = np.random.default_rng(n)
     U = haar_unitary(n, rng)
     samples = []
@@ -180,29 +188,70 @@ def test_solver_chunks_do_not_change_the_stack(monkeypatch, n):
         samples.append([t, matrix_to_pairs((U * (w / w.sum())) @ U.conj().T)])
     spec = cli.parse_family({"kind": "explicit_matrices", "n": n,
                              "fd_step": 1e-3, "matrices": samples})
-    thetas = np.array([0.9, 0.1, 0.5, 0.3, 0.8, 0.6, 0.2, 0.95, 0.45, 0.0,
-                       0.65])
-    states, forms = cli.family_state_and_tangent(spec, thetas)
+    interleaved = np.array([0.9, 0.1, 0.5, 0.3, 0.8, 0.6, 0.2, 0.95, 0.45,
+                            0.0, 0.65])
+    order = np.argsort(interleaved)
+    back = np.argsort(order)
+    states, forms = cli.family_state_and_tangent(spec, interleaved[order])
     basis = build_basis(n)
     constants = compute_structure_constants(basis)
     calls, results = count_lu_solves(monkeypatch), []
-    for chunk in (1, 2, 3, thetas.size):
+    for chunk in (1, 2, 3, interleaved.size):
         calls.clear()
         monkeypatch.setattr(sld_solver, "_BLOCK_BYTES", chunk * 8 * n ** 4)
         results.append(sld_solver._solve_stack(states, forms, constants,
                                                DEFAULT_TOL, basis))
-        # one LU call per chunk of each kernel size, in ascending r: 3
-        # states of r = 0, 4 of r = 1, 4 of r = 2
-        expected = []
-        for count in (3, 4, 4):
-            expected += [((min(chunk, count - start), n * n, n * n),
-                          (min(chunk, count - start), n * n, 1))
-                         for start in range(0, count, chunk)]
-        assert calls == expected
-    assert sorted(results[0].gauge_dim.tolist()) == [0] * 3 + [1] * 4 + [4] * 4
+        # one LU call per chunk of each run, in theta order: 4 states of
+        # r = 2, 4 of r = 1, 3 of r = 0
+        assert calls == _lu_calls_per_run((4, 4, 3), chunk, n)
+        # the interleaved stack, its kernel sizes in runs of one state,
+        # gives the sorted stack's results permuted, bit for bit
+        mixed = sld_solver._solve_stack(
+            states._make(field[back] for field in states),
+            forms._make(field[back] for field in forms), constants,
+            DEFAULT_TOL, basis)
+        for a, b in zip(results[-1], mixed):
+            assert a.tobytes() == b[order].tobytes()
+    assert results[0].gauge_dim.tolist() == [4] * 4 + [1] * 4 + [0] * 3
     for other in results[1:]:
         for a, b in zip(results[0], other):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [2, 32], ids=["chunks-of-2", "whole-runs"])
+def test_kernel_size_returning_in_one_block(tmp_path, capsys, monkeypatch,
+                                            chunk):
+    # kernel sizes 2 on [0, 0.3], 1 on (0.3, 0.5], 0 on (0.5, 0.85) and 1
+    # again on [0.85, 1]: each run is solved on its own, in theta order,
+    # and r = 1 twice
+    rng = np.random.default_rng(4)
+    U = haar_unitary(4, rng)
+    samples = []
+    for t, zeros in ((0.0, 2), (0.3, 2), (0.5, 1), (0.7, 0), (0.85, 1),
+                     (1.0, 1)):
+        w = np.zeros(4)
+        w[:4 - zeros] = 0.9 * rng.dirichlet(np.ones(4 - zeros)) + 0.1 / 4
+        samples.append([t, matrix_to_pairs((U * (w / w.sum())) @ U.conj().T)])
+    family = {"kind": "explicit_matrices", "n": 4, "fd_step": 1e-3,
+              "matrices": samples}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    thetas = [0.1, 0.2, 0.35, 0.4, 0.45, 0.55, 0.6, 0.8, 0.9, 0.95]
+    calls = count_lu_solves(monkeypatch)
+    # the budget of ``chunk`` 16 x 16 operators holds all ten thetas as
+    # one block of 4 x 4 complex matrices
+    monkeypatch.setattr(sld_solver, "_BLOCK_BYTES", chunk * 8 * 4 ** 4)
+    assert cli.main(["qfi", "--input", str(path), "--check-oracle",
+                     "--thetas", ",".join(map(str, thetas))]) == 0
+    assert calls == _lu_calls_per_run((2, 3, 3, 2), chunk, 4)
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    spec = cli.parse_family(family)
+    constants = compute_structure_constants(build_basis(4))
+    singles = [_single(spec, theta, constants) for theta in thetas]
+    assert [single[2] for single in singles] == [4, 4, 1, 1, 1, 0, 0, 0, 1, 1]
+    for row, (qfi, qfi_oracle, _) in zip(rows, singles):
+        assert _close(row["qfi"], qfi) and _close(row["qfi_oracle"],
+                                                  qfi_oracle)
 
 
 def _sweep_peak(tmp_path, count):
