@@ -415,6 +415,24 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _rows_json(columns: dict, max_abs_dev: float | None) -> str:
+    """``_dump_json({"rows": rows, "max_abs_dev": max_abs_dev})`` for the rows
+    of ``columns`` (lists of floats of one length, at least one row), without
+    the tail if ``max_abs_dev`` is None.
+
+    Every row fills one template of the keys at the indent=2 strings.  The
+    float text is the C encoder's, ``json.dumps`` of each column: as in the
+    pure-Python encoder that indent=2 runs, ``float.__repr__``, or ``NaN``,
+    ``Infinity`` and ``-Infinity``.
+    """
+    row = ",\n".join(f"      {json.dumps(key)}: {{}}" for key in columns)
+    texts = [json.dumps(column)[1:-1].split(", ") for column in columns.values()]
+    body = "\n    },\n    {\n".join(map(row.format, *texts))
+    tail = ("" if max_abs_dev is None
+            else f',\n  "max_abs_dev": {json.dumps(max_abs_dev)}')
+    return f'{{\n  "rows": [\n    {{\n{body}\n    }}\n  ]{tail}\n}}\n'
+
+
 def _load_family(path: str) -> FamilySpec:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -502,20 +520,15 @@ def cmd_qfi(args) -> int:
         qfi_oracle = np.concatenate([o for _, o in blocks])
         columns["qfi_oracle"] = qfi_oracle.tolist()
         columns["abs_dev"] = np.abs(qfi - qfi_oracle).tolist()
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(value) for value in row.values()])
+        writer.writerows(zip(*(map(repr, c) for c in columns.values())))
         _emit(buf.getvalue(), args.output)
     else:
-        payload = {"rows": rows}
-        if args.check_oracle:
-            payload["max_abs_dev"] = max(columns["abs_dev"])
-        _emit(_dump_json(payload), args.output)
+        max_abs_dev = max(columns["abs_dev"]) if args.check_oracle else None
+        _emit(_rows_json(columns, max_abs_dev), args.output)
     return 0
 
 

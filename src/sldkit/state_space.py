@@ -385,12 +385,9 @@ def adjoint_transport(U, obj, basis: GeneratorBasis | None = None):
     unit_dev = np.abs(U.conj().T @ U - np.eye(n)).max()
     if unit_dev > INPUT_ATOL:
         raise ValueError(f"matrix is not unitary (max deviation {unit_dev:.3e})")
-    transported = U.conj().T @ obj.matrix @ U
-    if isinstance(obj, DensityState):
-        return DensityState.from_matrix(transported, basis)
-    if isinstance(obj, TangentForm):
-        return TangentForm.from_matrix(transported, basis)
-    raise ValueError(f"cannot transport object of type {type(obj).__name__}")
+    if not isinstance(obj, (DensityState, TangentForm)):
+        raise ValueError(f"cannot transport object of type {type(obj).__name__}")
+    return type(obj).from_matrix(U.conj().T @ obj.matrix @ U, basis)
 
 
 def tangent_from_generator(K, state: DensityState,

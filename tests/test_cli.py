@@ -683,10 +683,20 @@ class TestInvalidNumbers:
 class TestJsonRoundTrip:
     def test_emitted_json_reparses_identically(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
+        # 100 thetas at n = 8 are two blocks of the sweep
+        octet = write_family(tmp_path, {
+            "kind": "exp_generator", "n": 8,
+            "weights": (np.arange(8, 0, -1) / 36).tolist(),
+            "generator_coeffs": np.linspace(-1, 1, 63).tolist()}, "n8.json")
+        assert 100 > sld_solver._BLOCK_BYTES // (16 * 8 ** 2)
         cases = [
             ["basis", "--n", "3"],
             ["sld", "--input", family, "--theta", "0.3"],
             ["qfi", "--input", family, "--thetas", "0,0.25"],
+            ["qfi", "--input", family, "--thetas", "-0.0,0.25",
+             "--check-oracle"],
+            ["qfi", "--input", octet, "--theta-range", "0:1:100",
+             "--check-oracle"],
             ["tensor", "--weights", "0.5,0.3,0.2"],
         ]
         for args in cases:
@@ -694,6 +704,31 @@ class TestJsonRoundTrip:
             assert code == 0
             parsed = json.loads(out)
             assert json.dumps(parsed, indent=2) + "\n" == out
+
+    @pytest.mark.parametrize("tail", [True, False], ids=["tail", "no-tail"])
+    def test_rows_writer_matches_the_indented_encoder(self, tail):
+        values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                  1e16, 0.1, 1 / 3]
+        columns = {"theta": values, "qfi": values[::-1],
+                   "qfi_oracle": values[2:] + values[:2],
+                   "abs_dev": values[5:] + values[:5]}
+        payload = {"rows": [dict(zip(columns, row))
+                            for row in zip(*columns.values())]}
+        if tail:
+            payload["max_abs_dev"] = float("inf")
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert cli._rows_json(columns, payload.get("max_abs_dev")) == expected
+
+    def test_csv_rows_are_the_json_rows(self, tmp_path, capsys):
+        family = write_family(tmp_path, QUTRIT_FAMILY)
+        args = ["qfi", "--input", family, "--thetas", "-0.0,0.3,1e-300",
+                "--check-oracle"]
+        _, out, _ = run(args, capsys)
+        rows = json.loads(out)["rows"]
+        code, out, _ = run(args + ["--format", "csv"], capsys)
+        assert code == 0
+        assert out == "theta,qfi,qfi_oracle,abs_dev\r\n" + "".join(
+            ",".join(map(repr, row.values())) + "\r\n" for row in rows)
 
 
 class TestFamilyValidation:

@@ -418,10 +418,15 @@ _QUBIT = DensityState.from_matrix(np.diag([0.6, 0.4]))
     (lambda: adjoint_transport(np.eye(2), SimpleNamespace(
         matrix=_QUBIT.matrix)),
      "cannot transport object of type SimpleNamespace"),
+    (lambda: adjoint_transport(np.eye(2), np.eye(2)),
+     "cannot transport object of type ndarray"),
+    (lambda: adjoint_transport(np.eye(2), object()),
+     "cannot transport object of type object"),
     (lambda: transversal_tangent([0.5, -0.5, 0.0], _QUBIT),
      "expected 2 weight rates, got shape (3,)"),
 ], ids=["basis-dimension", "not-square", "no-weights", "coeffs-length",
-        "transport-type", "rates-shape"])
+        "transport-type", "transport-array", "transport-object",
+        "rates-shape"])
 def test_rejects_mismatched_input(build, message):
     with pytest.raises(ValueError) as info:
         build()
