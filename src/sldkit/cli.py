@@ -52,24 +52,30 @@ turns negative) are usage errors.  Every theta and the step are checked before
 the first theta is evaluated.  A request too large for memory (such as a
 --theta-range COUNT of 10**13) is a usage error too.  An argument that starts
 with "-" and a digit is a value, so a sweep may start below zero:
---theta-range -1:1:40, --thetas -0.5,0.5.
+--theta-range -1:1:40, --thetas -0.5,0.5.  A family file that is not UTF-8
+JSON is a usage error that names the file, and so is a JSON boolean in a
+numeric field (numpy would read it as 1 or 0).
 
 A family is parsed once per command: :class:`FamilySpec` holds what does not
-depend on theta, with the command's finite-difference step.  ``sld`` and
-``qfi`` then work on blocks of sorted thetas as stacks along a leading axis:
-per block, :func:`family_state_and_tangent` evaluates every state and
-tangent at once (one stacked ``eigh``), the solve runs the rejection test
-once per run of consecutive thetas with one kernel size and rebuilds every
-L and its residual at once, and the QFI and the oracle's QFI are stacked
-too.  A block holds as many thetas as fit one stacked n x n complex array
-into ``sld_solver._BLOCK_BYTES`` (64 at n = 8, 40 at n = 10).  Only M, the
-scaled operator and the stacked LU, which hold an n^2 x n^2 array per
-state, run in chunks of a run of states with one kernel size: as many as
-fit one stacked n^2 x n^2 float array into the same budget (2 at n = 8,
-one from n = 9 on).  When a block fails, it is split in halves, in order,
-down to the first failing theta, so the error is the one a loop over the
-thetas in order would meet first.  :func:`main` builds its parser on the
-first call and reuses it.
+depend on theta, with the command's finite-difference step.  Both commands
+evaluate their thetas with :func:`family_state_and_tangent`, which takes a
+stack along a leading axis (one stacked ``eigh``).  ``sld`` wraps its one
+state and tangent as a :class:`DensityState` and a :class:`TangentForm` and
+solves them through the library's one-state path (``solve``,
+``sld_eigenbasis`` or the pair rule in the frame U(theta)), which gives the
+coefficients, the gauge and the residual it prints.  ``qfi`` works on
+blocks of sorted thetas: per block, the solve runs the rejection test once
+per run of consecutive thetas with one kernel size and rebuilds every L at
+once, with no coefficients or residuals, and the QFI and the oracle's QFI
+are stacked too.  A block holds as many thetas as fit one stacked n x n
+complex array into ``sld_solver._BLOCK_BYTES`` (64 at n = 8, 40 at
+n = 10).  Only M, the scaled operator and the stacked LU, which hold an
+n^2 x n^2 array per state, run in chunks of a run of states with one
+kernel size: as many as fit one stacked n^2 x n^2 float array into the
+same budget (2 at n = 8, one from n = 9 on).  When a block fails, it is
+split in halves, in order, down to the first failing theta, so the error
+is the one a loop over the thetas in order would meet first.
+:func:`main` builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -88,10 +94,11 @@ import numpy as np
 
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
-from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, MixingWeights,
-                          TangentForm, _check_unit_sum, _difference_quotient,
-                          _FormStack, _orbit_tangent, _StateStack, base_point,
-                          check_tolerance, reconstruct, transversal_tangent)
+from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, DensityState,
+                          MixingWeights, TangentForm, _check_unit_sum,
+                          _difference_quotient, _FormStack, _orbit_tangent,
+                          _StateStack, base_point, check_tolerance,
+                          reconstruct, transversal_tangent)
 
 _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
 #: slack on both ends of a sampled theta range
@@ -329,37 +336,34 @@ def family_state_and_tangent(spec: FamilySpec, thetas):
           for a in (tangent.coeffs, tangent.matrix)))
 
 
-def _solve_family(spec: FamilySpec, thetas: np.ndarray, method: str,
-                  tol: float):
-    """Return (states, forms, solutions) at the thetas for the selected
-    method, each stacked along the thetas."""
-    states, forms = family_state_and_tangent(spec, thetas)
-    basis = build_basis(spec.n)
-    if method == "general":
-        constants = compute_structure_constants(basis)
-        return states, forms, sld_solver._solve_stack(states, forms,
-                                                      constants, tol, basis)
-    if method == "oracle":
-        levels, frame = states.eigenvalues, states.eigenvectors
-    elif method != "closed":
-        raise ValueError(f"unknown method {method!r}")
-    elif spec.kind != "exp_generator":
+def _closed_frame(spec: FamilySpec, thetas: np.ndarray) -> tuple:
+    """The levels and frames of ``--method closed``: rho(theta) =
+    U diag(k) U^dag, so the closed form at the base point, in the frame
+    U(theta), is the pair rule with the weights k as eigenvalues."""
+    if spec.kind != "exp_generator":
         raise ValueError("method 'closed' requires an exp_generator family")
-    else:
-        # rho(theta) = U diag(k) U^dag: the closed form at the base point,
-        # in the frame U, is the pair rule with the weights as eigenvalues.
-        levels, frame = spec.weights.values, _rotation(spec, thetas)
-    L, kernel = sld_solver._pair_rule(
-        levels, frame, sld_solver._in_frame(frame, forms.matrix), tol)
-    return states, forms, sld_solver._SolutionStack.from_matrices(
-        L, states.matrix, forms.matrix, kernel, basis)
+    return spec.weights.values, _rotation(spec, thetas)
 
 
 def _sweep_block(spec: FamilySpec, thetas: np.ndarray, method: str,
                  tol: float, check_oracle: bool) -> tuple:
-    """The QFI at each theta of a block, and the oracle's if asked for."""
-    states, forms, solutions = _solve_family(spec, thetas, method, tol)
-    qfi = fisher._qfi(states.matrix, solutions.matrix)
+    """The QFI at each theta of a block, and the oracle's if asked for.
+
+    Every step runs once for the stacked thetas and yields only what the
+    QFI reads: the SLD matrices L, with no coefficients or residuals.
+    """
+    states, forms = family_state_and_tangent(spec, thetas)
+    if method == "general":
+        basis = build_basis(spec.n)
+        L = sld_solver._solve_stack(states, forms,
+                                    compute_structure_constants(basis), tol,
+                                    basis)
+    else:
+        levels, frame = (_closed_frame(spec, thetas) if method == "closed"
+                         else (states.eigenvalues, states.eigenvectors))
+        L = sld_solver._pair_rule(
+            levels, frame, sld_solver._in_frame(frame, forms.matrix), tol)[0]
+    qfi = fisher._qfi(states.matrix, L)
     if not check_oracle:
         return qfi, None
     return qfi, oracle._qfi(states.eigenvalues, states.eigenvectors,
@@ -434,9 +438,31 @@ def _rows_json(columns: dict, max_abs_dev: float | None) -> str:
 
 
 def _load_family(path: str) -> FamilySpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Parse a family file, UTF-8 JSON.  Only a file with a ``true`` or
+    ``false`` token is walked for booleans (:func:`_booleans_as_text`)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.loads(text := fh.read())
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON
+        raise ValueError(f"cannot read family file {path!r}: {exc}") from None
+    if ("true" in text or "false" in text) and isinstance(data, dict):
+        _booleans_as_text(data)
     return parse_family(data)
+
+
+def _booleans_as_text(data: dict) -> None:
+    """Replace every boolean in ``data`` and its nested lists and objects
+    by its JSON text.  numpy reads true and false as 1 and 0; their text
+    is no number, so the field that holds one fails as a non-number, in
+    the order :func:`parse_family` reads the fields."""
+    nodes = [data]
+    while nodes:
+        node = nodes.pop()
+        for key in node if isinstance(node, dict) else range(len(node)):
+            if isinstance(node[key], bool):
+                node[key] = json.dumps(node[key])
+            elif isinstance(node[key], (dict, list)):
+                nodes.append(node[key])
 
 
 def _tolerance(args) -> float:
@@ -470,8 +496,23 @@ def cmd_sld(args) -> int:
     thetas = np.array([_number("theta", args.theta)])
     _check_thetas(spec, thetas)
     spec = _with_fd_step(spec, args.fd_step)
-    _, _, solutions = _solve_family(spec, thetas, args.method, tol)
-    _emit(_dump_json(solutions.to_json_dict(0)), args.output)
+    states, forms = family_state_and_tangent(spec, thetas)
+    for array in (*states, *forms):  # checked as a stack, then frozen
+        array.setflags(write=False)
+    state = DensityState(*(field[0] for field in states))
+    form = TangentForm(*(field[0] for field in forms))
+    if args.method == "general":
+        system = sld_solver.assemble(
+            state, form, compute_structure_constants(build_basis(spec.n)))
+        solution = sld_solver.solve(system, state, tol)
+    elif args.method == "oracle":
+        solution = oracle.sld_eigenbasis(state, form, tol)
+    else:
+        levels, (U,) = _closed_frame(spec, thetas)
+        solution = sld_solver._pair_rule_solution(
+            levels, U, sld_solver._in_frame(U, form.matrix), state.matrix,
+            form.matrix, tol, None)
+    _emit(_dump_json(solution.to_json_dict()), args.output)
     return 0
 
 

@@ -228,9 +228,9 @@ def _ordered_labels(n: int) -> tuple:
     return tuple(labels)
 
 
-def _generator_from_label(n: int, label) -> np.ndarray:
+def _fill_generator(mat: np.ndarray, label) -> None:
+    """Write the generator of ``label`` into the zero matrix ``mat``."""
     kind = label[0]
-    mat = np.zeros((n, n), dtype=complex)
     if kind == "sym":
         _, j, k = label
         mat[j, k] = mat[k, j] = 1.0
@@ -246,7 +246,6 @@ def _generator_from_label(n: int, label) -> np.ndarray:
         mat[l, l] = -l * scale
     else:  # pragma: no cover - labels are produced internally
         raise ValueError(f"unknown generator label {label!r}")
-    return mat
 
 
 @lru_cache(maxsize=None)
@@ -267,8 +266,12 @@ def build_basis(n: int) -> GeneratorBasis:
     n = int(n)
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
+    # the stack before the labels: a size that cannot be allocated fails
+    # here at once, not after n^2 - 1 labels are made in Python
+    generators = np.zeros((n * n - 1, n, n), dtype=complex)
     labels = _ordered_labels(n)
-    generators = np.stack([_generator_from_label(n, lab) for lab in labels])
+    for mat, label in zip(generators, labels):
+        _fill_generator(mat, label)
     generators.setflags(write=False)
     diag = tuple(i for i, lab in enumerate(labels) if lab[0] == "diag")
     offdiag = tuple(i for i, lab in enumerate(labels) if lab[0] != "diag")

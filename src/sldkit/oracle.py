@@ -22,8 +22,7 @@ import numpy as np
 from .lie_basis import GeneratorBasis
 from .sld_solver import (SLDSolution, _in_frame, _kept_pairs,
                          _pair_rule_solution)
-from .state_space import (DEFAULT_TOL, DensityState, TangentForm,
-                          _resolve_basis)
+from .state_space import DEFAULT_TOL, DensityState, TangentForm
 
 
 def sld_eigenbasis(state: DensityState, form: TangentForm,
@@ -38,7 +37,7 @@ def sld_eigenbasis(state: DensityState, form: TangentForm,
     vectors = state.eigenvectors
     return _pair_rule_solution(
         state.eigenvalues, vectors, _in_frame(vectors, form.matrix),
-        state.matrix, form.matrix, tol, _resolve_basis(state.dimension, basis))
+        state.matrix, form.matrix, tol, basis)
 
 
 def qfi_eigenbasis(state: DensityState, form: TangentForm,

@@ -29,15 +29,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .lie_basis import GeneratorBasis, StructureConstants, matrix_to_pairs
 from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
-                          TangentForm, _any, _coefficients, _expand_each,
-                          _reconstruct, _resolve_basis, check_tolerance,
-                          expand, kernel_mask)
+                          TangentForm, _any, _coefficients, _reconstruct,
+                          _resolve_basis, check_tolerance, kernel_mask)
 
 #: bytes of one n^2 x n^2 float array stacked over a chunk of states: 2
 #: states at n = 8, 6 at n = 6, one from n = 9 on.  :func:`_solve_stack`
@@ -116,46 +114,13 @@ class SLDSolution:
         return len(self.gauge_basis)
 
     def to_json_dict(self) -> dict:
-        return _solution_json(self.coeff_identity, self.coeffs, self.matrix,
-                              self.gauge_dim, self.residual)
-
-
-def _solution_json(coeff_identity, coeffs, matrix, gauge_dim,
-                   residual) -> dict:
-    return {
-        "L_identity": float(coeff_identity),
-        "L": coeffs.tolist(),
-        "matrix": matrix_to_pairs(matrix),
-        "gauge_dim": int(gauge_dim),
-        "residual": float(residual),
-    }
-
-
-class _SolutionStack(NamedTuple):
-    """SLDs of a stack of states, one direction each: the fields of
-    :class:`SLDSolution` with a leading axis, and the gauge dimension in
-    place of the gauge basis."""
-
-    coeff_identity: np.ndarray
-    coeffs: np.ndarray
-    matrix: np.ndarray
-    gauge_dim: np.ndarray
-    residual: np.ndarray
-
-    @classmethod
-    def from_matrices(cls, L: np.ndarray, state_matrix: np.ndarray,
-                      form_matrix: np.ndarray, kernel: np.ndarray,
-                      basis: GeneratorBasis) -> "_SolutionStack":
-        """Expand each L and take its residual; ``kernel`` is the mask of
-        kernel levels, per state or shared."""
-        gauge_dim = np.count_nonzero(kernel, axis=-1) ** 2
-        return cls(*_expand_each(L, basis), L,
-                   np.broadcast_to(gauge_dim, L.shape[:-2]),
-                   _residual(state_matrix, L, form_matrix))
-
-    def to_json_dict(self, i: int) -> dict:
-        """Item ``i`` as :meth:`SLDSolution.to_json_dict` writes it."""
-        return _solution_json(*(field[i] for field in self))
+        return {
+            "L_identity": float(self.coeff_identity),
+            "L": self.coeffs.tolist(),
+            "matrix": matrix_to_pairs(self.matrix),
+            "gauge_dim": self.gauge_dim,
+            "residual": float(self.residual),
+        }
 
 
 def _frobenius(x: np.ndarray):
@@ -324,22 +289,24 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
 
 
 def _solve_stack(states, forms, constants: StructureConstants, tol: float,
-                 basis: GeneratorBasis) -> _SolutionStack:
-    """:func:`solve` for a stack of states, one direction at each.
+                 basis: GeneratorBasis) -> np.ndarray:
+    """The SLD matrices L of a stack of states, one direction at each.
 
     ``states`` and ``forms`` hold the fields of :class:`DensityState` and
     :class:`TangentForm` with a leading axis.  ``eigh`` sorts eigenvalues
     in ascending order, so the kernel is each state's leading r levels.
     The stack is taken in its own order, as runs of consecutive states
     with one kernel size r (a sorted sweep changes r only where the
-    family's rank does).  The rejection test runs once per run, and L and
-    the residuals once for the stack.  The steps that hold an n^2 x n^2
-    array per state (M, the scaled operator with Z^T Z, and
+    family's rank does).  The rejection test runs once per run, and L is
+    rebuilt once for the stack; no coefficients are kept and no residual
+    is taken, as the sweep reads L alone.  The steps that hold an
+    n^2 x n^2 array per state (M, the scaled operator with Z^T Z, and
     :func:`_lu_solve`) run per chunk of a run, a slice of as many states
     as fit one stacked n^2 x n^2 float array into ``_BLOCK_BYTES``.  Every
     state gets its own M, LU and products, so its bits do not depend on
     the stack, the run or the chunk.  Every step is the one :func:`solve`
-    takes, with a stack axis.
+    takes, with a stack axis, so each L has the bits of the one-state
+    solve's :attr:`SLDSolution.matrix`.
 
     Raises
     ------
@@ -364,9 +331,7 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
             x[part] = _lu_solve((weights * rhs[part])[..., None],
                                 *parts)[..., 0] / weights
             del parts  # freed before the next chunk builds its M
-    L = _reconstruct(x[:, None, 0], x[:, None, 1:], basis)[:, 0]
-    return _SolutionStack(x[:, 0], x[:, 1:], L, sizes ** 2,
-                          _residual(states.matrix, L, forms.matrix))
+    return _reconstruct(x[:, None, 0], x[:, None, 1:], basis)[:, 0]
 
 
 def _reject_on_kernel(eigenvectors: np.ndarray, r: int, form: np.ndarray,
@@ -548,10 +513,11 @@ def _pair_rule(lam: np.ndarray, vectors: np.ndarray, form: np.ndarray,
 def _pair_rule_solution(lam, vectors, frame_form, state_matrix, form, tol,
                         basis) -> SLDSolution:
     """:func:`_pair_rule` as an :class:`SLDSolution`, its gauge on the kernel
-    columns of V = ``vectors``; ``frame_form`` is drho in V's frame."""
+    columns of V = ``vectors``; ``frame_form`` is drho in V's frame.  L is
+    Hermitian by construction, so it is expanded without a check."""
     L, kernel = _pair_rule(lam, vectors, frame_form, tol)
-    return _finalize(L, *expand(L, basis), state_matrix, form,
-                     _kernel_gauge(vectors[:, kernel]))
+    return _finalize(L, *_coefficients(L, _resolve_basis(L.shape[0], basis)),
+                     state_matrix, form, _kernel_gauge(vectors[:, kernel]))
 
 
 def closed_form(weights: MixingWeights, form: TangentForm,

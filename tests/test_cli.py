@@ -1,16 +1,27 @@
 """Command-line interface: commands, formats, exit-status contract."""
 
+import contextlib
+import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import count_lu_solves
 
-from sldkit import (MixingWeights, assemble, base_point, build_basis,
-                    chart_tangents, cli, compute_structure_constants,
-                    fisher_tensor, sld_solver, solve)
+import sldkit
+from sldkit import (DensityState, MixingWeights, TangentForm, assemble,
+                    base_point, build_basis, chart_tangents, cli,
+                    compute_structure_constants, fisher_tensor,
+                    sld_eigenbasis, sld_solver, solve)
 from sldkit.cli import build_parser, main, parse_family
 from sldkit.lie_basis import matrix_to_pairs
 from sldkit.state_space import DEFAULT_TOL
@@ -64,6 +75,25 @@ PURE_QUTRIT_FAMILY = {
     "weights": [1.0, 0.0, 0.0],
     "generator_coeffs": [0.3, 0.1, 0.0, 0.2, -0.4, 0.0, 0.0, 0.0],
 }
+
+
+def library_sld(spec, theta, method):
+    """The SLD at ``theta`` from the library's one-state calls on the
+    family's state and tangent there."""
+    thetas = np.array([theta])
+    states, forms = cli.family_state_and_tangent(spec, thetas)
+    basis = build_basis(spec.n)
+    state = DensityState.from_matrix(states.matrix[0], basis)
+    form = TangentForm.from_matrix(forms.matrix[0], basis)
+    if method == "general":
+        return solve(assemble(state, form, compute_structure_constants(basis)),
+                     state)
+    if method == "oracle":
+        return sld_eigenbasis(state, form)
+    U = cli._rotation(spec, thetas)[0]
+    return sld_solver._pair_rule_solution(
+        spec.weights.values, U, sld_solver._in_frame(U, form.matrix),
+        state.matrix, form.matrix, DEFAULT_TOL, basis)
 
 
 def write_family(tmp_path, payload, name="family.json"):
@@ -120,11 +150,48 @@ class TestSldCommand:
         spaced = run(["sld", "--input", family, "--theta", theta], capsys)
         joined = run(["sld", "--input", family, f"--theta={theta}"], capsys)
         assert spaced == joined and spaced[0] == 0
-        _, _, solutions = cli._solve_family(
-            parse_family(QUBIT_FAMILY), np.array([float(theta)]), "general",
-            DEFAULT_TOL)
-        assert json.loads(spaced[1]) == json.loads(
-            json.dumps(solutions.to_json_dict(0)))
+        solution = library_sld(parse_family(QUBIT_FAMILY), float(theta),
+                               "general")
+        assert spaced[1] == json.dumps(solution.to_json_dict(),
+                                       indent=2) + "\n"
+
+    @pytest.mark.parametrize("method", ["general", "oracle", "closed"])
+    @pytest.mark.parametrize("payload, gauge_dim", [
+        (QUTRIT_FAMILY, 0),
+        (dict(QUTRIT_FAMILY, weights=[0.6, 0.4, 0.0]), 1),
+        (dict(QUQUART_FAMILY, weights=[0.5, 0.5, 0.0, 0.0]), 4),
+        ({"kind": "explicit_matrices", "n": 3, "fd_step": 1e-3, "matrices": [
+            [0.0, matrix_to_pairs(np.diag([0.5, 0.3, 0.2]))],
+            [1.0, matrix_to_pairs([[0.4, 0.1j, 0.05], [-0.1j, 0.3, 0.0],
+                                   [0.05, 0.0, 0.3]])]]}, 0),
+        ({"kind": "explicit_matrices", "n": 3, "fd_step": 1e-3, "matrices": [
+            [0.0, matrix_to_pairs(np.diag([0.6, 0.4, 0.0]))],
+            [1.0, matrix_to_pairs([[0.5, 0.1j, 0.0], [-0.1j, 0.5, 0.0],
+                                   [0.0, 0.0, 0.0]])]]}, 1),
+        ({"kind": "weight_path", "n": 3, "weights": [0.5, 0.3, 0.2],
+          "weight_rates": [0.1, -0.05, -0.05]}, 0),
+        ({"kind": "weight_path", "n": 3, "weights": [0.6, 0.4, 0.0],
+          "weight_rates": [0.1, -0.1, 0.0]}, 1),
+    ], ids=["exp-full", "exp-deficient", "exp-rank2", "explicit-full",
+            "explicit-deficient", "weight_path-full",
+            "weight_path-deficient"])
+    def test_sld_is_the_library_solve(self, tmp_path, capsys, payload,
+                                      gauge_dim, method):
+        # the one-state library call on the family's state and tangent,
+        # written as it is: general solve, oracle, or the closed form in
+        # the frame U(theta)
+        family = write_family(tmp_path, payload)
+        got = run(["sld", "--input", family, "--theta", "0.3", "--method",
+                   method], capsys)
+        spec = parse_family(payload)
+        if method == "closed" and spec.kind != "exp_generator":
+            assert got == (1, "", "error: method 'closed' requires an "
+                                  "exp_generator family\n")
+            return
+        solution = library_sld(spec, 0.3, method)
+        assert solution.gauge_dim == gauge_dim
+        assert got == (0, json.dumps(solution.to_json_dict(), indent=2)
+                       + "\n", "")
 
     @staticmethod
     def assert_closed_matches_general(tmp_path, capsys, payload, theta):
@@ -202,6 +269,24 @@ class TestSldCommand:
         code, _, err = run(["sld", "--input", str(bad)], capsys)
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("raw, reason", [
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position "
+                        "0: invalid start byte"),
+        (b"[" * 100000, "maximum recursion depth exceeded while decoding a "
+                        "JSON array from a unicode string"),
+    ], ids=["text", "empty", "not-utf8", "deep"])
+    def test_unreadable_input_names_the_file(self, tmp_path, capsys, raw,
+                                             reason):
+        path = tmp_path / "family.json"
+        path.write_bytes(raw)
+        for command in (["sld"], ["qfi", "--thetas", "0"]):
+            got = run(command[:1] + ["--input", str(path)] + command[1:],
+                      capsys)
+            assert got == (1, "", f"error: cannot read family file "
+                                  f"{str(path)!r}: {reason}\n")
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(["sld", "--input", str(tmp_path / "nope.json")],
@@ -631,8 +716,26 @@ class TestInvalidNumbers:
         ("matrices", 5, SAMPLED_FAMILY, "matrices must be a list"),
         ("fd_step", [1e-3, 1e-4], SAMPLED_FAMILY,
          "fd_step must be a single number"),
+        # numpy reads true and false as 1 and 0: before, the weights solved
+        # as diag(1, 0) and n as "got 1"
+        ("weights", [True, False], WEIGHT_PATH_FAMILY,
+         "weights must be numeric"),
+        ("weight_rates", [1.0, True], WEIGHT_PATH_FAMILY,
+         "weight_rates must be numeric"),
+        ("generator_coeffs", [True, 0, 0], QUBIT_FAMILY,
+         "generator_coeffs must be numeric"),
+        ("n", True, QUBIT_FAMILY, "n must be numeric"),
+        ("matrices", [[True, SAMPLED_FAMILY["matrices"][0][1]],
+                      SAMPLED_FAMILY["matrices"][1]],
+         SAMPLED_FAMILY, "sample theta must be numeric"),
+        ("matrices", [[0.0, [[[False, 0], [0, 0]], [[0, 0], [1, 0]]]],
+                      SAMPLED_FAMILY["matrices"][1]],
+         SAMPLED_FAMILY, "matrices must be numeric"),
+        ("fd_step", True, SAMPLED_FAMILY, "fd_step must be numeric"),
     ], ids=["n-list", "n-fraction", "coeffs-dict", "theta-list", "weights-dict",
-            "matrices-int", "fd_step-list"])
+            "matrices-int", "fd_step-list", "weights-bool", "rates-bool",
+            "coeffs-bool", "n-bool", "theta-bool", "matrix-bool",
+            "fd_step-bool"])
     def test_rejects_wrong_types(self, tmp_path, capsys, field, value, family,
                                  message):
         path = write_family(tmp_path, dict(family, **{field: value}))
@@ -640,6 +743,18 @@ class TestInvalidNumbers:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {message}")
+
+    def test_boolean_free_file_is_not_walked(self, tmp_path, monkeypatch):
+        # the walk reads every value of the file: it runs only for a file
+        # with a true or false token, such as a kind that holds one
+        walked = []
+        monkeypatch.setattr(cli, "_booleans_as_text", walked.append)
+        assert cli._load_family(write_family(tmp_path, QUTRIT_FAMILY))
+        assert walked == []
+        with pytest.raises(ValueError, match="unknown family kind 'untrue'"):
+            cli._load_family(write_family(tmp_path,
+                                          dict(QUTRIT_FAMILY, kind="untrue")))
+        assert len(walked) == 1
 
     @pytest.mark.parametrize("args", [
         ["sld", "--theta", "nan"],
@@ -878,6 +993,110 @@ class TestFamilyValidation:
         assert "csv" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--n", "100000"],
+    ["sld", "--input", {"kind": "weight_path", "n": 10 ** 6,
+                        "weights": [1.0], "weight_rates": [0.0]}],
+], ids=["basis", "sld"])
+def test_huge_n_fails_at_once(tmp_path, argv):
+    # in a child limited to 2 GiB of address space, set in that child only:
+    # the generator stack is allocated before its labels are made, so the
+    # size fails at once (before, basis died after seconds with a bare
+    # MemoryError line, and the family ran on past 30 s)
+    argv = [write_family(tmp_path, a) if isinstance(a, dict) else a
+            for a in argv]
+    limit = 2 << 30
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(sldkit.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-m", "sldkit.cli", *argv],
+                            env=env, preexec_fn=limited, capture_output=True,
+                            text=True, timeout=30)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+#: JSON values of the wrong kind for a family field
+_JUNK = st.recursive(
+    st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+              st.integers(-3, 6), st.sampled_from([0.5, 2.5, -1.0, 1e-3]),
+              st.just(float("nan")), st.just(float("inf"))),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12)
+
+
+@st.composite
+def _broken_families(draw):
+    """A valid family of each kind at n = 2..4, then a few of: a field
+    replaced by junk (n by zero, negative or fractional values among
+    them), dropped, added, or a list field resized or holding junk."""
+    kind = draw(st.sampled_from(cli._FAMILY_KINDS))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    weights = rng.dirichlet(np.ones(n)).tolist()
+    if kind == "exp_generator":
+        family = {"weights": weights,
+                  "generator_coeffs": rng.normal(size=n * n - 1).tolist()}
+    elif kind == "explicit_matrices":
+        family = {"fd_step": 1e-3, "matrices": [
+            [t, matrix_to_pairs(np.diag(rng.dirichlet(np.ones(n))))]
+            for t in (0.0, 1.0)]}
+    else:
+        rates = rng.normal(size=n)
+        family = {"weights": weights,
+                  "weight_rates": (0.01 * (rates - rates.mean())).tolist()}
+    family.update(kind=kind, n=n)
+    fields = sorted(family)
+    for _ in range(draw(st.integers(0, 3))):
+        field = draw(st.sampled_from(fields))
+        action = draw(st.sampled_from(["junk", "drop", "extra", "resize",
+                                       "element", "n"]))
+        if action == "junk":
+            family[field] = draw(_JUNK)
+        elif action == "drop":
+            family.pop(field, None)
+        elif action == "extra":
+            family[draw(st.sampled_from(["weights", "weight_rates",
+                                         "generator_coeffs", "matrices",
+                                         "fd_step", "x"]))] = draw(_JUNK)
+        elif action == "n":
+            family["n"] = draw(st.sampled_from([0, -1, 1, 1.5, 2.0, 6]))
+        elif isinstance(family.get(field), list) and family[field]:
+            items = family[field]
+            if action == "resize":
+                family[field] = (items[:-1] if draw(st.booleans())
+                                 else items + items[-1:])
+            else:
+                items[draw(st.integers(0, len(items) - 1))] = draw(_JUNK)
+    return family
+
+
+@settings(deadline=None, max_examples=150)
+@given(_broken_families(), st.sampled_from(["general", "oracle", "closed"]),
+       st.sampled_from([["sld", "--theta", "0.5"],
+                        ["qfi", "--thetas", "0,0.5,1", "--check-oracle"]]))
+def test_fuzzed_family_fails_with_one_error_line(tmp_path_factory, family,
+                                                 method, command):
+    path = tmp_path_factory.mktemp("fuzz") / "family.json"
+    path.write_text(json.dumps(family))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command[:1] + ["--input", str(path), "--method", method]
+                    + command[1:])
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     # a huge tolerance makes every eigenvalue kernel: every level pair is
     # dropped, the rejection limit tol * max(1, ||drho||_F) admits the form,
@@ -1002,12 +1221,18 @@ class TestPerThetaWork:
                                                    thetas):
         spec = parse_family(payload)
         for theta in thetas:
-            shared = cli._solve_family(spec, np.array([theta]), method,
-                                       DEFAULT_TOL)
-            fresh = cli._solve_family(parse_family(payload),
-                                      np.array([theta]), method, DEFAULT_TOL)
-            for a, b in zip(shared, fresh):
+            fresh, block = parse_family(payload), np.array([theta])
+            for a, b in zip(cli.family_state_and_tangent(spec, block),
+                            cli.family_state_and_tangent(fresh, block)):
                 assert np.array_equal(a.matrix, b.matrix)
                 assert np.array_equal(a.coeffs, b.coeffs)
-            assert np.array_equal(shared[2].residual, fresh[2].residual)
-            assert np.array_equal(shared[2].gauge_dim, fresh[2].gauge_dim)
+            shared = library_sld(spec, theta, method)
+            again = library_sld(fresh, theta, method)
+            for field in ("matrix", "coeffs", "residual", "gauge_dim"):
+                assert np.array_equal(getattr(shared, field),
+                                      getattr(again, field))
+            for a, b in zip(cli._sweep_block(spec, block, method,
+                                             DEFAULT_TOL, True),
+                            cli._sweep_block(fresh, block, method,
+                                             DEFAULT_TOL, True)):
+                assert a.tobytes() == b.tobytes()

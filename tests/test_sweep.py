@@ -4,10 +4,10 @@
 each block as a stack along a leading axis.  A row must not depend on the
 block it lands in: each equals the single-state library path on the same
 matrices (``DensityState.from_matrix``, ``solve``, ``qfi_index``,
-``qfi_eigenbasis``), with the same gauge dimension and the same rejection,
-however the thetas are ordered, repeated, subset or cut into blocks, and
-a state's solve has the same bits in any chunk of the solver.  Peak
-memory grows with the block, not with the sweep.
+``qfi_eigenbasis``), with L bit for bit and the same rejection, however
+the thetas are ordered, repeated, subset or cut into blocks, and a state's
+solve has the same bits in any chunk of the solver.  A sweep takes no
+residual.  Peak memory grows with the block, not with the sweep.
 """
 
 import json
@@ -82,7 +82,8 @@ def sweeps(draw):
 
 
 def _single(spec, theta, constants):
-    """The library's single-state path at one theta of the family."""
+    """The library's single-state path at one theta of the family:
+    (qfi, qfi_oracle, L, gauge_dim), or the rejection message."""
     states, forms = cli.family_state_and_tangent(spec, np.array([theta]))
     basis = build_basis(spec.n)
     state = DensityState.from_matrix(states.matrix[0], basis)
@@ -90,15 +91,17 @@ def _single(spec, theta, constants):
     try:
         sol = solve(assemble(state, form, constants), state)
         return (qfi_index(state, sol), qfi_eigenbasis(state, form),
-                sol.gauge_dim)
+                sol.matrix, sol.gauge_dim)
     except KernelInconsistentError as exc:
         return str(exc)
 
 
 def _sweep(spec, thetas, budget):
-    """The sweep's (qfi, qfi_oracle, gauge_dim) rows, or its error, with
-    ``budget`` bytes for the blocks of thetas and the solver's chunks."""
+    """The sweep's (qfi, qfi_oracle, L) rows, or its error, with ``budget``
+    bytes for the blocks of thetas and the solver's chunks."""
     thetas = np.sort(np.array(thetas, dtype=float), kind="stable")
+    basis = build_basis(spec.n)
+    constants = compute_structure_constants(basis)
     with mock.patch.object(sld_solver, "_BLOCK_BYTES", budget):
         size = max(1, budget // (16 * spec.n ** 2))
         rows = []
@@ -108,10 +111,10 @@ def _sweep(spec, thetas, budget):
                 qfi, qfi_oracle = cli._first_failure(
                     lambda part: cli._sweep_block(spec, part, "general",
                                                   DEFAULT_TOL, True), block)
-                _, _, solutions = cli._solve_family(spec, block, "general",
-                                                    DEFAULT_TOL)
-                rows += zip(qfi.tolist(), qfi_oracle.tolist(),
-                            solutions.gauge_dim.tolist())
+                L = sld_solver._solve_stack(
+                    *cli.family_state_and_tangent(spec, block), constants,
+                    DEFAULT_TOL, basis)
+                rows += zip(qfi.tolist(), qfi_oracle.tolist(), L)
         except KernelInconsistentError as exc:
             return thetas, str(exc)
     return thetas, rows
@@ -119,6 +122,12 @@ def _sweep(spec, thetas, budget):
 
 def _close(a, b):
     return abs(a - b) <= 1e-14 * max(1.0, abs(b))
+
+
+def _same_row(row, other):
+    """QFI and oracle QFI within round-off; L bit for bit."""
+    return (_close(row[0], other[0]) and _close(row[1], other[1])
+            and row[2].tobytes() == other[2].tobytes())
 
 
 @settings(deadline=None, max_examples=60)
@@ -136,17 +145,15 @@ def test_sweep_rows_match_single_state_solves(sweep, budget, random):
         assert rows == rejected[0]
         return
     assert len(rows) == len(singles)
-    for (qfi, qfi_oracle, gauge_dim), (q, q_oracle, dim) in zip(rows,
-                                                                singles):
-        assert _close(qfi, q) and _close(qfi_oracle, q_oracle)
-        assert gauge_dim == dim
+    for row, single in zip(rows, singles):
+        assert _same_row(row, single)
     # reversed, duplicated and subset thetas give the same rows
     by_theta = dict(zip(ordered.tolist(), rows))
     for variant in (thetas[::-1], thetas + thetas,
                     random.sample(thetas, random.randint(1, len(thetas)))):
         again, other = _sweep(spec, variant, budget)
         for theta, row in zip(again.tolist(), other):
-            assert all(_close(x, y) for x, y in zip(row, by_theta[theta]))
+            assert _same_row(row, by_theta[theta])
 
 
 @pytest.mark.parametrize("budget", [1 << 18, 2000, 1])
@@ -161,10 +168,10 @@ def test_kernel_sizes_mixed_in_one_sweep(budget):
     constants = compute_structure_constants(build_basis(4))
     thetas = [0.8, 0.1, 0.7, 0.2, 0.9, 0.3]
     ordered, rows = _sweep(spec, thetas, budget)
-    assert [row[2] for row in rows] == [4, 4, 4, 1, 1, 1]
-    for row, theta in zip(rows, ordered):
-        single = _single(spec, theta, constants)
-        assert all(_close(x, y) for x, y in zip(row, single))
+    singles = [_single(spec, theta, constants) for theta in ordered]
+    assert [single[3] for single in singles] == [4, 4, 4, 1, 1, 1]
+    for row, single in zip(rows, singles):
+        assert _same_row(row, single)
 
 
 def _lu_calls_per_run(runs, chunk, n):
@@ -210,12 +217,19 @@ def test_solver_chunks_do_not_change_the_stack(monkeypatch, n):
             states._make(field[back] for field in states),
             forms._make(field[back] for field in forms), constants,
             DEFAULT_TOL, basis)
-        for a, b in zip(results[-1], mixed):
-            assert a.tobytes() == b[order].tobytes()
-    assert results[0].gauge_dim.tolist() == [4] * 4 + [1] * 4 + [0] * 3
+        assert results[-1].tobytes() == mixed[order].tobytes()
     for other in results[1:]:
-        for a, b in zip(results[0], other):
-            assert a.tobytes() == b.tobytes()
+        assert results[0].tobytes() == other.tobytes()
+    # each L is the one-state solve's, at the kernel sizes above
+    gauge_dims = []
+    for i, L in enumerate(results[0]):
+        state = DensityState.from_matrix(states.matrix[i], basis)
+        sol = solve(assemble(state, TangentForm.from_matrix(forms.matrix[i],
+                                                            basis),
+                             constants), state)
+        assert L.tobytes() == sol.matrix.tobytes()
+        gauge_dims.append(sol.gauge_dim)
+    assert gauge_dims == [4] * 4 + [1] * 4 + [0] * 3
 
 
 @pytest.mark.parametrize("chunk", [2, 32], ids=["chunks-of-2", "whole-runs"])
@@ -248,10 +262,31 @@ def test_kernel_size_returning_in_one_block(tmp_path, capsys, monkeypatch,
     spec = cli.parse_family(family)
     constants = compute_structure_constants(build_basis(4))
     singles = [_single(spec, theta, constants) for theta in thetas]
-    assert [single[2] for single in singles] == [4, 4, 1, 1, 1, 0, 0, 0, 1, 1]
-    for row, (qfi, qfi_oracle, _) in zip(rows, singles):
+    assert [single[3] for single in singles] == [4, 4, 1, 1, 1, 0, 0, 0, 1, 1]
+    for row, (qfi, qfi_oracle, *_) in zip(rows, singles):
         assert _close(row["qfi"], qfi) and _close(row["qfi_oracle"],
                                                   qfi_oracle)
+
+
+@pytest.mark.parametrize("method", ["general", "oracle", "closed"])
+def test_sweep_takes_no_residual(tmp_path, monkeypatch, method):
+    # a rank-2 state at n = 4: the kernel gauge runs, no residual does
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "kind": "exp_generator", "n": 4, "weights": [0.6, 0.4, 0.0, 0.0],
+        "generator_coeffs": np.linspace(-0.7, 0.9, 15).tolist()}))
+    calls = []
+    residual = sld_solver._residual
+
+    def counting(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(sld_solver, "_residual", counting)
+    assert cli.main(["qfi", "--input", str(path), "--theta-range", "0:1:24",
+                     "--check-oracle", "--method", method,
+                     "--output", str(tmp_path / "out.json")]) == 0
+    assert calls == []
 
 
 def _sweep_peak(tmp_path, count):
