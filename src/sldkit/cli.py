@@ -53,8 +53,18 @@ the first theta is evaluated.  A request too large for memory (such as a
 --theta-range COUNT of 10**13) is a usage error too.  An argument that starts
 with "-" and a digit is a value, so a sweep may start below zero:
 --theta-range -1:1:40, --thetas -0.5,0.5.  A family file that is not UTF-8
-JSON is a usage error that names the file, and so is a JSON boolean in a
-numeric field (numpy would read it as 1 or 0).
+JSON is a usage error that names the file, and so is a JSON boolean or
+string in a numeric field (numpy would read true as 1 and "0.5" as 0.5).
+Finite numbers too large to work with are errors too: weights that sum to
+inf, and generator_coeffs whose Fisher information could overflow (magnitude
+above sqrt(max float / 8) / n^2), are usage errors; any other overflow,
+division by zero or invalid floating-point operation in a command is a
+numerical error, never a numpy warning.  A basis too large for memory
+names n and its 16 n^4 bytes.
+
+JSON output is byte for byte ``json.dumps(payload, indent=2)`` and a line
+break: ``basis``, ``sld`` and ``tensor`` write it with :func:`_dump_json`,
+``qfi`` with :func:`_rows_json`, both with the C encoder's float text.
 
 A family is parsed once per command: :class:`FamilySpec` holds what does not
 depend on theta, with the command's finite-difference step.  Both commands
@@ -85,10 +95,13 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -105,6 +118,14 @@ _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
 _RANGE_SLACK = 1e-12
 #: the largest dimension ``tensor`` accepts
 _TENSOR_MAX_N = 16
+#: generator coefficients may reach this over n^2 in magnitude.  With
+#: Tr(t_a t_b) = 2 delta_ab, K's eigenvalues span at most
+#: 2 ||K||_F = 2 sqrt(2 sum c_k^2), so |c_k| <= c bounds the Fisher
+#: information by 8 n^2 c^2; the limit keeps n^2 times that bound finite
+_COEFF_LIMIT = math.sqrt(sys.float_info.max / 8.0)
+#: the element types of a run of numbers, and of a run of number lists
+_NUMBERS = frozenset((int, float))
+_SEQUENCES = frozenset((list, tuple))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +152,18 @@ class FamilySpec:
 
 
 def _finite(name: str, values) -> np.ndarray:
+    """``values`` as a float array.  Only ints and floats are numbers:
+    numpy would parse a numeric string, and read a boolean as 1 or 0."""
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "iuf" and not all(
+                type(x) in _NUMBERS for x in arr.flat):
+            raise TypeError
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be numeric") from None
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
@@ -188,6 +217,12 @@ def parse_family(data: dict) -> FamilySpec:
             raise ValueError(
                 f"generator_coeffs must have length {n * n - 1}, "
                 f"got shape {coeffs.shape}")
+        largest, peak = _COEFF_LIMIT / n ** 2, np.abs(coeffs).max()
+        if peak > largest:
+            raise ValueError(
+                f"generator_coeffs must not exceed {largest:.3g} in magnitude "
+                f"at n = {n}, got {peak:.3g}: the Fisher information would "
+                f"overflow")
         K = reconstruct(0.0, coeffs, basis)
         base = np.diag(fields["weights"].values).astype(complex)
         fields.update(generator=K, generator_eigh=np.linalg.eigh(K),
@@ -416,7 +451,70 @@ def _emit(text: str, output: str | None):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\n"`` for dicts with str keys, lists,
+    tuples and JSON scalars, with the numbers' text from the C encoder.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder.  Here
+    Python walks only the containers (:func:`_write_json`); each run of
+    numbers is one ``json.dumps`` call, whose float text is the pure-Python
+    encoder's: ``float.__repr__``, or ``NaN``, ``Infinity`` and
+    ``-Infinity``.
+    """
+    parts = []
+    _write_json(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(obj, newline: str, parts: list) -> None:
+    """Append the indent=2 text of ``obj`` to ``parts``; ``newline`` is a
+    line break and the indent of the line that ``obj`` ends on.
+
+    A list of numbers is written from ``json.dumps`` of the list, its
+    ", " turned into line breaks; a list of number lists from
+    ``json.dumps`` of the whole list, split into its rows on "], [".
+    Keys come from ``encode_basestring_ascii``; strings, booleans, None
+    and numbers outside such runs from ``json.dumps``.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            parts.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write_json(value, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        types = set(map(type, obj))
+        if types <= _NUMBERS:
+            text = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+            parts.append(f"[{inner}{text}{newline}]")
+        elif (types <= _SEQUENCES
+              and set(map(type, chain.from_iterable(obj))) <= _NUMBERS):
+            row = inner + "  "
+            text = json.dumps(obj)
+            body = (text[2:-2].replace("], [", f"{inner}],{inner}[{row}")
+                    .replace(", ", "," + row))
+            body = f"[{inner}[{row}{body}{inner}]{newline}]"
+            # an empty row, "[]" in the encoder's text, is "[]" here too
+            parts.append(body.replace(f"[{row}{inner}]", "[]")
+                         if "[]" in text else body)
+        else:
+            sep = "[" + inner
+            for item in obj:
+                parts.append(sep)
+                _write_json(item, inner, parts)
+                sep = "," + inner
+            parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _rows_json(columns: dict, max_abs_dev: float | None) -> str:
@@ -532,7 +630,11 @@ def _theta_values(args) -> np.ndarray:
         parts = args.theta_range.split(":")
         if len(parts) != 3:
             raise ValueError("theta range must be START:STOP:COUNT")
-        start, stop = _finite("theta", parts[:2])
+        try:
+            bounds = [float(part) for part in parts[:2]]
+        except ValueError:
+            raise ValueError("theta must be numeric") from None
+        start, stop = _finite("theta", bounds)
         count = _parsed(int, parts[2], "theta range count must be an integer")
         if count < 1:
             raise ValueError("theta range count must be at least 1")
@@ -674,9 +776,12 @@ def main(argv=None) -> int:
         code = exc.code
         return 0 if code in (None, 0) else int(code)
     try:
-        return int(args.func(args))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return int(args.func(args))
     except sld_solver.NumericalError as exc:
         return _fail(str(exc), 2)
+    except FloatingPointError as exc:  # finite input, numbers out of range
+        return _fail(f"floating-point {exc}", 2)
     except (ValueError, OSError) as exc:
         return _fail(str(exc), 1)
     except MemoryError as exc:  # e.g. a --theta-range COUNT too large to hold

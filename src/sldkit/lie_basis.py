@@ -262,13 +262,23 @@ def build_basis(n: int) -> GeneratorBasis:
     GeneratorBasis
         Immutable basis satisfying Tr(t_i t_j) = 2 delta_ij; instances are
         cached per dimension and safe to share.
+
+    Raises
+    ------
+    MemoryError
+        Naming n and the stack's 16 n^4 bytes, when the stack cannot be
+        allocated.
     """
     n = int(n)
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     # the stack before the labels: a size that cannot be allocated fails
     # here at once, not after n^2 - 1 labels are made in Python
-    generators = np.zeros((n * n - 1, n, n), dtype=complex)
+    try:
+        generators = np.zeros((n * n - 1, n, n), dtype=complex)
+    except (ValueError, MemoryError):  # ValueError: numpy's "array is too big"
+        raise MemoryError(f"the generator basis at n = {n} takes 16 n^4 = "
+                          f"{16 * n ** 4:.3g} bytes") from None
     labels = _ordered_labels(n)
     for mat, label in zip(generators, labels):
         _fill_generator(mat, label)

@@ -130,7 +130,8 @@ class MixingWeights:
             raise ValueError("weights must be finite")
         if np.any(vals < 0):
             raise ValueError("weights must be nonnegative")
-        _check_unit_sum(vals)
+        with np.errstate(over="ignore"):  # finite weights can sum to inf
+            _check_unit_sum(vals)
         padded = np.zeros(n)
         padded[:vals.size] = vals
         padded.setflags(write=False)

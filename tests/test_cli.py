@@ -732,10 +732,27 @@ class TestInvalidNumbers:
                       SAMPLED_FAMILY["matrices"][1]],
          SAMPLED_FAMILY, "matrices must be numeric"),
         ("fd_step", True, SAMPLED_FAMILY, "fd_step must be numeric"),
+        # numpy parses numeric strings: before, these solved
+        ("weights", ["0.75", "0.25"], WEIGHT_PATH_FAMILY,
+         "weights must be numeric"),
+        ("weight_rates", [1.0, "-1"], WEIGHT_PATH_FAMILY,
+         "weight_rates must be numeric"),
+        ("generator_coeffs", ["0", 0.5, 0], QUBIT_FAMILY,
+         "generator_coeffs must be numeric"),
+        ("n", "2", QUBIT_FAMILY, "n must be numeric"),
+        ("matrices", [["0", SAMPLED_FAMILY["matrices"][0][1]],
+                      SAMPLED_FAMILY["matrices"][1]],
+         SAMPLED_FAMILY, "sample theta must be numeric"),
+        ("matrices", [[0.0, [[["0.7", 0], [0, 0]], [[0, 0], [0.3, 0]]]],
+                      SAMPLED_FAMILY["matrices"][1]],
+         SAMPLED_FAMILY, "matrices must be numeric"),
+        ("fd_step", "1e-3", SAMPLED_FAMILY, "fd_step must be numeric"),
+        ("n", 10 ** 400, QUBIT_FAMILY, "n must be finite"),
     ], ids=["n-list", "n-fraction", "coeffs-dict", "theta-list", "weights-dict",
             "matrices-int", "fd_step-list", "weights-bool", "rates-bool",
             "coeffs-bool", "n-bool", "theta-bool", "matrix-bool",
-            "fd_step-bool"])
+            "fd_step-bool", "weights-str", "rates-str", "coeffs-str", "n-str",
+            "theta-str", "matrix-str", "fd_step-str", "n-huge-int"])
     def test_rejects_wrong_types(self, tmp_path, capsys, field, value, family,
                                  message):
         path = write_family(tmp_path, dict(family, **{field: value}))
@@ -795,6 +812,23 @@ class TestInvalidNumbers:
         assert got == (1, "", f"error: {message}\n")
 
 
+#: str-keyed JSON values: runs of numbers, with ragged and empty rows among
+#: them, mixed lists, and strings that hold the writer's separators
+_JSON_NUMBERS = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 1e16, 0.1]))
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_NUMBERS, st.booleans(), st.none(),
+              st.text(max_size=4) | st.sampled_from([", ", "], [", "[]"]),
+              st.lists(_JSON_NUMBERS, max_size=5),
+              st.lists(st.lists(_JSON_NUMBERS, max_size=4), max_size=4)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=3) | st.sampled_from(['"', "é", "a\\b", "\n"]),
+        inner, max_size=3),
+    max_leaves=16)
+
+
 class TestJsonRoundTrip:
     def test_emitted_json_reparses_identically(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
@@ -833,6 +867,69 @@ class TestJsonRoundTrip:
             payload["max_abs_dev"] = float("inf")
         expected = json.dumps(payload, indent=2) + "\n"
         assert cli._rows_json(columns, payload.get("max_abs_dev")) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(_JSON_VALUES)
+    def test_writer_matches_the_indented_encoder(self, obj):
+        assert cli._dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        [[], [1.0], []], [[]], [[1, 2], [], [3.5, -0.0]], [[], []],
+        [(1, 2.5), [3]], (1, 2), {"é\"\\": {}, "": []},
+        ["], [", "a, b", ", "], [[1.0], ["], ["]], [1, [2, 3], 4.5],
+        [[1.0, True]], [[1.0, None]], [[[1.0, 2.0], []], [[3.0, 4.0]]],
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308],
+        [[float("nan")], [float("-inf"), 1e16, 1]], 7, -0.0, None, "x",
+        [np.float64(0.1), 1.0], [[np.float64(-0.0)]], {"x": np.float64(2)},
+    ])
+    def test_writer_edge_cases(self, obj):
+        assert cli._dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_writer_runs_numbers_through_the_c_encoder(self, monkeypatch):
+        # one json.dumps per run of numbers: a list of number lists is one
+        # call, and so is each flat list; Python walks only the containers
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(cli.json, "dumps",
+                            lambda obj: calls.append(obj) or dumps(obj))
+        payload = {"g": [[1.0, 2.0], [3.0, 4.0]], "w": [0.5, 0.5],
+                   "m": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+        assert cli._dump_json(payload) == dumps(payload, indent=2) + "\n"
+        assert calls == [payload["g"], payload["w"], *payload["m"]]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_basis_payload_is_the_indented_encoding(self, capsys, n):
+        code, out, _ = run(["basis", "--n", str(n)], capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        QUTRIT_FAMILY, PURE_QUTRIT_FAMILY, QUQUART_FAMILY,
+        dict(QUQUART_FAMILY, weights=[0.6, 0.4, 0.0, 0.0])],
+        ids=["n3", "n3-rank1", "n4", "n4-rank2"])
+    @pytest.mark.parametrize("method", ["general", "oracle", "closed"])
+    def test_sld_payload_is_the_indented_encoding(self, tmp_path, capsys,
+                                                  payload, method):
+        family = write_family(tmp_path, payload)
+        code, out, _ = run(["sld", "--input", family, "--theta", "0.3",
+                            "--method", method], capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("shape", ["distinct", "repeated", "zeros"])
+    def test_tensor_payload_is_the_indented_encoding(self, capsys, n, shape):
+        weights = np.arange(n, 0, -1.0)
+        if shape == "repeated":
+            weights = np.repeat(weights[::2], 2)[:n]
+        elif shape == "zeros":
+            weights[n // 2:] = 0.0
+        weights = weights / weights.sum()
+        code, out, _ = run(["tensor", "--weights",
+                            ",".join(repr(float(w)) for w in weights)],
+                           capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_csv_rows_are_the_json_rows(self, tmp_path, capsys):
         family = write_family(tmp_path, QUTRIT_FAMILY)
@@ -993,16 +1090,27 @@ class TestFamilyValidation:
         assert "csv" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["basis", "--n", "100000"],
-    ["sld", "--input", {"kind": "weight_path", "n": 10 ** 6,
-                        "weights": [1.0], "weight_rates": [0.0]}],
+def _run_child(argv, preexec_fn=None):
+    """``python -m sldkit.cli argv`` in a fresh process, where numpy's
+    warnings print to stderr (pytest turns them into errors)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(sldkit.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-m", "sldkit.cli", *argv],
+                            env=env, preexec_fn=preexec_fn,
+                            capture_output=True, text=True, timeout=30)
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["basis", "--n", "100000"], 100000),
+    (["sld", "--input", {"kind": "weight_path", "n": 10 ** 6,
+                         "weights": [1.0], "weight_rates": [0.0]}], 10 ** 6),
 ], ids=["basis", "sld"])
-def test_huge_n_fails_at_once(tmp_path, argv):
+def test_huge_n_fails_at_once(tmp_path, argv, n):
     # in a child limited to 2 GiB of address space, set in that child only:
     # the generator stack is allocated before its labels are made, so the
     # size fails at once (before, basis died after seconds with a bare
-    # MemoryError line, and the family ran on past 30 s)
+    # MemoryError line, and the family ran on past 30 s), and names n
     argv = [write_family(tmp_path, a) if isinstance(a, dict) else a
             for a in argv]
     limit = 2 << 30
@@ -1010,14 +1118,53 @@ def test_huge_n_fails_at_once(tmp_path, argv):
     def limited():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(sldkit.__file__).resolve().parents[1]))
-    result = subprocess.run([sys.executable, "-m", "sldkit.cli", *argv],
-                            env=env, preexec_fn=limited, capture_output=True,
-                            text=True, timeout=30)
-    assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr.startswith("error: ")
-    assert result.stderr.count("\n") == 1
+    assert _run_child(argv, limited) == (
+        1, "", f"error: out of memory: the generator basis at n = {n} takes "
+               f"16 n^4 = {16 * n ** 4:.3g} bytes\n")
+
+
+@pytest.mark.parametrize("family, command, expected", [
+    # before: two RuntimeWarnings and exit 0 with "qfi": NaN
+    (dict(QUBIT_FAMILY, generator_coeffs=[1e308, 1e308, 0]),
+     ["qfi", "--thetas", "1"],
+     (1, "error: generator_coeffs must not exceed 1.19e+153 in magnitude at "
+         "n = 2, got 1e+308: the Fisher information would overflow\n")),
+    # before: numpy's overflow warning (two lines) ahead of the error
+    (dict(WEIGHT_PATH_FAMILY, weights=[1e308, 1e308], weight_rates=[0, 0]),
+     ["qfi", "--thetas", "0"], (1, "error: weights must sum to 1, got inf\n")),
+    # a finite input whose numbers overflow past the checks
+    (dict(WEIGHT_PATH_FAMILY, weight_rates=[1e200, -1e200]),
+     ["qfi", "--thetas", "0"],
+     (2, "error: floating-point overflow encountered in matmul\n")),
+    # before: solved, exit 0
+    (dict(WEIGHT_PATH_FAMILY, weights=["0.75", "0.25"]),
+     ["qfi", "--thetas", "0"], (1, "error: weights must be numeric\n")),
+], ids=["generator-overflow", "weights-overflow", "rates-overflow",
+        "numeric-strings"])
+def test_out_of_range_family_fails_with_one_line(tmp_path, family, command,
+                                                 expected):
+    path = write_family(tmp_path, family)
+    code, out, err = _run_child([*command, "--input", path])
+    assert (code, err) == expected
+    assert out == ""
+
+
+def test_largest_generator_coefficients_solve_cleanly(tmp_path):
+    # at the bound, every method runs with nothing on stderr
+    for n in (2, 16):
+        coeffs = np.full(n * n - 1, cli._COEFF_LIMIT / n ** 2)
+        coeffs[::2] *= -1
+        weights = np.arange(n, 0, -1.0)
+        path = write_family(tmp_path, {
+            "kind": "exp_generator", "n": n,
+            "weights": (weights / weights.sum()).tolist(),
+            "generator_coeffs": coeffs.tolist()}, f"n{n}.json")
+        for method in ("general", "oracle", "closed"):
+            code, out, err = _run_child(["qfi", "--input", path, "--thetas",
+                                         "0,1", "--check-oracle",
+                                         "--method", method])
+            assert (code, err) == (0, "")
+            assert np.isfinite(json.loads(out)["max_abs_dev"])
 
 
 #: JSON values of the wrong kind for a family field
