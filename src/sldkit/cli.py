@@ -74,17 +74,19 @@ state and tangent as a :class:`DensityState` and a :class:`TangentForm` and
 solves them through the library's one-state path (``solve``,
 ``sld_eigenbasis`` or the pair rule in the frame U(theta)), which gives the
 coefficients, the gauge and the residual it prints.  ``qfi`` works on
-blocks of sorted thetas: per block, the solve runs the rejection test once
-per run of consecutive thetas with one kernel size and rebuilds every L at
-once, with no coefficients or residuals, and the QFI and the oracle's QFI
-are stacked too.  A block holds as many thetas as fit one stacked n x n
-complex array into ``sld_solver._BLOCK_BYTES`` (64 at n = 8, 40 at
-n = 10).  Only M, the scaled operator and the stacked LU, which hold an
-n^2 x n^2 array per state, run in chunks of a run of states with one
-kernel size: as many as fit one stacked n^2 x n^2 float array into the
-same budget (2 at n = 8, one from n = 9 on).  When a block fails, it is
-split in halves, in order, down to the first failing theta, so the error
-is the one a loop over the thetas in order would meet first.
+blocks of sorted thetas: per block, the solve is the one-direction case
+of the solver's one body over states and directions (``solve`` is its
+one-state case).  It runs the rejection test once per run of consecutive
+thetas with one kernel size, and the sweep rebuilds every L at once, with
+no coefficients or residuals; the QFI and the oracle's QFI are stacked
+too.  A block holds as many thetas as fit one stacked n x n complex array
+into ``sld_solver._BLOCK_BYTES`` (64 at n = 8, 40 at n = 10).  Only M,
+the scaled operator and the LU, which hold an n^2 x n^2 array per state,
+run in chunks of a run: as many states as fit one stacked n^2 x n^2 float
+array into the same budget (2 at n = 8, one from n = 9 on), each chunk's
+M and scaled operator built just before its one LU call.  When a block
+fails, it is split in halves, in order, down to the first failing theta,
+so the error is the one a loop over the thetas in order would meet first.
 :func:`main` builds its parser on the first call and reuses it.
 """
 
@@ -581,9 +583,12 @@ def cmd_basis(args) -> int:
     _require_json_format(args)
     basis = build_basis(args.n)
     constants = compute_structure_constants(basis)
-    payload = basis.to_json_dict()
-    payload.update(constants.to_json_dict())
-    _emit(_dump_json(payload), args.output)
+    try:  # its lists outgrow memory long before the arrays they are made of
+        text = _dump_json({**basis.to_json_dict(), **constants.to_json_dict()})
+    except MemoryError:
+        raise MemoryError(f"the basis and structure constants at n = "
+                          f"{basis.dimension} as JSON") from None
+    _emit(text, args.output)
     return 0
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_basis import GeneratorBasis
+from .lie_basis import GeneratorBasis, _frozen
 from .sld_solver import SLDSolution
 from .state_space import DensityState, MixingWeights, TangentForm, _resolve_basis
 
@@ -110,10 +110,7 @@ def fisher_tensor(state: DensityState, slds) -> FisherTensorResult:
          @ Ls.transpose(0, 2, 1).reshape(k, n * n).T)
     g = 0.5 * (F.real + F.real.T)
     omega = 0.5 * (F.imag - F.imag.T)
-    g.setflags(write=False)
-    omega.setflags(write=False)
-    F.setflags(write=False)
-    return FisherTensorResult(len(slds), F, g, omega)
+    return FisherTensorResult(len(slds), *_frozen(F, g, omega))
 
 
 def horizontal_transversal_split_check(state: DensityState,
@@ -161,9 +158,7 @@ def chart_tangents(weights: MixingWeights,
             coeffs = np.zeros(len(basis.generators))
             coeffs[i] = gap
             matrix = gap * basis.generators[i]
-            coeffs.setflags(write=False)
-            matrix.setflags(write=False)
-            forms.append(TangentForm(0.0, coeffs, matrix))
+            forms.append(TangentForm(0.0, *_frozen(coeffs, matrix)))
     return forms
 
 

@@ -44,6 +44,13 @@ def matrix_to_pairs(matrix) -> list:
     return np.stack((m.real, m.imag), -1).tolist()
 
 
+def _frozen(*arrays) -> tuple:
+    """The arrays, each made read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def pairs_to_matrix(data) -> np.ndarray:
     """Decode the nested [re, im] pair representation back into an array."""
     arr = np.asarray(data, dtype=float)
@@ -99,8 +106,7 @@ class StructureTensor:
         self.keys, first = np.unique(np.concatenate(keys), return_index=True)
         self.values = np.concatenate(signed)[first]
         self._rows, self._columns = np.divmod(self.keys, self.size ** 2)
-        for array in (self.keys, self.values, self._rows, self._columns):
-            array.setflags(write=False)
+        _frozen(self.keys, self.values, self._rows, self._columns)
 
     def _canonical(self):
         i, j, k = np.unravel_index(self.keys, (self.size,) * 3)
@@ -296,38 +302,48 @@ def compute_structure_constants(basis: GeneratorBasis) -> StructureConstants:
     entries for sorted triples a <= b <= c; then ``f = Re T / 2`` and
     ``c = Im T / 2``.  Entries with magnitude below ``DROP_TOL`` arise only
     from rounding and are not stored.
+
+    Raises
+    ------
+    MemoryError
+        Naming n and the structure constants, when their arrays cannot be
+        allocated.
     """
     t = basis.generators
     size, n, _ = t.shape
-    g, row, col = np.nonzero(t)
-    value = t[g, row, col]
-    # t_a[i, j] t_b[j, k]: a's column meets b's row, with a <= b ...
-    a, b = _join(col, row)
-    keep = g[a] <= g[b]
-    a, b = a[keep], b[keep]
-    # ... closed by t_c[k, i]: c's (row, column) is (b's column, a's row)
-    pair, c = _join(col[b] * n + row[a], row * n + col)
-    a, b = a[pair], b[pair]
-    keep = g[b] <= g[c]
-    a, b, c = a[keep], b[keep], c[keep]
-    keys, slot = np.unique((g[a] * size + g[b]) * size + g[c],
-                           return_inverse=True)
-    product = value[a] * value[b] * value[c]
-    trace = (np.bincount(slot, product.real)
-             + 1j * np.bincount(slot, product.imag))
-    triples = np.stack(np.unravel_index(keys, (size,) * 3), axis=1)
-    f_vals, c_vals = trace.real / 2.0, trace.imag / 2.0
-    f_keep = np.abs(f_vals) >= DROP_TOL
-    c_keep = ((np.abs(c_vals) >= DROP_TOL) & (triples[:, 0] < triples[:, 1])
-              & (triples[:, 1] < triples[:, 2]))
-    return StructureConstants(
-        dimension=basis.dimension,
-        c=StructureTensor(size, triples[c_keep], c_vals[c_keep],
-                          symmetric=False),
-        f=StructureTensor(size, triples[f_keep], f_vals[f_keep],
-                          symmetric=True),
-        diagonal_indices=basis.diagonal_indices,
-    )
+    try:
+        g, row, col = np.nonzero(t)
+        value = t[g, row, col]
+        # t_a[i, j] t_b[j, k]: a's column meets b's row, with a <= b ...
+        a, b = _join(col, row)
+        keep = g[a] <= g[b]
+        a, b = a[keep], b[keep]
+        # ... closed by t_c[k, i]: c's (row, column) is (b's column, a's row)
+        pair, c = _join(col[b] * n + row[a], row * n + col)
+        a, b = a[pair], b[pair]
+        keep = g[b] <= g[c]
+        a, b, c = a[keep], b[keep], c[keep]
+        keys, slot = np.unique((g[a] * size + g[b]) * size + g[c],
+                               return_inverse=True)
+        product = value[a] * value[b] * value[c]
+        trace = (np.bincount(slot, product.real)
+                 + 1j * np.bincount(slot, product.imag))
+        triples = np.stack(np.unravel_index(keys, (size,) * 3), axis=1)
+        f_vals, c_vals = trace.real / 2.0, trace.imag / 2.0
+        f_keep = np.abs(f_vals) >= DROP_TOL
+        c_keep = ((np.abs(c_vals) >= DROP_TOL)
+                  & (triples[:, 0] < triples[:, 1])
+                  & (triples[:, 1] < triples[:, 2]))
+        return StructureConstants(
+            dimension=basis.dimension,
+            c=StructureTensor(size, triples[c_keep], c_vals[c_keep],
+                              symmetric=False),
+            f=StructureTensor(size, triples[f_keep], f_vals[f_keep],
+                              symmetric=True),
+            diagonal_indices=basis.diagonal_indices,
+        )
+    except MemoryError:  # the joins' index arrays are the largest
+        raise MemoryError(f"the structure constants at n = {n}") from None
 
 
 def _jacobi_sums(c: StructureTensor):

@@ -22,6 +22,15 @@ block, and the SLD has the closed form
 
 for any n; :func:`closed_form` applies it there, and the spectral oracle
 applies the same pair rule in the eigenframe of an arbitrary state.
+
+The system is solved in one body, :func:`_solve_runs`, over S states with
+k directions at each: :func:`solve` is its S = 1 case, with the parts of
+the system that rho alone fixes held on the state and reused across
+calls, and the ``sldkit qfi`` sweep (:func:`_solve_stack`) its k = 1
+case, building those parts afresh for each chunk of states.  The body
+takes runs of states with one kernel size, runs the rejection test once
+per run, and makes one LU solve per chunk with every direction as a
+column.
 """
 
 from __future__ import annotations
@@ -32,15 +41,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lie_basis import GeneratorBasis, StructureConstants, matrix_to_pairs
+from .lie_basis import (GeneratorBasis, StructureConstants, _frozen,
+                        matrix_to_pairs)
 from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
                           TangentForm, _any, _coefficients, _reconstruct,
                           _resolve_basis, check_tolerance, kernel_mask)
 
 #: bytes of one n^2 x n^2 float array stacked over a chunk of states: 2
-#: states at n = 8, 6 at n = 6, one from n = 9 on.  :func:`_solve_stack`
-#: builds M, the scaled operator and Z^T Z and runs its LU solve a chunk at
-#: a time, each chunk a slice of a run of states with one kernel size.
+#: states at n = 8, 6 at n = 6, one from n = 9 on.  :func:`_solve_runs`
+#: runs its LU solve a chunk at a time, each chunk a slice of a run of
+#: states with one kernel size, and the sweep builds each chunk's M, scaled
+#: operator and Z^T Z just before its solve.
 #: ``sldkit qfi`` sizes its blocks of thetas from the same budget, as one
 #: stacked n x n complex array (64 thetas at n = 8, 40 at n = 10), so a
 #: sweep's memory grows with the block, not with the sweep.  Larger
@@ -124,34 +135,24 @@ class SLDSolution:
 
 
 def _frobenius(x: np.ndarray):
-    """||x||_F of a matrix, or of each matrix of a stack: one
+    """||x||_F of an n x n matrix, or of each matrix of a stack: one
     (1, 2n^2) x (2n^2, 1) product of its flat real view per matrix."""
-    flat = np.ascontiguousarray(x).reshape(
-        x.shape[:-2] + (1, x.shape[-2] * x.shape[-1])).view(float)
+    flat = x.reshape(x.shape[:-2] + (1, x.shape[-1] ** 2)).view(float)
     return np.sqrt(np.matmul(flat, flat.swapaxes(-1, -2))[..., 0, 0])
-
-
-def _residual(state_matrix: np.ndarray, L: np.ndarray,
-              form_matrix: np.ndarray):
-    """||drho - 1/2 {rho, L}||_F, per item of a stack."""
-    return _frobenius(form_matrix
-                      - 0.5 * (state_matrix @ L + L @ state_matrix))
 
 
 def _finalize(L: np.ndarray, coeff_identity, coeffs: np.ndarray,
               state_matrix: np.ndarray, form_matrix: np.ndarray, gauge):
-    """Freeze L, its coefficients and the gauge basis; attach the residual.
+    """One frozen :class:`SLDSolution` per L of a stack, with its residual
+    ||drho - 1/2 {rho, L}||_F.
 
-    One L gives one :class:`SLDSolution`; a stack of them (with their
-    coefficients and forms) a tuple, every item sharing the gauge basis.
+    ``L``, ``coeff_identity``, ``coeffs`` and ``form_matrix`` carry one
+    leading axis over the solutions, which share the gauge basis (a tuple,
+    frozen here).
     """
-    residual = _residual(state_matrix, L, form_matrix)
-    gauge = tuple(gauge)
-    for array in (L, coeffs, *gauge):
-        array.setflags(write=False)
-    if L.ndim == 2:
-        return SLDSolution(float(coeff_identity), coeffs, L, gauge,
-                           float(residual))
+    residual = _frobenius(form_matrix
+                          - 0.5 * (state_matrix @ L + L @ state_matrix))
+    _frozen(L, coeffs, *gauge)
     return tuple(map(SLDSolution, coeff_identity.tolist(), coeffs, L,
                      itertools.repeat(gauge), residual.tolist()))
 
@@ -160,16 +161,34 @@ def _finalize(L: np.ndarray, coeff_identity, coeffs: np.ndarray,
 class _StateOperator:
     """The part of the SLD system that rho alone fixes, held on the state.
 
-    ``matrix`` is M for ``constants``.  ``scaled`` is ((tol, basis), parts)
-    with parts the kernel gauge basis, the kernel size r, the Frobenius
-    weights W, the projector Z^T Z (None when the gauge is empty) and
-    W M W^-1 + Z^T Z for that tolerance and basis; it is replaced as one
-    tuple, so a key is never paired with another tolerance's parts.
+    ``matrix`` is M for ``constants``, set by :func:`assemble`.
+    :func:`solve` completes the record for one ``tol`` and ``basis`` (None
+    until then) with:
+    - ``kernel``, the r kernel columns of rho's eigenframe as a contiguous
+      (1, n, r) stack, which gives the kernel size r and the rejection
+      test's frame;
+    - ``gauge``, the kernel gauge basis;
+    - ``weights``, the Frobenius weights W, shaped (1, 1, n^2);
+    - ``projector``, Z^T Z (None when the gauge is empty);
+    - ``operator``, the scaled operator W M W^-1 + Z^T Z.
+    Another tolerance or basis replaces the whole record, so its parts
+    never belong to two tolerances.  The record is n^4 floats twice over
+    (M and the scaled operator) for as long as the state lives; it is kept
+    because a caller that solves one direction per call at a state (the
+    README quickstart, a Fisher tensor built direction by direction) would
+    otherwise pay for M and its scaling on every call, about 1.5 to 2
+    times the time of a held direction.
     """
 
-    constants: StructureConstants
+    constants: StructureConstants | None
     matrix: np.ndarray
-    scaled: tuple = ((), ())
+    tol: float | None = None
+    basis: GeneratorBasis | None = None
+    kernel: np.ndarray | None = None
+    gauge: tuple = ()
+    weights: np.ndarray | None = None
+    projector: np.ndarray | None = None
+    operator: np.ndarray | None = None
 
 
 def assemble(state: DensityState, forms,
@@ -190,17 +209,16 @@ def assemble(state: DensityState, forms,
     other = (forms.dimension if single else
              next((f.dimension for f in forms if f.dimension != n), n))
     if other != n or constants.dimension != n:
-        raise ValueError(
-            f"dimension mismatch: state {n}, form {other}, "
-            f"constants {constants.dimension}")
+        raise ValueError(f"dimension mismatch: state {n}, form {other}, "
+                         f"constants {constants.dimension}")
     held = state._operator
     if held is None or held.constants is not constants:
-        M = _operator_matrix(state.coeff_identity, state.coeffs, constants)
-        M.setflags(write=False)
-        held = _StateOperator(constants, M)
+        held = _StateOperator(constants, *_frozen(
+            _operator_matrix(state.coeff_identity, state.coeffs, constants)))
         object.__setattr__(state, "_operator", held)
     if single:
-        rhs = np.concatenate(([forms.coeff_identity], forms.coeffs))
+        rhs = np.empty(n * n)
+        rhs[0], rhs[1:] = forms.coeff_identity, forms.coeffs
         form_matrix = forms.matrix
     else:
         rhs = np.empty((len(forms), n * n))
@@ -248,20 +266,16 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     The kernel is decided by :func:`state_space.kernel_mask` (an eigenvalue
     of rho is kernel iff it is <= ``tol``); the gauge basis spans the
     Hermitian matrices on the kernel block, built in rho's eigenframe as in
-    the oracle.  With Z those directions in Frobenius-scaled coordinates
-    y = W x, one LU solve of (W M W^-1 + Z^T Z) y = W d - Z^T Z W d gives the
-    minimum-norm representative: W M W^-1, the anticommutator in an
-    orthonormal basis, keeps the kernel block and its complement apart, so
-    the projector Z^T Z makes it invertible and leaves y zero on the block.
+    the oracle, and the solution is its minimum-norm representative.
 
-    When ``system`` was assembled at ``state``, the gauge, the kernel
-    size and the scaled operator are built once per state and tolerance
-    and reused.  Each call then validates ``tol`` once and runs one body
-    for its k forms (k = 1 for a single form): it rotates every drho onto
-    the kernel levels for the rejection test (nothing at a full-rank
-    state), removes the gauge component of each W d (only when the gauge
-    is non-empty), does one LU solve with the k right-hand sides as
-    columns, rebuilds every L in one product and takes the residuals.  A
+    This is the one-state case of :func:`_solve_runs`, with the k forms as
+    its directions (k = 1 for a single form): one run and one chunk, whose
+    parts come from the record held on the state (its kernel size r too).
+    When ``system`` was assembled at ``state``, the record (the kernel, the
+    gauge, W, Z^T Z and the scaled operator) is built once per state and
+    tolerance and reused, so a further direction costs the rejection test
+    (nothing at a full-rank state), one LU solve with the k right-hand
+    sides as columns, one product for every L and the residuals.  A
     one-element sequence gives bit for bit the single form's solution.
 
     Raises
@@ -278,14 +292,16 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     if state.dimension != n:
         raise ValueError("state dimension does not match system")
     basis = _resolve_basis(n, basis)
-    tol = check_tolerance(tol)
-    gauge, r, weights, *parts = _scaled_operator(system, state, tol, basis)
-    _reject_on_kernel(state.eigenvectors, r, system.form_matrix, tol)
-    # the k directions as the columns of one LU solve; .T of one: itself
-    y = _lu_solve((weights * system.rhs).T, *parts)
-    x = np.ascontiguousarray(y.T) / weights
-    return _finalize(_reconstruct(x[..., 0], x[..., 1:], basis), x[..., 0],
-                     x[..., 1:], state.matrix, system.form_matrix, gauge)
+    held = _scaled_operator(system, state, check_tolerance(tol), basis)
+    parts = held.weights, held.projector, held.operator
+    x = _solve_runs((held.kernel.shape[-1],), held.kernel,
+                    system.form_matrix.reshape(1, -1, n, n),
+                    system.rhs.reshape(1, -1, n * n), lambda part, r: parts,
+                    held.tol)[0]
+    solutions = _finalize(_reconstruct(x[:, 0], x[:, 1:], basis), x[:, 0],
+                          x[:, 1:], state.matrix, system.form_matrix,
+                          held.gauge)
+    return solutions if system.rhs.ndim == 2 else solutions[0]
 
 
 def _solve_stack(states, forms, constants: StructureConstants, tol: float,
@@ -293,95 +309,114 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
     """The SLD matrices L of a stack of states, one direction at each.
 
     ``states`` and ``forms`` hold the fields of :class:`DensityState` and
-    :class:`TangentForm` with a leading axis.  ``eigh`` sorts eigenvalues
-    in ascending order, so the kernel is each state's leading r levels.
-    The stack is taken in its own order, as runs of consecutive states
-    with one kernel size r (a sorted sweep changes r only where the
-    family's rank does).  The rejection test runs once per run, and L is
-    rebuilt once for the stack; no coefficients are kept and no residual
-    is taken, as the sweep reads L alone.  The steps that hold an
-    n^2 x n^2 array per state (M, the scaled operator with Z^T Z, and
-    :func:`_lu_solve`) run per chunk of a run, a slice of as many states
-    as fit one stacked n^2 x n^2 float array into ``_BLOCK_BYTES``.  Every
-    state gets its own M, LU and products, so its bits do not depend on
-    the stack, the run or the chunk.  Every step is the one :func:`solve`
-    takes, with a stack axis, so each L has the bits of the one-state
-    solve's :attr:`SLDSolution.matrix`.
+    :class:`TangentForm` with a leading axis.  This is the one-direction
+    case of :func:`_solve_runs`: the kernel sizes come from each state's
+    spectrum, and every chunk builds its states' M and scaled parts
+    afresh, so a sweep holds no operator past its chunk.  L is rebuilt
+    once for the stack; no coefficients are kept and no residual is taken,
+    as the sweep reads L alone.  Every state gets its own M, LU and
+    products, so its bits do not depend on the stack, the run or the
+    chunk, and each L has the bits of the one-state solve's
+    :attr:`SLDSolution.matrix`.
 
     Raises
     ------
     KernelInconsistentError
-        As :func:`solve`, for some state of the stack.
+        As :func:`solve`, for the first state of the stack that fails.
     """
     sizes = np.count_nonzero(kernel_mask(states.eigenvalues, tol), axis=-1)
-    rhs = np.concatenate((forms.coeff_identity[:, None], forms.coeffs), -1)
+
+    def parts(part: slice, r: int) -> tuple:
+        M = _operator_matrix(states.coeff_identity[part],
+                             states.coeffs[part], constants)
+        return _scaled_parts(M, states.eigenvectors[part, :, :r], basis)[1:]
+
+    x = _solve_runs(sizes.tolist(), states.eigenvectors, forms.matrix[:, None],
+                    np.concatenate((forms.coeff_identity[:, None, None],
+                                    forms.coeffs[:, None]), -1), parts, tol)
+    return _reconstruct(x[..., 0], x[..., 1:], basis)[:, 0]
+
+
+def _solve_runs(sizes, vectors: np.ndarray, forms: np.ndarray,
+                rhs: np.ndarray, parts, tol: float) -> np.ndarray:
+    """x of M x = d for S states and k directions at each: (S, k, n^2).
+
+    ``sizes`` is a sequence of the states' kernel sizes r, ``vectors``
+    their eigenvectors (S, n, m), ``forms`` the drho (S, k, n, n) and
+    ``rhs`` the d (S, k, n^2).  ``eigh`` sorts eigenvalues in ascending
+    order, so the kernel is each state's leading r levels, and ``vectors``
+    needs only those (m >= r).  The states are taken in their own order,
+    as runs of consecutive states with one r (a sorted sweep changes r
+    only where the family's rank does):
+    - the rejection test runs once per run, on every drho in the kernel
+      block of its state's eigenframe (nothing when r = 0);
+    - each run is cut into chunks, slices of as many states as fit one
+      stacked n^2 x n^2 float array into ``_BLOCK_BYTES``;
+    - ``parts(part, r)`` gives the chunk's W, Z^T Z (None for an empty
+      gauge) and W M W^-1 + Z^T Z, stacked over the chunk or shared by it;
+    - the gauge component is taken off every W d, and one LU solve per
+      chunk takes every direction as a column.
+    With Z the gauge directions in Frobenius-scaled coordinates y = W x,
+    the solve of (W M W^-1 + Z^T Z) y = W d - Z^T Z W d gives the
+    minimum-norm x: W M W^-1, the anticommutator in an orthonormal basis,
+    keeps the kernel block and its complement apart, so the projector
+    Z^T Z makes it invertible and leaves y zero on the block.  Every state
+    gets its own LU and products, so its bits do not depend on S, the run
+    or the chunk.
+
+    Raises
+    ------
+    KernelInconsistentError
+        From :func:`_reject_kernel_pairs`, at the first run that fails.
+    """
     x = np.empty(rhs.shape)
-    chunk = max(1, _BLOCK_BYTES // (8 * basis.dimension ** 4))
-    # the runs end where the kernel size changes and at the stack's end
-    edges = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
-    for start, stop in zip([0, *edges], [*edges, sizes.size]):
-        r, run = sizes[start], slice(start, stop)
-        _reject_on_kernel(states.eigenvectors[run], r, forms.matrix[run], tol)
+    chunk = max(1, _BLOCK_BYTES // (8 * rhs.shape[-1] ** 2))
+    stop = 0
+    for r, run in itertools.groupby(sizes):
+        start, stop = stop, stop + len(list(run))
+        if r:  # V copied contiguous: strided columns round differently
+            V = np.ascontiguousarray(vectors[start:stop, None, :, :r])
+            D = forms[start:stop]
+            _reject_kernel_pairs(_in_frame(V, D), _frobenius(D), tol)
         for lo in range(start, stop, chunk):
             part = slice(lo, min(lo + chunk, stop))
-            weights, *parts = _scaled_parts(
-                _operator_matrix(states.coeff_identity[part],
-                                 states.coeffs[part], constants),
-                states.eigenvectors[part, :, :r], basis)[1:]
-            x[part] = _lu_solve((weights * rhs[part])[..., None],
-                                *parts)[..., 0] / weights
-            del parts  # freed before the next chunk builds its M
-    return _reconstruct(x[:, None, 0], x[:, None, 1:], basis)[:, 0]
-
-
-def _reject_on_kernel(eigenvectors: np.ndarray, r: int, form: np.ndarray,
-                      tol: float) -> None:
-    """:func:`_reject_kernel_pairs` on the kernel, the leading ``r`` levels
-    of the eigenframe (nothing when r = 0); one state or a stack."""
-    if r:  # copied contiguous: strided columns round differently in BLAS
-        kernel = np.ascontiguousarray(eigenvectors[..., :r])
-        _reject_kernel_pairs(_in_frame(kernel, form), _frobenius(form), tol)
-
-
-def _lu_solve(columns: np.ndarray, projector, operator: np.ndarray):
-    """y from one LU solve of (W M W^-1 + Z^T Z) y = W d - Z^T Z W d.
-
-    ``columns`` are the W d, overwritten: one state's k directions as the
-    columns of an (n^2, k) array (or one (n^2,) direction), or a stack of
-    (n^2, 1) columns, one per state.  ``projector`` (Z^T Z, None for an
-    empty gauge) and ``operator`` (the scaled operator) carry the stack
-    axis when the columns do.
-    """
-    if projector is not None:
-        columns -= projector @ columns
-    return np.linalg.solve(operator, columns)
+            weights, projector, operator = parts(part, r)
+            wd = (weights * rhs[part]).swapaxes(-1, -2)  # W d, as columns
+            if projector is not None:
+                wd -= projector @ wd
+            x[part] = np.linalg.solve(operator, wd).swapaxes(-1, -2) / weights
+            del projector, operator  # freed before the next chunk's M
+    return x
 
 
 def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
-                     basis: GeneratorBasis) -> tuple:
-    """The kernel gauge, the kernel size r, W, Z^T Z and W M W^-1 + Z^T Z.
+                     basis: GeneratorBasis) -> _StateOperator:
+    """The state's record, completed for ``tol`` and ``basis``.
 
     The kernel is the leading r levels of rho's eigenframe (``eigh`` sorts
-    eigenvalues ascending).  Taken from the state's held operator when
+    eigenvalues ascending).  Taken from the state's held record when
     ``system`` carries its M, and built there once per (tol, basis); a
-    system assembled elsewhere gets them built from its own M.
+    system assembled elsewhere gets a record of its own M, not held.
     """
     held = state._operator
     own = held is not None and system.matrix is held.matrix
-    if own and held.scaled[0] == (tol, basis):
-        return held.scaled[1]
+    if own and held.tol == tol and held.basis is basis:
+        return held
     r = int(np.count_nonzero(kernel_mask(state.eigenvalues, tol)))
-    gauge, *parts = _scaled_parts(system.matrix.copy(),
-                                  state.eigenvectors[:, :r], basis)
-    parts = (tuple(gauge), r, *parts)
+    vectors = state.eigenvectors[:, :r]
+    record = _StateOperator(
+        held.constants if own else None, system.matrix, tol, basis,
+        np.ascontiguousarray(vectors[None]),
+        *_scaled_parts(system.matrix.copy(), vectors, basis))
     if own:
-        held.scaled = ((tol, basis), parts)
-    return parts
+        object.__setattr__(state, "_operator", record)
+    return record
 
 
 def _scaled_parts(operator: np.ndarray, vectors: np.ndarray,
                   basis: GeneratorBasis) -> tuple:
-    """The kernel gauge, W, Z^T Z and W M W^-1 + Z^T Z.
+    """The kernel gauge (a tuple over its leading axis), W, Z^T Z and
+    W M W^-1 + Z^T Z.
 
     ``operator`` is M, turned into W M W^-1 + Z^T Z in place; ``vectors``
     are the kernel levels' eigenvectors; both may carry a leading stack
@@ -402,7 +437,9 @@ def _scaled_parts(operator: np.ndarray, vectors: np.ndarray,
         Z = weights * np.concatenate((coeff_identity[..., None], coeffs), -1)
         projector = np.matmul(Z.swapaxes(-1, -2), Z)
         operator += projector
-    return gauge, weights, projector, operator
+    # W with the three axes of the right-hand sides, (S, k, n^2): a ufunc is
+    # cheaper on operands of one rank
+    return tuple(gauge), weights[None, None], projector, operator
 
 
 def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
@@ -469,9 +506,8 @@ def _hermitian_units(r: int) -> np.ndarray:
     units = np.zeros((a.size, 2, r, r), dtype=complex)
     units[pair, 0, a, b] = units[pair, 0, b, a] = np.where(a == b, 1.0, half)
     units[pair, 1, a, b], units[pair, 1, b, a] = -1j * half, 1j * half
-    units = units[np.stack((a == a, a != b), 1)]  # E_aa is one unit, not two
-    units.setflags(write=False)
-    return units
+    # E_aa is one unit, not two
+    return _frozen(units[np.stack((a == a, a != b), 1)])[0]
 
 
 def _kernel_gauge(vectors: np.ndarray) -> np.ndarray:
@@ -516,8 +552,9 @@ def _pair_rule_solution(lam, vectors, frame_form, state_matrix, form, tol,
     columns of V = ``vectors``; ``frame_form`` is drho in V's frame.  L is
     Hermitian by construction, so it is expanded without a check."""
     L, kernel = _pair_rule(lam, vectors, frame_form, tol)
-    return _finalize(L, *_coefficients(L, _resolve_basis(L.shape[0], basis)),
-                     state_matrix, form, _kernel_gauge(vectors[:, kernel]))
+    c_id, coeffs = _coefficients(L, _resolve_basis(L.shape[0], basis))
+    return _finalize(L[None], c_id[None], coeffs[None], state_matrix,
+                     form[None], tuple(_kernel_gauge(vectors[:, kernel])))[0]
 
 
 def closed_form(weights: MixingWeights, form: TangentForm,

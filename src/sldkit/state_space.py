@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie_basis import GeneratorBasis, build_basis, matrix_to_pairs
+from .lie_basis import GeneratorBasis, _frozen, build_basis, matrix_to_pairs
 
 #: eigenvalues above this (negative) floor count as nonnegative
 POSITIVITY_FLOOR = -1e-10
@@ -47,7 +47,7 @@ def check_tolerance(tol) -> float:
         tol = float(tol)
     except (TypeError, ValueError):
         raise ValueError(f"tolerance must be a number, got {tol!r}") from None
-    if not np.isfinite(tol) or tol < -POSITIVITY_FLOOR:
+    if not -POSITIVITY_FLOOR <= tol < np.inf:  # False for NaN too
         raise ValueError(
             f"tolerance must be finite and at least {-POSITIVITY_FLOOR:g} "
             f"(eigenvalues are trusted only down to {POSITIVITY_FLOOR:g}), "
@@ -83,9 +83,9 @@ def _as_square(matrix) -> np.ndarray:
 
 
 def _any(bad) -> bool:
-    """Whether ``bad`` holds anywhere in a stack, or for one matrix (0-d),
-    whose truth value is much cheaper than its ``any()``."""
-    return bool(bad.any() if bad.ndim else bad)
+    """Whether ``bad`` holds anywhere in a stack; for one item (size 1),
+    its truth value, which is much cheaper than its ``any()``."""
+    return bool(bad.any() if bad.size != 1 else bad)
 
 
 def _raise_first(bad, values, message) -> None:
@@ -241,7 +241,8 @@ def _reconstruct(coeff_identity, coeffs: np.ndarray,
     matrix = np.matmul(coeffs[None] if coeffs.ndim == 1 else coeffs,
                        basis.generators.reshape(n * n - 1, n * n))
     # the diagonal is every (n + 1)-th entry of each flat matrix
-    matrix[..., ::n + 1] += np.asarray(coeff_identity)[..., None]
+    diagonal = matrix[..., ::n + 1]
+    diagonal += np.asarray(coeff_identity)[..., None]
     return matrix.reshape(coeffs.shape[:-1] + (n, n))
 
 
@@ -322,8 +323,7 @@ class DensityState:
         coeff_identity, coeffs, eigenvalues, eigenvectors = _state_parts(
             m, _resolve_basis(m.shape[0], basis))
         m = m.copy()
-        for array in (m, coeffs, eigenvalues, eigenvectors):
-            array.setflags(write=False)
+        _frozen(m, coeffs, eigenvalues, eigenvectors)
         return cls(m, float(coeff_identity), coeffs, eigenvalues, eigenvectors)
 
     def to_json_dict(self) -> dict:
@@ -347,19 +347,14 @@ class TangentForm:
                     basis: GeneratorBasis | None = None) -> "TangentForm":
         m = np.asarray(matrix, dtype=complex)  # expand checks it
         coeff_identity, coeffs = expand(m, basis)
-        m = m.copy()
-        m.setflags(write=False)
-        coeffs.setflags(write=False)
-        return cls(coeff_identity, coeffs, m)
+        return cls(coeff_identity, *_frozen(coeffs, m.copy()))
 
     @classmethod
     def from_coefficients(cls, coeff_identity: float, coeffs,
                           basis: GeneratorBasis | None = None) -> "TangentForm":
         coeffs = np.asarray(coeffs, dtype=float).copy()
-        matrix = reconstruct(coeff_identity, coeffs, basis)
-        matrix.setflags(write=False)
-        coeffs.setflags(write=False)
-        return cls(float(coeff_identity), coeffs, matrix)
+        return cls(float(coeff_identity), *_frozen(
+            coeffs, reconstruct(coeff_identity, coeffs, basis)))
 
     def to_json_dict(self) -> dict:
         return {"n": int(self.dimension), "matrix": matrix_to_pairs(self.matrix)}
@@ -405,9 +400,7 @@ def tangent_from_generator(K, state: DensityState,
     _check_hermitian(K, "generator")
     coeff_identity, coeffs, mat = _orbit_tangent(
         K, state.matrix, _resolve_basis(K.shape[0], basis))
-    mat.setflags(write=False)
-    coeffs.setflags(write=False)
-    return TangentForm(float(coeff_identity), coeffs, mat)
+    return TangentForm(float(coeff_identity), *_frozen(coeffs, mat))
 
 
 def _orbit_tangent(K: np.ndarray, rho: np.ndarray,
@@ -433,9 +426,7 @@ def numeric_tangent(family, theta: float, step: float = DEFAULT_FD_STEP,
     coeff_identity, coeffs, diff = _difference_quotient(
         plus, _as_square(family(theta - step)), step,
         _resolve_basis(plus.shape[0], basis))
-    diff.setflags(write=False)
-    coeffs.setflags(write=False)
-    return TangentForm(float(coeff_identity), coeffs, diff)
+    return TangentForm(float(coeff_identity), *_frozen(coeffs, diff))
 
 
 def _difference_quotient(plus: np.ndarray, minus: np.ndarray, step: float,

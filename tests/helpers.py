@@ -181,13 +181,19 @@ def condition_number(eigenvalues, tol):
 KAPPA_C = 4.0
 
 
+def kappa_bound(L, eigenvalues, tol, c=KAPPA_C):
+    """c kappa eps max(1, |L|_max), the LU forward-error bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 9), for
+    an SLD matrix L of the state with these eigenvalues."""
+    return (c * condition_number(eigenvalues, tol) * np.finfo(float).eps
+            * max(1.0, np.abs(L).max()))
+
+
 def assert_within_kappa_bound(a, b, eigenvalues, tol, c=KAPPA_C):
-    """Two SLD solutions of one system agree to c kappa eps max(1, |L|_max),
-    the LU forward-error bound (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sec. 9), with the same gauge dimension."""
+    """Two SLD solutions of one system agree to :func:`kappa_bound` of b's
+    L, with the same gauge dimension."""
     assert a.gauge_dim == b.gauge_dim
-    bound = (c * condition_number(eigenvalues, tol) * np.finfo(float).eps
-             * max(1.0, np.abs(b.matrix).max()))
+    bound = kappa_bound(b.matrix, eigenvalues, tol, c)
     assert abs(a.coeff_identity - b.coeff_identity) <= bound
     assert np.abs(a.coeffs - b.coeffs).max(initial=0.0) <= bound
     assert np.abs(a.matrix - b.matrix).max() <= bound

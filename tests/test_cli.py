@@ -621,7 +621,9 @@ class TestTensorCommand:
         assert code == 0
         data = json.loads(out)
         n, directions = len(weights.split(",")), data["tensor"]["directions"]
-        assert calls == [((n * n, n * n), (n * n, directions))]
+        # the one state's held operator, every direction a column of its
+        # stack of one right-hand-side block
+        assert calls == [((n * n, n * n), (1, n * n, directions))]
         assert data["max_deviation"] < 1e-9
 
     @pytest.mark.parametrize("weights", [
@@ -1101,12 +1103,21 @@ def _run_child(argv, preexec_fn=None):
     return result.returncode, result.stdout, result.stderr
 
 
-@pytest.mark.parametrize("argv, n", [
-    (["basis", "--n", "100000"], 100000),
+def _basis_size(n):
+    return (f"the generator basis at n = {n} takes 16 n^4 = "
+            f"{16 * n ** 4:.3g} bytes")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["basis", "--n", "100000"], _basis_size(100000)),
     (["sld", "--input", {"kind": "weight_path", "n": 10 ** 6,
-                         "weights": [1.0], "weight_rates": [0.0]}], 10 ** 6),
-], ids=["basis", "sld"])
-def test_huge_n_fails_at_once(tmp_path, argv, n):
+                         "weights": [1.0], "weight_rates": [0.0]}],
+     _basis_size(10 ** 6)),
+    # the basis fits (1.6 GB), the joins of its structure constants do not
+    # (before: numpy's "Unable to allocate 155. MiB ..." line)
+    (["basis", "--n", "100"], "the structure constants at n = 100"),
+], ids=["basis", "sld", "constants"])
+def test_huge_n_fails_at_once(tmp_path, argv, message):
     # in a child limited to 2 GiB of address space, set in that child only:
     # the generator stack is allocated before its labels are made, so the
     # size fails at once (before, basis died after seconds with a bare
@@ -1119,8 +1130,21 @@ def test_huge_n_fails_at_once(tmp_path, argv, n):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     assert _run_child(argv, limited) == (
-        1, "", f"error: out of memory: the generator basis at n = {n} takes "
-               f"16 n^4 = {16 * n ** 4:.3g} bytes\n")
+        1, "", f"error: out of memory: {message}\n")
+
+
+def test_basis_json_out_of_memory_names_n(capsys, monkeypatch):
+    # the JSON of the basis and its constants outgrows memory long before
+    # their arrays: under 2 GiB of address space, basis --n 60 ran about
+    # 13 s before it failed with a bare "error: out of memory" (CI runs
+    # that call in a fresh process)
+    def exhausted(payload):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_dump_json", exhausted)
+    assert main(["basis", "--n", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory: the basis and "
+                                   "structure constants at n = 3 as JSON\n")
 
 
 @pytest.mark.parametrize("family, command, expected", [

@@ -13,15 +13,24 @@ their orbit forms -i[K, rho] may also couple the small levels, which is
 rejected exactly when one of them is kernel.
 """
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (assert_same_modulo_gauge, assert_within_kappa_bound,
-                     haar_unitary, random_hermitian)
+from helpers import (KAPPA_C, assert_same_modulo_gauge,
+                     assert_within_kappa_bound, haar_unitary, kappa_bound,
+                     random_hermitian)
 
 from sldkit import (DensityState, KernelInconsistentError, MixingWeights,
+                    cli, sld_solver,
                     TangentForm, assemble, base_point, build_basis,
                     chart_tangents, closed_form, closed_form_fisher,
                     compute_structure_constants, fisher_tensor,
@@ -149,6 +158,95 @@ def test_solver_and_oracle_share_the_rank_rule(problem):
     scale = max(1.0, np.abs(spectral.matrix).max())
     assert np.abs(sol.matrix - spectral.matrix).max() * smallest_kept \
         <= 1e-13 * scale
+
+
+#: c of the solver-against-oracle bound.  KAPPA_C bounds one solve's L
+#: against the exact L; the oracle's L has an error of its own, so two
+#: algorithms may differ by the sum.  Over 45,000 near-cutoff states at
+#: n = 2..8 the solver and the oracle differed by up to 6.3 kappa eps
+#: max(1, |L|) (n = 5, one O(1) level and four at or just below the
+#: cutoff, kappa = 2), more than KAPPA_C alone allows
+SOLVER_ORACLE_C = 2 * KAPPA_C
+
+
+@settings(deadline=None)
+@given(near_cutoff_problems())
+def test_solver_within_the_kappa_bound_of_the_oracle(problem):
+    # the library solve against the oracle near the rank threshold
+    weights, state, form = problem
+    constants = compute_structure_constants(build_basis(weights.dimension))
+    sol = _solve_or_reject(
+        lambda: solve(assemble(state, form, constants), state))
+    if sol is not None:
+        assert_within_kappa_bound(sol, sld_eigenbasis(state, form),
+                                  state.eigenvalues, DEFAULT_TOL,
+                                  SOLVER_ORACLE_C)
+
+
+@st.composite
+def near_cutoff_families(draw):
+    """An exp_generator family whose weights put levels next to the
+    cutoff, and a few thetas in [0, 2]."""
+    weights, _, _ = draw(near_cutoff_problems())
+    n = weights.dimension
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = {"kind": "exp_generator", "n": n,
+              "weights": weights.values.tolist(),
+              "generator_coeffs": rng.normal(size=n * n - 1).tolist()}
+    thetas = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+    return family, sorted(thetas)
+
+
+def _cli_json(argv):
+    """The command's JSON, or None when it fails (its error line kept off
+    the test's stderr)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return json.loads(out.getvalue()) if cli.main(argv) == 0 else None
+
+
+@settings(deadline=None, max_examples=50)
+@given(near_cutoff_families())
+def test_sld_and_the_sweep_within_the_kappa_bound_of_the_oracle(problem):
+    # sldkit sld (method general against oracle) and the stacked solve of
+    # sldkit qfi (against the oracle's pair rule) near the rank threshold;
+    # an orbit direction may couple levels on both sides of the cutoff,
+    # which both methods reject alike
+    family, thetas = problem
+    spec = cli.parse_family(family)
+    states, forms = cli.family_state_and_tangent(spec, np.array(thetas))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(family, fh)
+        for i, theta in enumerate(thetas):
+            a, b = (_cli_json(["sld", "--input", path, "--theta", repr(theta),
+                               "--method", method])
+                    for method in ("general", "oracle"))
+            assert (a is None) == (b is None)
+            if a is None:
+                continue
+            a, b = SimpleNamespace(**a), SimpleNamespace(**b)
+            for sol in (a, b):  # the printed fields as SLDSolution's
+                sol.coeff_identity = sol.L_identity
+                sol.coeffs = np.array(sol.L)
+                sol.matrix = np.array(sol.matrix) @ [1.0, 1j]
+            assert_within_kappa_bound(a, b, states.eigenvalues[i],
+                                      DEFAULT_TOL, SOLVER_ORACLE_C)
+    basis = build_basis(spec.n)
+    stacked = _solve_or_reject(lambda: sld_solver._solve_stack(
+        states, forms, compute_structure_constants(basis), DEFAULT_TOL, basis))
+    spectral = _solve_or_reject(lambda: sld_solver._pair_rule(
+        states.eigenvalues, states.eigenvectors,
+        sld_solver._in_frame(states.eigenvectors, forms.matrix),
+        DEFAULT_TOL)[0])
+    assert (stacked is None) == (spectral is None)
+    if stacked is None:
+        return
+    for L, reference, lam in zip(stacked, spectral, states.eigenvalues):
+        assert np.abs(L - reference).max() <= kappa_bound(
+            reference, lam, DEFAULT_TOL, SOLVER_ORACLE_C)
 
 
 #: tolerances a sequence of solves switches between: the default, one that

@@ -139,18 +139,26 @@ class TestPerStateOperator:
         assert np.array_equal(M, expected)
 
         system = assemble(state, zero_form(n, basis), constants)
-        gauge, r, weights, projector, operator = (
-            sld_solver._scaled_operator(system, state, 1e-10, basis))
+        held = sld_solver._scaled_operator(system, state, 1e-10, basis)
+        # built once per tolerance and basis, and held on the state
+        assert held is state._operator
+        assert (held.tol, held.basis, held.matrix) == (1e-10, basis,
+                                                       system.matrix)
+        assert held is sld_solver._scaled_operator(system, state, 1e-10,
+                                                   basis)
+        r, gauge = held.kernel.shape[-1], held.gauge
         assert len(gauge) == (n - rank) ** 2 == r ** 2
+        assert np.array_equal(held.kernel[0], state.eigenvectors[:, :r])
+        weights = held.weights[0, 0]
         Z = weights * np.array([np.r_[expand(g, basis)] for g in gauge]
                                ).reshape(-1, n * n)
         reference = Z.T @ Z
         if gauge:
-            assert np.abs(projector - reference).max() <= 1e-14
+            assert np.abs(held.projector - reference).max() <= 1e-14
         else:
-            assert projector is None
-        assert np.abs(operator - (M * np.outer(weights, 1.0 / weights)
-                                  + reference)).max() <= 1e-14
+            assert held.projector is None
+        assert np.abs(held.operator - (M * np.outer(weights, 1.0 / weights)
+                                       + reference)).max() <= 1e-14
 
 
 class TestSolve:
@@ -476,7 +484,9 @@ class TestStackedForms:
         assert system.rhs.shape == (len(forms), n * n)
         assert system.form_matrix.shape == (len(forms), n, n)
         solutions = solve(system, state)
-        assert calls == [((n * n, n * n), (n * n, len(forms)))]
+        # the held operator, every direction a column of the one state's
+        # right-hand-side block
+        assert calls == [((n * n, n * n), (1, n * n, len(forms)))]
         assert isinstance(solutions, tuple) and len(solutions) == len(forms)
         for form, sol in zip(forms, solutions):
             assert sol.gauge_dim == (n - rank) ** 2
@@ -517,7 +527,7 @@ class TestStackedForms:
         constants = compute_structure_constants(basis)
         state = _random_state(n, rank, rng, basis)
         solve(assemble(state, zero_form(n, basis), constants), state)
-        operator = state._operator.scaled[1][-1]
+        operator = state._operator.operator
         assert np.abs(operator - operator.T).max() <= 1e-15
         assert np.linalg.cond(operator) == pytest.approx(
             condition_number(state.eigenvalues, 1e-10), rel=1e-8)

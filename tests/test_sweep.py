@@ -11,7 +11,11 @@ residual.  Peak memory grows with the block, not with the sweep.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 
 from helpers import count_lu_solves, haar_unitary
 
+import sldkit
 from sldkit import (DensityState, KernelInconsistentError, TangentForm,
                     assemble, build_basis, cli, compute_structure_constants,
                     qfi_eigenbasis, qfi_index, sld_solver, solve)
@@ -270,19 +275,20 @@ def test_kernel_size_returning_in_one_block(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("method", ["general", "oracle", "closed"])
 def test_sweep_takes_no_residual(tmp_path, monkeypatch, method):
-    # a rank-2 state at n = 4: the kernel gauge runs, no residual does
+    # a rank-2 state at n = 4: the kernel gauge runs, no residual does (it
+    # is taken only where solutions are finalized)
     path = tmp_path / "family.json"
     path.write_text(json.dumps({
         "kind": "exp_generator", "n": 4, "weights": [0.6, 0.4, 0.0, 0.0],
         "generator_coeffs": np.linspace(-0.7, 0.9, 15).tolist()}))
     calls = []
-    residual = sld_solver._residual
+    finalize = sld_solver._finalize
 
     def counting(*args):
         calls.append(1)
-        return residual(*args)
+        return finalize(*args)
 
-    monkeypatch.setattr(sld_solver, "_residual", counting)
+    monkeypatch.setattr(sld_solver, "_finalize", counting)
     assert cli.main(["qfi", "--input", str(path), "--theta-range", "0:1:24",
                      "--check-oracle", "--method", method,
                      "--output", str(tmp_path / "out.json")]) == 0
@@ -315,6 +321,47 @@ def test_sweep_memory_grows_with_the_block_not_the_sweep(tmp_path):
     # the short sweep fills one whole block of 64 thetas at n = 8
     short, long = _sweep_peak(tmp_path, 64), _sweep_peak(tmp_path, 480)
     assert long < 2 * short, (short, long)
+
+
+#: runs argv and prints its exit code and peak RSS in kB.  A child's
+#: ru_maxrss starts at the RSS of the process that spawned it, which for
+#: pytest is far above the bound; spawned from this bare interpreter, the
+#: measured child starts near 13 MB
+_PEAK_RSS = ("import os, subprocess, sys\n"
+             "child = subprocess.Popen(sys.argv[1:],\n"
+             "                         stdout=subprocess.DEVNULL)\n"
+             "_, status, usage = os.wait4(child.pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def _child_peak_mb(tmp_path, n, count):
+    """Exit code and peak RSS in MB of ``python -m sldkit.cli qfi
+    --check-oracle`` over ``count`` thetas of an n-level exp_generator
+    family, in a fresh process with one BLAS thread."""
+    path = tmp_path / f"n{n}.json"
+    path.write_text(json.dumps({
+        "kind": "exp_generator", "n": n,
+        "weights": (np.arange(n, 0, -1) / (n * (n + 1) / 2)).tolist(),
+        "generator_coeffs": np.linspace(-1, 1, n * n - 1).tolist()}))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(sldkit.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "sldkit.cli",
+         "qfi", "--input", str(path), "--theta-range", f"0:1:{count}",
+         "--check-oracle"], env=env, capture_output=True, text=True,
+        timeout=120)
+    code, kb = map(int, result.stdout.split())
+    return code, kb / 1024
+
+
+@pytest.mark.parametrize("n, count", [(8, 2000), (10, 500)])
+def test_sweep_peak_rss_in_a_fresh_process(tmp_path, n, count):
+    # blocks of 64 thetas at n = 8 and of 40 at n = 10, solved one state
+    # per chunk from n = 9 on: the peak stays under 60 MB (about 35 and
+    # 34 MB on a 2-core x86-64 VM; one stack of every theta would take
+    # about 240 MB at n = 8).  About 0.4 s each
+    code, mb = _child_peak_mb(tmp_path, n, count)
+    assert code == 0 and mb < 60, (code, mb)
 
 
 def test_one_budget_sizes_the_blocks_and_the_chunks(tmp_path, capsys,
