@@ -483,8 +483,9 @@ def _reject_kernel_pairs(block: np.ndarray, norm, tol: float) -> None:
         round-off of the product that formed the block cannot either.
     """
     blocked = np.abs(block)
-    bad = blocked.max((-2, -1)) > tol * np.maximum(1.0, norm)
-    if _any(bad):
+    # every item's limit is at least tol: a block all below it passes
+    if blocked.max(initial=0.0) > tol and _any(
+            bad := blocked.max((-2, -1)) > tol * np.maximum(1.0, norm)):
         size = blocked.shape[-1]
         item = np.ravel(bad).argmax()
         blocked = blocked.reshape(-1, size, size)[item]
