@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -189,6 +189,14 @@ class GeneratorBasis:
 
     def generator(self, i: int) -> np.ndarray:
         return self.generators[i]
+
+    @cached_property
+    def _real_rows(self) -> np.ndarray:
+        """The generators as an (n^2 - 1) x 2n^2 real matrix, one flat
+        generator's real and imaginary parts per row: a view of the
+        C-contiguous stack, made once per basis."""
+        n = self.dimension
+        return self.generators.view(float).reshape(n * n - 1, 2 * n * n)
 
     def to_json_dict(self) -> dict:
         return {

@@ -28,9 +28,12 @@ k directions at each: :func:`solve` is its S = 1 case, with the parts of
 the system that rho alone fixes held on the state and reused across
 calls, and the ``sldkit qfi`` sweep (:func:`_solve_stack`) its k = 1
 case, building those parts afresh for each chunk of states.  The body
-takes runs of states with one kernel size, runs the rejection test once
-per run, and makes one LU solve per chunk with every direction as a
-column.
+follows a plan of runs of states with one kernel size (:func:`_plan`),
+runs the rejection test once per run, and makes one LU solve per chunk
+with every direction as a column, through :func:`_lu_solve`, the one
+call of LAPACK's gesv.  A held state also keeps its one-state plan and
+its frozen gauge, so a further direction there pays for its arithmetic
+and little else.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError
+# LAPACK's gesv beneath np.linalg.solve: numpy keeps the gufunc private, so
+# it is imported here alone and called from _lu_solve alone
+from numpy.linalg._umath_linalg import solve as _gesv
 
 from .lie_basis import (GeneratorBasis, StructureConstants, _frozen,
                         matrix_to_pairs)
@@ -50,8 +57,8 @@ from .state_space import (DEFAULT_TOL, DensityState, MixingWeights,
 #: bytes of one n^2 x n^2 float array stacked over a chunk of states: 2
 #: states at n = 8, 6 at n = 6, one from n = 9 on.  :func:`_solve_runs`
 #: runs its LU solve a chunk at a time, each chunk a slice of a run of
-#: states with one kernel size, and the sweep builds each chunk's M, scaled
-#: operator and Z^T Z just before its solve.
+#: states with one kernel size (:func:`_plan`), and the sweep builds each
+#: chunk's M, scaled operator and Z^T Z just before its solve.
 #: ``sldkit qfi`` sizes its blocks of thetas from the same budget, as one
 #: stacked n x n complex array (64 thetas at n = 8, 40 at n = 10), so a
 #: sweep's memory grows with the block, not with the sweep.  Larger
@@ -147,12 +154,12 @@ def _finalize(L: np.ndarray, coeff_identity, coeffs: np.ndarray,
     ||drho - 1/2 {rho, L}||_F.
 
     ``L``, ``coeff_identity``, ``coeffs`` and ``form_matrix`` carry one
-    leading axis over the solutions, which share the gauge basis (a tuple,
-    frozen here).
+    leading axis over the solutions, which share the gauge basis (a tuple
+    of read-only matrices, frozen where it is built).
     """
     residual = _frobenius(form_matrix
                           - 0.5 * (state_matrix @ L + L @ state_matrix))
-    _frozen(L, coeffs, *gauge)
+    _frozen(L, coeffs)
     return tuple(map(SLDSolution, coeff_identity.tolist(), coeffs, L,
                      itertools.repeat(gauge), residual.tolist()))
 
@@ -164,10 +171,11 @@ class _StateOperator:
     ``matrix`` is M for ``constants``, set by :func:`assemble`.
     :func:`solve` completes the record for one ``tol`` and ``basis`` (None
     until then) with:
+    - ``plan``, the one-state plan of :func:`_solve_runs` (its kernel size
+      r, its one run and its one chunk), from :func:`_plan`;
     - ``kernel``, the r kernel columns of rho's eigenframe as a contiguous
-      (1, n, r) stack, which gives the kernel size r and the rejection
-      test's frame;
-    - ``gauge``, the kernel gauge basis;
+      (1, n, r) stack, the rejection test's frame;
+    - ``gauge``, the kernel gauge basis, frozen once, when it is built;
     - ``weights``, the Frobenius weights W, shaped (1, 1, n^2);
     - ``projector``, Z^T Z (None when the gauge is empty);
     - ``operator``, the scaled operator W M W^-1 + Z^T Z.
@@ -184,11 +192,17 @@ class _StateOperator:
     matrix: np.ndarray
     tol: float | None = None
     basis: GeneratorBasis | None = None
+    plan: tuple = ()
     kernel: np.ndarray | None = None
     gauge: tuple = ()
     weights: np.ndarray | None = None
     projector: np.ndarray | None = None
     operator: np.ndarray | None = None
+
+    def parts(self, part: slice, r: int) -> tuple:
+        """W, Z^T Z and the scaled operator, for the one chunk of
+        :func:`_solve_runs`."""
+        return self.weights, self.projector, self.operator
 
 
 def assemble(state: DensityState, forms,
@@ -269,14 +283,16 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     the oracle, and the solution is its minimum-norm representative.
 
     This is the one-state case of :func:`_solve_runs`, with the k forms as
-    its directions (k = 1 for a single form): one run and one chunk, whose
-    parts come from the record held on the state (its kernel size r too).
-    When ``system`` was assembled at ``state``, the record (the kernel, the
-    gauge, W, Z^T Z and the scaled operator) is built once per state and
-    tolerance and reused, so a further direction costs the rejection test
-    (nothing at a full-rank state), one LU solve with the k right-hand
-    sides as columns, one product for every L and the residuals.  A
-    one-element sequence gives bit for bit the single form's solution.
+    its directions (k = 1 for a single form): one run and one chunk.  When
+    ``system`` was assembled at ``state``, the record held there (the
+    one-state plan, the kernel, the frozen gauge, W, Z^T Z and the scaled
+    operator) is built once per state and tolerance and reused, so a
+    further direction costs the rejection test (nothing at a full-rank
+    state), one LU solve with the k right-hand sides as columns, one
+    product for every L and the residuals.  Directions solved one per call
+    at a held state give bit for bit what each gives solved alone at a
+    fresh state, and a one-element sequence gives bit for bit the single
+    form's solution.
 
     Raises
     ------
@@ -293,10 +309,9 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
         raise ValueError("state dimension does not match system")
     basis = _resolve_basis(n, basis)
     held = _scaled_operator(system, state, check_tolerance(tol), basis)
-    parts = held.weights, held.projector, held.operator
-    x = _solve_runs((held.kernel.shape[-1],), held.kernel,
+    x = _solve_runs(held.plan, held.kernel,
                     system.form_matrix.reshape(1, -1, n, n),
-                    system.rhs.reshape(1, -1, n * n), lambda part, r: parts,
+                    system.rhs.reshape(1, -1, n * n), held.parts,
                     held.tol)[0]
     solutions = _finalize(_reconstruct(x[:, 0], x[:, 1:], basis), x[:, 0],
                           x[:, 1:], state.matrix, system.form_matrix,
@@ -331,31 +346,70 @@ def _solve_stack(states, forms, constants: StructureConstants, tol: float,
                              states.coeffs[part], constants)
         return _scaled_parts(M, states.eigenvectors[part, :, :r], basis)[1:]
 
-    x = _solve_runs(sizes.tolist(), states.eigenvectors, forms.matrix[:, None],
+    n = basis.dimension
+    x = _solve_runs(_plan(sizes.tolist(), n * n), states.eigenvectors,
+                    forms.matrix[:, None],
                     np.concatenate((forms.coeff_identity[:, None, None],
                                     forms.coeffs[:, None]), -1), parts, tol)
     return _reconstruct(x[..., 0], x[..., 1:], basis)[:, 0]
 
 
-def _solve_runs(sizes, vectors: np.ndarray, forms: np.ndarray,
+def _plan(sizes, unknowns: int) -> tuple:
+    """The runs and chunks of :func:`_solve_runs` for states with these
+    kernel sizes r, with ``unknowns`` = n^2.
+
+    The states are taken in their own order, as runs of consecutive states
+    with one r (a sorted sweep changes r only where the family's rank
+    does), and each run is cut into chunks, slices of as many states as fit
+    one stacked n^2 x n^2 float array into ``_BLOCK_BYTES``.  One
+    ``(r, run, chunks)`` per run, with ``run`` a slice over the states and
+    ``chunks`` a tuple of slices.
+    """
+    chunk = max(1, _BLOCK_BYTES // (8 * unknowns ** 2))
+    plan, stop = [], 0
+    for r, run in itertools.groupby(sizes):
+        start, stop = stop, stop + len(list(run))
+        plan.append((r, slice(start, stop),
+                     tuple(slice(lo, min(lo + chunk, stop))
+                           for lo in range(start, stop, chunk))))
+    return tuple(plan)
+
+
+def _lu_solve(operator: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(operator, columns)`` for float stacks of
+    right-hand-side columns, without its Python wrapper.
+
+    The same gufunc (LAPACK's gesv) under the same error state as
+    ``np.linalg.solve``, so the same bits, and ``LinAlgError`` for a
+    singular operator.  The wrapper's checks and casts, which these
+    operands never need, cost about as much as the LU of an n = 4 system
+    (8.4 against 3.9 us).
+    """
+    with np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _gesv(operator, columns, signature="dd->d")
+
+
+def _singular(error, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _solve_runs(plan, vectors: np.ndarray, forms: np.ndarray,
                 rhs: np.ndarray, parts, tol: float) -> np.ndarray:
     """x of M x = d for S states and k directions at each: (S, k, n^2).
 
-    ``sizes`` is a sequence of the states' kernel sizes r, ``vectors``
-    their eigenvectors (S, n, m), ``forms`` the drho (S, k, n, n) and
-    ``rhs`` the d (S, k, n^2).  ``eigh`` sorts eigenvalues in ascending
-    order, so the kernel is each state's leading r levels, and ``vectors``
-    needs only those (m >= r).  The states are taken in their own order,
-    as runs of consecutive states with one r (a sorted sweep changes r
-    only where the family's rank does):
-    - the rejection test runs once per run, on every drho in the kernel
-      block of its state's eigenframe (nothing when r = 0);
-    - each run is cut into chunks, slices of as many states as fit one
-      stacked n^2 x n^2 float array into ``_BLOCK_BYTES``;
-    - ``parts(part, r)`` gives the chunk's W, Z^T Z (None for an empty
+    ``plan`` is the states' runs and chunks from :func:`_plan` (a held
+    state keeps its own), ``vectors`` the states' eigenvectors (S, n, m),
+    ``forms`` the drho (S, k, n, n) and ``rhs`` the d (S, k, n^2).
+    ``eigh`` sorts eigenvalues in ascending order, so the kernel is each
+    state's leading r levels, and ``vectors`` needs only those (m >= r).
+    For each run:
+    - the rejection test runs once, on every drho in the kernel block of
+      its state's eigenframe (nothing when r = 0);
+    - ``parts(part, r)`` gives each chunk's W, Z^T Z (None for an empty
       gauge) and W M W^-1 + Z^T Z, stacked over the chunk or shared by it;
     - the gauge component is taken off every W d, and one LU solve per
-      chunk takes every direction as a column.
+      chunk (:func:`_lu_solve`) takes every direction as a column.
     With Z the gauge directions in Frobenius-scaled coordinates y = W x,
     the solve of (W M W^-1 + Z^T Z) y = W d - Z^T Z W d gives the
     minimum-norm x: W M W^-1, the anticommutator in an orthonormal basis,
@@ -370,21 +424,17 @@ def _solve_runs(sizes, vectors: np.ndarray, forms: np.ndarray,
         From :func:`_reject_kernel_pairs`, at the first run that fails.
     """
     x = np.empty(rhs.shape)
-    chunk = max(1, _BLOCK_BYTES // (8 * rhs.shape[-1] ** 2))
-    stop = 0
-    for r, run in itertools.groupby(sizes):
-        start, stop = stop, stop + len(list(run))
+    for r, run, chunks in plan:
         if r:  # V copied contiguous: strided columns round differently
-            V = np.ascontiguousarray(vectors[start:stop, None, :, :r])
-            D = forms[start:stop]
-            _reject_kernel_pairs(_in_frame(V, D), _frobenius(D), tol)
-        for lo in range(start, stop, chunk):
-            part = slice(lo, min(lo + chunk, stop))
+            V = np.ascontiguousarray(vectors[run, None, :, :r])
+            D = forms[run]
+            _reject_kernel_pairs(_in_frame(V, D), D, tol)
+        for part in chunks:
             weights, projector, operator = parts(part, r)
             wd = (weights * rhs[part]).swapaxes(-1, -2)  # W d, as columns
             if projector is not None:
                 wd -= projector @ wd
-            x[part] = np.linalg.solve(operator, wd).swapaxes(-1, -2) / weights
+            x[part] = _lu_solve(operator, wd).swapaxes(-1, -2) / weights
             del projector, operator  # freed before the next chunk's M
     return x
 
@@ -406,6 +456,7 @@ def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
     vectors = state.eigenvectors[:, :r]
     record = _StateOperator(
         held.constants if own else None, system.matrix, tol, basis,
+        _plan((r,), system.matrix.shape[-1]),
         np.ascontiguousarray(vectors[None]),
         *_scaled_parts(system.matrix.copy(), vectors, basis))
     if own:
@@ -415,8 +466,8 @@ def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
 
 def _scaled_parts(operator: np.ndarray, vectors: np.ndarray,
                   basis: GeneratorBasis) -> tuple:
-    """The kernel gauge (a tuple over its leading axis), W, Z^T Z and
-    W M W^-1 + Z^T Z.
+    """The kernel gauge (a tuple over its leading axis, read-only), W,
+    Z^T Z and W M W^-1 + Z^T Z.
 
     ``operator`` is M, turned into W M W^-1 + Z^T Z in place; ``vectors``
     are the kernel levels' eigenvectors; both may carry a leading stack
@@ -432,7 +483,7 @@ def _scaled_parts(operator: np.ndarray, vectors: np.ndarray,
     operator[..., 1:, 0] *= weights[1] * (1.0 / weights[0])
     gauge, projector = (), None
     if vectors.shape[-1]:
-        gauge = _kernel_gauge(vectors)
+        gauge, = _frozen(_kernel_gauge(vectors))
         coeff_identity, coeffs = _coefficients(gauge, basis)
         Z = weights * np.concatenate((coeff_identity[..., None], coeffs), -1)
         projector = np.matmul(Z.swapaxes(-1, -2), Z)
@@ -460,32 +511,34 @@ def _kept_pairs(lam: np.ndarray, form: np.ndarray, tol: float):
     dropped = kernel[..., :, None] & kernel[..., None, :]
     if _any(kernel):
         # the kept pairs zeroed: the largest entry left is on a dropped pair
-        _reject_kernel_pairs(np.where(dropped, form, 0.0), _frobenius(form),
-                             float(tol))
+        _reject_kernel_pairs(np.where(dropped, form, 0.0), form, float(tol))
     return lam[..., :, None] + lam[..., None, :], ~dropped, kernel
 
 
-def _reject_kernel_pairs(block: np.ndarray, norm, tol: float) -> None:
+def _reject_kernel_pairs(block: np.ndarray, form: np.ndarray,
+                         tol: float) -> None:
     """The rejection test on drho's kernel block in rho's eigenframe.
 
     ``block`` is drho on the leading levels of rho's eigenframe, zero off
-    the pairs of kernel levels, and ``norm`` is ||drho||_F, or a stack of
-    both.  On a pair of kernel levels D_ab = (lam_a + lam_b) L_ab / 2 has a
+    the pairs of kernel levels, and ``form`` is drho, or a stack of both.
+    On a pair of kernel levels D_ab = (lam_a + lam_b) L_ab / 2 has a
     solution only if D_ab vanishes.
 
     Raises
     ------
     KernelInconsistentError
-        If some |D_ab| on the block exceeds ``tol * max(1, norm)``; for a
-        stack, at the first such item.  The message names the largest
+        If some |D_ab| on the block exceeds ``tol * max(1, ||drho||_F)``;
+        for a stack, at the first such item.  The message names the largest
         entry's mirror with a <= b, so rounding between D_ab and D_ba cannot
         change it, and a diagonal D_aa with a zero imaginary part, so the
         round-off of the product that formed the block cannot either.
     """
     blocked = np.abs(block)
     # every item's limit is at least tol: a block all below it passes
+    # before any norm is taken
     if blocked.max(initial=0.0) > tol and _any(
-            bad := blocked.max((-2, -1)) > tol * np.maximum(1.0, norm)):
+            bad := blocked.max((-2, -1))
+            > tol * np.maximum(1.0, _frobenius(form))):
         size = blocked.shape[-1]
         item = np.ravel(bad).argmax()
         blocked = blocked.reshape(-1, size, size)[item]
@@ -554,8 +607,9 @@ def _pair_rule_solution(lam, vectors, frame_form, state_matrix, form, tol,
     Hermitian by construction, so it is expanded without a check."""
     L, kernel = _pair_rule(lam, vectors, frame_form, tol)
     c_id, coeffs = _coefficients(L, _resolve_basis(L.shape[0], basis))
+    gauge, = _frozen(_kernel_gauge(vectors[:, kernel]))
     return _finalize(L[None], c_id[None], coeffs[None], state_matrix,
-                     form[None], tuple(_kernel_gauge(vectors[:, kernel])))[0]
+                     form[None], tuple(gauge))[0]
 
 
 def closed_form(weights: MixingWeights, form: TangentForm,

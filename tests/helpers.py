@@ -1,7 +1,15 @@
 """Shared test utilities: random draws, reference matrices and reference
 computations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+import sldkit
+from sldkit import sld_solver
 
 SQ3 = np.sqrt(3.0)
 
@@ -140,17 +148,42 @@ def loop_kernel_gauge(vectors):
 
 
 def count_lu_solves(monkeypatch):
-    """Record the (operator, right-hand side) shapes of every
-    ``np.linalg.solve`` call from here on; returns the growing list."""
+    """Record the (operator, right-hand side) shapes of every LU solve from
+    here on, at the solver's one LAPACK call site
+    (``sld_solver._lu_solve``); returns the growing list."""
     calls = []
-    lu_solve = np.linalg.solve
+    lu_solve = sld_solver._lu_solve
 
     def counting(a, b):
         calls.append((np.shape(a), np.shape(b)))
         return lu_solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(sld_solver, "_lu_solve", counting)
     return calls
+
+
+#: runs argv and prints its exit code and peak RSS in kB.  A child's
+#: ru_maxrss starts at the RSS of the process that spawned it, which for
+#: pytest is far above the bounds; spawned from this bare interpreter, the
+#: measured child starts near 13 MB
+_PEAK_RSS = ("import os, subprocess, sys\n"
+             "child = subprocess.Popen(sys.argv[1:],\n"
+             "                         stdout=subprocess.DEVNULL)\n"
+             "_, status, usage = os.wait4(child.pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def fresh_peak_mb(*args, timeout=120):
+    """Exit code and peak RSS in MB of ``python *args`` in a fresh process
+    with one BLAS thread and this sldkit on its path, spawned through the
+    bare launcher above."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(sldkit.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, *args], env=env,
+        capture_output=True, text=True, timeout=timeout)
+    code, kb = map(int, result.stdout.split())
+    return code, kb / 1024
 
 
 def condition_number(eigenvalues, tol):

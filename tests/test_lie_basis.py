@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import GELL_MANN, PAULI, SQ3, dense_structure_constants
+from helpers import (GELL_MANN, PAULI, SQ3, dense_structure_constants,
+                     fresh_peak_mb)
 
 from sldkit import (GeneratorBasis, StructureConstants, StructureTensor,
                     build_basis, compute_structure_constants, verify_basis)
@@ -237,6 +238,17 @@ def test_verify_basis_n10_is_sparse_and_fast():
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+
+def test_verify_basis_n16_peak_rss_in_a_fresh_process():
+    # the basis, its structure constants and verify_basis at n = 16 in a
+    # fresh process: no violation, and the peak RSS under 100 MB.  About 1.6 s
+    code, mb = fresh_peak_mb("-c", (
+        "import sys, sldkit\n"
+        "basis = sldkit.build_basis(16)\n"
+        "constants = sldkit.compute_structure_constants(basis)\n"
+        "sys.exit(0 if sldkit.verify_basis(basis, constants) == [] else 1)\n"))
+    assert code == 0 and mb < 100, (code, mb)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -257,7 +257,7 @@ class TestSolve:
                    "0.000e+00+5.000e-01j on a pair of kernel levels "
                    "(eigenvalues <= tol = 1.000e-10)")
         with pytest.raises(KernelInconsistentError) as excinfo:
-            sld_solver._reject_kernel_pairs(block, 1.0, 1e-10)
+            sld_solver._reject_kernel_pairs(block, block, 1e-10)
         assert str(excinfo.value) == message
         drho = np.zeros((4, 4), dtype=complex)
         drho[0, 2] = drho[2, 0] = 0.3
@@ -284,8 +284,7 @@ class TestSolve:
         for vectors in (strided, np.ascontiguousarray(strided)):
             with pytest.raises(KernelInconsistentError) as excinfo:
                 sld_solver._reject_kernel_pairs(
-                    sld_solver._in_frame(vectors, drho),
-                    np.linalg.norm(drho), 1e-10)
+                    sld_solver._in_frame(vectors, drho), drho, 1e-10)
             messages.add(str(excinfo.value))
         (message,) = messages
         assert message.startswith("kernel-inconsistent tangent: <0|drho|0> = ")
@@ -369,6 +368,13 @@ def assert_same_solution(a, b, atol=1e-13):
     assert abs(a.residual - b.residual) <= atol
 
 
+def assert_same_bits(a, b):
+    assert a.gauge_dim == b.gauge_dim
+    assert a.coeff_identity == b.coeff_identity and a.residual == b.residual
+    assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
 class TestPerStateReuse:
     """Directions at one state share its eigenframe and operator."""
 
@@ -396,6 +402,33 @@ class TestPerStateReuse:
                           fresh_state, tol)
             assert_same_solution(shared, fresh)
             assert shared.gauge_dim == np.count_nonzero(k <= tol) ** 2
+
+    @pytest.mark.parametrize(
+        "n, rank",
+        [pytest.param(n, n, id=f"n{n}-full") for n in range(2, 9)]
+        + [pytest.param(n, max(n - 2, 1), id=f"n{n}-deficient")
+           for n in range(2, 9)])
+    def test_held_directions_keep_their_bits(self, n, rank):
+        # the held record (plan, kernel, frozen gauge, scaled operator)
+        # gives a direction the bits it gets alone at a fresh state
+        rng = np.random.default_rng(110 + 10 * n + rank)
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        state = _random_state(n, rank, rng, basis)
+        forms = [orbit_form(state, rng, basis) for _ in range(4)]
+        held = [solve(assemble(state, form, constants), state)
+                for form in forms]
+        assert held[0].gauge_dim == (n - rank) ** 2
+        for form, sol in zip(forms[1:], held[1:]):
+            fresh = DensityState.from_matrix(state.matrix, basis)
+            assert_same_bits(sol, solve(assemble(fresh, form, constants),
+                                        fresh))
+        # a sequence of forms at the held state, and at a fresh one
+        fresh = DensityState.from_matrix(state.matrix, basis)
+        for a, b in zip(solve(assemble(state, forms[1:], constants), state),
+                        solve(assemble(fresh, forms[1:], constants), fresh),
+                        strict=True):
+            assert_same_bits(a, b)
 
     def test_one_eigh_per_state(self, monkeypatch):
         calls = []
@@ -458,6 +491,39 @@ class TestPerStateReuse:
         # the earlier system no longer holds the state's M: it still solves
         assert_same_solution(solve(first, state), solve(second, state))
         assert assemble(state, form, copy).matrix is second.matrix
+
+
+class TestLUSolve:
+    """The solver's one LAPACK call, through numpy's private gesv gufunc,
+    against ``np.linalg.solve`` on the numpy installed."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("stack, k", [
+        pytest.param(None, 1, id="held-one"),
+        pytest.param(None, "all", id="held-all"),
+        pytest.param(1, 3, id="one-state"),
+        pytest.param(1, "all", id="one-state-all"),
+        pytest.param(3, 1, id="chunk")])
+    def test_bits_of_np_linalg_solve(self, n, stack, k):
+        # the shapes the body passes: a held (N, N) operator or a stack of
+        # them, with the right-hand sides as the columns of a transposed
+        # (S, k, N) block
+        rng = np.random.default_rng(90 + n)
+        size = n * n
+        k = size - 1 if k == "all" else k
+        lead = () if stack is None else (stack,)
+        operator = rng.normal(size=lead + (size, size)) + size * np.eye(size)
+        columns = rng.normal(size=(stack or 1, k, size)).swapaxes(-1, -2)
+        x = sld_solver._lu_solve(operator, columns)
+        assert x.shape == (stack or 1, size, k)
+        assert x.tobytes() == np.linalg.solve(operator, columns).tobytes()
+
+    @pytest.mark.parametrize("stack", [None, 3])
+    def test_singular_operator_raises(self, stack):
+        operator = np.ones((4, 4)) if stack is None else np.stack(
+            (np.eye(4), np.ones((4, 4)), np.eye(4)))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            sld_solver._lu_solve(operator, np.ones((stack or 1, 4, 2)))
 
 
 def _kernel_coupling(state, rng, scale=1e-3):

@@ -11,11 +11,7 @@ residual.  Peak memory grows with the block, not with the sweep.
 """
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,9 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_lu_solves, haar_unitary
+from helpers import count_lu_solves, fresh_peak_mb, haar_unitary
 
-import sldkit
 from sldkit import (DensityState, KernelInconsistentError, TangentForm,
                     assemble, build_basis, cli, compute_structure_constants,
                     qfi_eigenbasis, qfi_index, sld_solver, solve)
@@ -323,17 +318,6 @@ def test_sweep_memory_grows_with_the_block_not_the_sweep(tmp_path):
     assert long < 2 * short, (short, long)
 
 
-#: runs argv and prints its exit code and peak RSS in kB.  A child's
-#: ru_maxrss starts at the RSS of the process that spawned it, which for
-#: pytest is far above the bound; spawned from this bare interpreter, the
-#: measured child starts near 13 MB
-_PEAK_RSS = ("import os, subprocess, sys\n"
-             "child = subprocess.Popen(sys.argv[1:],\n"
-             "                         stdout=subprocess.DEVNULL)\n"
-             "_, status, usage = os.wait4(child.pid, 0)\n"
-             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
-
-
 def _child_peak_mb(tmp_path, n, count):
     """Exit code and peak RSS in MB of ``python -m sldkit.cli qfi
     --check-oracle`` over ``count`` thetas of an n-level exp_generator
@@ -343,15 +327,8 @@ def _child_peak_mb(tmp_path, n, count):
         "kind": "exp_generator", "n": n,
         "weights": (np.arange(n, 0, -1) / (n * (n + 1) / 2)).tolist(),
         "generator_coeffs": np.linspace(-1, 1, n * n - 1).tolist()}))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(Path(sldkit.__file__).resolve().parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "sldkit.cli",
-         "qfi", "--input", str(path), "--theta-range", f"0:1:{count}",
-         "--check-oracle"], env=env, capture_output=True, text=True,
-        timeout=120)
-    code, kb = map(int, result.stdout.split())
-    return code, kb / 1024
+    return fresh_peak_mb("-m", "sldkit.cli", "qfi", "--input", str(path),
+                         "--theta-range", f"0:1:{count}", "--check-oracle")
 
 
 @pytest.mark.parametrize("n, count", [(8, 2000), (10, 500)])
