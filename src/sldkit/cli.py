@@ -56,11 +56,11 @@ with "-" and a digit is a value, so a sweep may start below zero:
 JSON is a usage error that names the file, and so is a JSON boolean or
 string in a numeric field (numpy would read true as 1 and "0.5" as 0.5).
 Finite numbers too large to work with are errors too: weights that sum to
-inf, and generator_coeffs whose Fisher information could overflow (magnitude
-above sqrt(max float / 8) / n^2), are usage errors; any other overflow,
-division by zero or invalid floating-point operation in a command is a
-numerical error, never a numpy warning.  A basis too large for memory
-names n and its 16 n^4 bytes.
+inf, and generator_coeffs and weight_rates whose Fisher information could
+overflow (magnitude above sqrt(max float / 8) / n^2, and 1e-10 times that),
+are usage errors; any other overflow, division by zero or invalid
+floating-point operation in a command is a numerical error, never a numpy
+warning.  A basis too large for memory names n and its 16 n^4 bytes.
 
 JSON output is byte for byte ``json.dumps(payload, indent=2)`` and a line
 break: ``basis``, ``sld`` and ``tensor`` write it with :func:`_dump_json`,
@@ -109,11 +109,11 @@ import numpy as np
 
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
-from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, DensityState,
-                          MixingWeights, TangentForm, _check_unit_sum,
-                          _difference_quotient, _FormStack, _orbit_tangent,
-                          _StateStack, base_point, check_tolerance,
-                          reconstruct, transversal_tangent)
+from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, POSITIVITY_FLOOR,
+                          DensityState, MixingWeights, TangentForm,
+                          _check_unit_sum, _difference_quotient, _FormStack,
+                          _orbit_tangent, _StateStack, base_point,
+                          check_tolerance, reconstruct, transversal_tangent)
 
 _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
 #: slack on both ends of a sampled theta range
@@ -125,6 +125,11 @@ _TENSOR_MAX_N = 16
 #: 2 ||K||_F = 2 sqrt(2 sum c_k^2), so |c_k| <= c bounds the Fisher
 #: information by 8 n^2 c^2; the limit keeps n^2 times that bound finite
 _COEFF_LIMIT = math.sqrt(sys.float_info.max / 8.0)
+#: weight_rates may reach this over n^2 in magnitude.  A weight_path's SLD
+#: is diag(dk_i / k_i) on the levels above the tolerance, which is at least
+#: -POSITIVITY_FLOOR = 1e-10, so the limit keeps |L| within the generator
+#: coefficients' limit _COEFF_LIMIT / n^2
+_RATE_LIMIT = _COEFF_LIMIT * -POSITIVITY_FLOOR
 #: the element types of a run of numbers, and of a run of number lists
 _NUMBERS = frozenset((int, float))
 _SEQUENCES = frozenset((list, tuple))
@@ -219,12 +224,7 @@ def parse_family(data: dict) -> FamilySpec:
             raise ValueError(
                 f"generator_coeffs must have length {n * n - 1}, "
                 f"got shape {coeffs.shape}")
-        largest, peak = _COEFF_LIMIT / n ** 2, np.abs(coeffs).max()
-        if peak > largest:
-            raise ValueError(
-                f"generator_coeffs must not exceed {largest:.3g} in magnitude "
-                f"at n = {n}, got {peak:.3g}: the Fisher information would "
-                f"overflow")
+        _check_magnitude("generator_coeffs", coeffs, _COEFF_LIMIT, n)
         K = reconstruct(0.0, coeffs, basis)
         base = np.diag(fields["weights"].values).astype(complex)
         fields.update(generator=K, generator_eigh=np.linalg.eigh(K),
@@ -254,12 +254,24 @@ def parse_family(data: dict) -> FamilySpec:
         if rates.shape != (n,):
             raise ValueError(f"weight_rates must have length {n}, "
                              f"got shape {rates.shape}")
+        _check_magnitude("weight_rates", rates, _RATE_LIMIT, n)
         fields.update(weight_rates=rates, tangent=transversal_tangent(
             rates, base_point(fields["weights"], basis), basis))
     for value in (*fields.values(), *fields.get("generator_eigh", ())):
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return FamilySpec(kind=kind, n=n, **fields)
+
+
+def _check_magnitude(name: str, values: np.ndarray, limit: float,
+                     n: int) -> None:
+    """Reject ``values`` above ``limit / n^2`` in magnitude, past which the
+    Fisher information could overflow."""
+    largest, peak = limit / n ** 2, np.abs(values).max()
+    if peak > largest:
+        raise ValueError(
+            f"{name} must not exceed {largest:.3g} in magnitude at n = {n}, "
+            f"got {peak:.3g}: the Fisher information would overflow")
 
 
 def _positive_step(value) -> float:
@@ -635,11 +647,8 @@ def _theta_values(args) -> np.ndarray:
         parts = args.theta_range.split(":")
         if len(parts) != 3:
             raise ValueError("theta range must be START:STOP:COUNT")
-        try:
-            bounds = [float(part) for part in parts[:2]]
-        except ValueError:
-            raise ValueError("theta must be numeric") from None
-        start, stop = _finite("theta", bounds)
+        start, stop = _finite("theta", [
+            _parsed(float, part, "theta must be numeric") for part in parts[:2]])
         count = _parsed(int, parts[2], "theta range count must be an integer")
         if count < 1:
             raise ValueError("theta range count must be at least 1")

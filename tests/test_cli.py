@@ -69,6 +69,15 @@ QUQUART_FAMILY = {
                          0.2, -0.3, 0.15, 0.05, -0.1, 0.0, 0.35],
 }
 
+#: rank 2 at n = 4, so the kernel gauge and its projector run
+RANK2_QUQUART_FAMILY = {
+    "kind": "exp_generator",
+    "n": 4,
+    "weights": [0.6, 0.4, 0.0, 0.0],
+    "generator_coeffs": [0.3, 0.0, 0.5, 0.0, 0.0, 0.2, 0.0, 0.0, 0.1, 0.0,
+                         0.0, 0.0, 0.4, 0.0, 0.0],
+}
+
 PURE_QUTRIT_FAMILY = {
     "kind": "exp_generator",
     "n": 3,
@@ -172,9 +181,10 @@ class TestSldCommand:
           "weight_rates": [0.1, -0.05, -0.05]}, 0),
         ({"kind": "weight_path", "n": 3, "weights": [0.6, 0.4, 0.0],
           "weight_rates": [0.1, -0.1, 0.0]}, 1),
+        (RANK2_QUQUART_FAMILY, 4),
     ], ids=["exp-full", "exp-deficient", "exp-rank2", "explicit-full",
             "explicit-deficient", "weight_path-full",
-            "weight_path-deficient"])
+            "weight_path-deficient", "exp-rank2-sparse"])
     def test_sld_is_the_library_solve(self, tmp_path, capsys, payload,
                                       gauge_dim, method):
         # the one-state library call on the family's state and tangent,
@@ -377,15 +387,18 @@ class TestQfiCommand:
             assert cells[1] == pytest.approx(0.25, abs=1e-9)
             assert cells[3] < 1e-9
 
-    def test_check_oracle_summary(self, tmp_path, capsys):
-        family = write_family(tmp_path, QUBIT_FAMILY)
+    @pytest.mark.parametrize("payload, bound", [
+        (QUBIT_FAMILY, 1e-9), (RANK2_QUQUART_FAMILY, 1e-10)],
+        ids=["qubit", "n4-rank2"])
+    def test_check_oracle_summary(self, tmp_path, capsys, payload, bound):
+        family = write_family(tmp_path, payload)
         code, out, _ = run(["qfi", "--input", family,
                             "--theta-range", "0:1:5", "--check-oracle"],
                            capsys)
         assert code == 0
         data = json.loads(out)
         assert len(data["rows"]) == 5
-        assert data["max_abs_dev"] < 1e-9
+        assert data["max_abs_dev"] < bound
 
     def test_explicit_matrices_family(self, tmp_path, capsys):
         # diagonal family linear in theta: rho = diag(0.75 - t/10, 0.25 + t/10)
@@ -600,6 +613,12 @@ class TestTensorCommand:
     @pytest.mark.parametrize("weights, directions", [
         ("0.75,0.25", 2), ("0.4,0.3,0.2,0.1", 12), ("0.5,0.5,0,0", 8),
         ("0.5,0.2,0.2,0.1,0", 18), ("0.6,0.4,0,0,0", 14),
+        # n = 16 in one LU solve: weights 16..1 keep all 120 pairs, and two
+        # zero weights drop the pair of the kernel levels
+        pytest.param(",".join(repr(k / 136) for k in range(16, 0, -1)), 240,
+                     id="n16"),
+        pytest.param(",".join([repr(k / 105) for k in range(14, 0, -1)]
+                              + ["0", "0"]), 238, id="n16-rank14"),
     ])
     def test_any_dimension(self, capsys, weights, directions):
         code, out, _ = run(["tensor", "--weights", weights], capsys)
@@ -609,6 +628,7 @@ class TestTensorCommand:
         assert len(data["closed_form"]["pairs"]) == n * (n - 1) // 2
         assert data["tensor"]["directions"] == directions
         assert data["max_deviation"] <= 1e-12
+        assert out == json.dumps(data, indent=2) + "\n"
 
     @pytest.mark.parametrize("weights", [
         "0.5,0.3,0.2", "0.5,0.5,0,0", "0.6,0.4,0,0,0",
@@ -796,8 +816,10 @@ class TestInvalidNumbers:
         (["--thetas", "0.1,abc"], "thetas must be numeric, got 'abc'"),
         (["--theta-range", "0:1"], "theta range must be START:STOP:COUNT"),
         (["--theta-range", "0:1:0"], "theta range count must be at least 1"),
+        (["--theta-range", "a:1:3"], "theta must be numeric, got 'a'"),
+        (["--theta-range", "0:1x:3"], "theta must be numeric, got '1x'"),
     ], ids=["count-float", "count-decimal", "count-empty", "thetas-word",
-            "range-parts", "count-zero"])
+            "range-parts", "count-zero", "start-word", "stop-word"])
     def test_rejects_unparsable_thetas(self, tmp_path, capsys, args,
                                        message):
         family = write_family(tmp_path, QUBIT_FAMILY)
@@ -834,12 +856,13 @@ _JSON_VALUES = st.recursive(
 class TestJsonRoundTrip:
     def test_emitted_json_reparses_identically(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
-        # 100 thetas at n = 8 are two blocks of the sweep
+        # 100 and 200 thetas at n = 8 are two and four blocks of the sweep
         octet = write_family(tmp_path, {
             "kind": "exp_generator", "n": 8,
             "weights": (np.arange(8, 0, -1) / 36).tolist(),
             "generator_coeffs": np.linspace(-1, 1, 63).tolist()}, "n8.json")
-        assert 100 > sld_solver._BLOCK_BYTES // (16 * 8 ** 2)
+        block = sld_solver._BLOCK_BYTES // (16 * 8 ** 2)
+        assert (-(-100 // block), -(-200 // block)) == (2, 4)
         cases = [
             ["basis", "--n", "3"],
             ["sld", "--input", family, "--theta", "0.3"],
@@ -847,6 +870,8 @@ class TestJsonRoundTrip:
             ["qfi", "--input", family, "--thetas", "-0.0,0.25",
              "--check-oracle"],
             ["qfi", "--input", octet, "--theta-range", "0:1:100",
+             "--check-oracle"],
+            ["qfi", "--input", octet, "--theta-range", "0:1:200",
              "--check-oracle"],
             ["tensor", "--weights", "0.5,0.3,0.2"],
         ]
@@ -907,8 +932,8 @@ class TestJsonRoundTrip:
 
     @pytest.mark.parametrize("payload", [
         QUTRIT_FAMILY, PURE_QUTRIT_FAMILY, QUQUART_FAMILY,
-        dict(QUQUART_FAMILY, weights=[0.6, 0.4, 0.0, 0.0])],
-        ids=["n3", "n3-rank1", "n4", "n4-rank2"])
+        dict(QUQUART_FAMILY, weights=[0.6, 0.4, 0.0, 0.0]), QUBIT_FAMILY],
+        ids=["n3", "n3-rank1", "n4", "n4-rank2", "n2"])
     @pytest.mark.parametrize("method", ["general", "oracle", "closed"])
     def test_sld_payload_is_the_indented_encoding(self, tmp_path, capsys,
                                                   payload, method):
@@ -1136,8 +1161,8 @@ def test_huge_n_fails_at_once(tmp_path, argv, message):
 def test_basis_json_out_of_memory_names_n(capsys, monkeypatch):
     # the JSON of the basis and its constants outgrows memory long before
     # their arrays: under 2 GiB of address space, basis --n 60 ran about
-    # 13 s before it failed with a bare "error: out of memory" (CI runs
-    # that call in a fresh process)
+    # 13 s before it failed with a bare "error: out of memory" (too slow to
+    # run here; failing it at once from n is still open)
     def exhausted(payload):
         raise MemoryError
 
@@ -1153,18 +1178,34 @@ def test_basis_json_out_of_memory_names_n(capsys, monkeypatch):
      ["qfi", "--thetas", "1"],
      (1, "error: generator_coeffs must not exceed 1.19e+153 in magnitude at "
          "n = 2, got 1e+308: the Fisher information would overflow\n")),
+    (dict(QUBIT_FAMILY, generator_coeffs=[1e308, 1e308, 0]),
+     ["qfi", "--thetas", "0"],
+     (1, "error: generator_coeffs must not exceed 1.19e+153 in magnitude at "
+         "n = 2, got 1e+308: the Fisher information would overflow\n")),
     # before: numpy's overflow warning (two lines) ahead of the error
     (dict(WEIGHT_PATH_FAMILY, weights=[1e308, 1e308], weight_rates=[0, 0]),
      ["qfi", "--thetas", "0"], (1, "error: weights must sum to 1, got inf\n")),
-    # a finite input whose numbers overflow past the checks
+    # before: exit 2 with "error: floating-point overflow encountered in
+    # matmul", which named no field
     (dict(WEIGHT_PATH_FAMILY, weight_rates=[1e200, -1e200]),
      ["qfi", "--thetas", "0"],
-     (2, "error: floating-point overflow encountered in matmul\n")),
+     (1, "error: weight_rates must not exceed 1.19e+143 in magnitude at "
+         "n = 2, got 1e+200: the Fisher information would overflow\n")),
     # before: solved, exit 0
     (dict(WEIGHT_PATH_FAMILY, weights=["0.75", "0.25"]),
      ["qfi", "--thetas", "0"], (1, "error: weights must be numeric\n")),
-], ids=["generator-overflow", "weights-overflow", "rates-overflow",
-        "numeric-strings"])
+    (dict(WEIGHT_PATH_FAMILY, weights=["0.75", "0.25"],
+          weight_rates=["1", "-1"]),
+     ["qfi", "--thetas", "0"], (1, "error: weights must be numeric\n")),
+    # a pure state whose tangent moves weight onto its kernel level
+    (dict(WEIGHT_PATH_FAMILY, weights=[1.0, 0.0], weight_rates=[-1.0, 1.0]),
+     ["sld", "--theta", "0"],
+     (2, "error: kernel-inconsistent tangent: <0|drho|0> = "
+         "1.000e+00+0.000e+00j on a pair of kernel levels (eigenvalues <= "
+         "tol = 1.000e-10)\n")),
+], ids=["generator-overflow", "generator-overflow-theta0", "weights-overflow",
+        "rates-overflow", "numeric-strings", "numeric-strings-rates",
+        "kernel-inconsistent"])
 def test_out_of_range_family_fails_with_one_line(tmp_path, family, command,
                                                  expected):
     path = write_family(tmp_path, family)
@@ -1189,6 +1230,29 @@ def test_largest_generator_coefficients_solve_cleanly(tmp_path):
                                          "--method", method])
             assert (code, err) == (0, "")
             assert np.isfinite(json.loads(out)["max_abs_dev"])
+
+
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("smallest", [None, 2e-10],
+                         ids=["spread", "near-tol"])
+def test_largest_weight_rates_solve_cleanly(tmp_path, capsys, n, smallest):
+    # at the bound, each method runs with nothing on stderr, also where a
+    # level sits just above the tolerance and L = dk / k is largest there
+    weights = np.arange(n, 0, -1.0)
+    weights /= weights.sum()
+    if smallest is not None:
+        weights = np.append(weights[:-1] / weights[:-1].sum()
+                            * (1.0 - smallest), smallest)
+    rates = np.full(n, cli._RATE_LIMIT / n ** 2)
+    rates[::2] *= -1
+    path = write_family(tmp_path, {
+        "kind": "weight_path", "n": n, "weights": weights.tolist(),
+        "weight_rates": rates.tolist()})
+    for method in ("general", "oracle"):
+        code, out, err = run(["qfi", "--input", path, "--thetas", "0",
+                              "--check-oracle", "--method", method], capsys)
+        assert (code, err) == (0, "")
+        assert np.isfinite(json.loads(out)["max_abs_dev"])
 
 
 #: JSON values of the wrong kind for a family field

@@ -44,8 +44,9 @@ def test_build_basis_n2_is_pauli(basis2):
 
 def test_build_basis_n3_is_gell_mann(basis3):
     assert len(basis3.generators) == 8
-    for got, expected in zip(basis3.generators, GELL_MANN):
-        assert np.allclose(got, expected, atol=1e-15)
+    for i, expected in enumerate(GELL_MANN):
+        assert np.allclose(basis3.generators[i], expected, atol=1e-15)
+        assert np.array_equal(basis3.generator(i), basis3.generators[i])
     assert basis3.diagonal_indices == (2, 7)
 
 

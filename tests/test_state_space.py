@@ -22,6 +22,14 @@ class TestMixingWeights:
         assert w.rank == 2
         assert w.dimension == 4
 
+    def test_sequence_protocol(self):
+        w = MixingWeights([0.5, 0.3, 0.2], n=4)
+        assert len(w) == 4
+        assert (w[0], w[-1]) == (0.5, 0.0)
+        assert np.array_equal(w[1:3], [0.3, 0.2])
+        assert list(w) == [0.5, 0.3, 0.2, 0.0]
+        assert repr(w) == "MixingWeights([0.5, 0.3, 0.2, 0.0])"
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             MixingWeights([1.2, -0.2])

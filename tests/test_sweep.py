@@ -232,35 +232,42 @@ def test_solver_chunks_do_not_change_the_stack(monkeypatch, n):
     assert gauge_dims == [4] * 4 + [1] * 4 + [0] * 3
 
 
+@pytest.mark.parametrize("n", [4, 9])
 @pytest.mark.parametrize("chunk", [2, 32], ids=["chunks-of-2", "whole-runs"])
 def test_kernel_size_returning_in_one_block(tmp_path, capsys, monkeypatch,
-                                            chunk):
+                                            chunk, n):
     # kernel sizes 2 on [0, 0.3], 1 on (0.3, 0.5], 0 on (0.5, 0.85) and 1
     # again on [0.85, 1]: each run is solved on its own, in theta order,
     # and r = 1 twice
-    rng = np.random.default_rng(4)
-    U = haar_unitary(4, rng)
+    rng = np.random.default_rng(n)
+    U = haar_unitary(n, rng)
     samples = []
     for t, zeros in ((0.0, 2), (0.3, 2), (0.5, 1), (0.7, 0), (0.85, 1),
                      (1.0, 1)):
-        w = np.zeros(4)
-        w[:4 - zeros] = 0.9 * rng.dirichlet(np.ones(4 - zeros)) + 0.1 / 4
+        w = np.zeros(n)
+        w[:n - zeros] = 0.9 * rng.dirichlet(np.ones(n - zeros)) + 0.1 / n
         samples.append([t, matrix_to_pairs((U * (w / w.sum())) @ U.conj().T)])
-    family = {"kind": "explicit_matrices", "n": 4, "fd_step": 1e-3,
+    family = {"kind": "explicit_matrices", "n": n, "fd_step": 1e-3,
               "matrices": samples}
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family))
+    # 40 thetas that stay 0.0125 from every sample, so no central
+    # difference crosses into another kernel size: within 1e-10 of the
+    # oracle
+    assert cli.main(["qfi", "--input", str(path), "--check-oracle",
+                     "--theta-range", "0.0125:0.9875:40"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_abs_dev"] < 1e-10
     thetas = [0.1, 0.2, 0.35, 0.4, 0.45, 0.55, 0.6, 0.8, 0.9, 0.95]
     calls = count_lu_solves(monkeypatch)
-    # the budget of ``chunk`` 16 x 16 operators holds all ten thetas as
-    # one block of 4 x 4 complex matrices
-    monkeypatch.setattr(sld_solver, "_BLOCK_BYTES", chunk * 8 * 4 ** 4)
+    # the budget of ``chunk`` n^2 x n^2 operators holds all ten thetas as
+    # one block of n x n complex matrices
+    monkeypatch.setattr(sld_solver, "_BLOCK_BYTES", chunk * 8 * n ** 4)
     assert cli.main(["qfi", "--input", str(path), "--check-oracle",
                      "--thetas", ",".join(map(str, thetas))]) == 0
-    assert calls == _lu_calls_per_run((2, 3, 3, 2), chunk, 4)
+    assert calls == _lu_calls_per_run((2, 3, 3, 2), chunk, n)
     rows = json.loads(capsys.readouterr().out)["rows"]
     spec = cli.parse_family(family)
-    constants = compute_structure_constants(build_basis(4))
+    constants = compute_structure_constants(build_basis(n))
     singles = [_single(spec, theta, constants) for theta in thetas]
     assert [single[3] for single in singles] == [4, 4, 1, 1, 1, 0, 0, 0, 1, 1]
     for row, (qfi, qfi_oracle, *_) in zip(rows, singles):
