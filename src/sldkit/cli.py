@@ -3,10 +3,18 @@
 Commands
 --------
 basis   Emit a generator basis and its structure constants as JSON.
+        Flags: --n, --output.
 sld     Solve for the SLD of a one-parameter family at a given theta.
+        Flags: --input, --method, --fd-step, --theta, --output, --tol.
 qfi     Tabulate the quantum Fisher information over a theta sweep.
+        Flags: --input, --method, --fd-step, --thetas, --theta-range,
+        --check-oracle, --output, --format {json,csv}, --tol.
 tensor  Fisher tensor over the orbit chart of diag(k), 2 <= n <= 16, with
-        closed-form comparison.
+        closed-form comparison.  Flags: --weights, --output, --tol.
+
+Each command takes only the flags it reads: any other flag, such as
+--format on ``basis``, ``sld`` or ``tensor`` (which write JSON only) or
+--tol on ``basis``, is a usage error, argparse's "unrecognized arguments".
 
 ``sld`` and ``qfi`` take ``--method``: ``general`` (structure-constant
 solve), ``oracle`` (spectral), or ``closed``, which applies the pair-rule
@@ -586,13 +594,7 @@ def _tolerance(args) -> float:
         raise ValueError(f"SLDKIT_TOL: {exc}") from None
 
 
-def _require_json_format(args):
-    if args.format != "json":
-        raise ValueError("csv format is only supported by the qfi command")
-
-
 def cmd_basis(args) -> int:
-    _require_json_format(args)
     basis = build_basis(args.n)
     constants = compute_structure_constants(basis)
     try:  # its lists outgrow memory long before the arrays they are made of
@@ -605,7 +607,6 @@ def cmd_basis(args) -> int:
 
 
 def cmd_sld(args) -> int:
-    _require_json_format(args)
     spec = _load_family(args.input)
     tol = _tolerance(args)
     thetas = np.array([_number("theta", args.theta)])
@@ -690,7 +691,6 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    _require_json_format(args)
     values = [_parsed(float, tok, "weights must be numeric")
               for tok in map(str.strip, args.weights.split(",")) if tok]
     if not 2 <= len(values) <= _TENSOR_MAX_N:
@@ -714,9 +714,11 @@ def cmd_tensor(args) -> int:
     return 0
 
 
-def _add_common_flags(parser):
+def _add_output_flag(parser):
     parser.add_argument("--output", help="write to this path instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_tol_flag(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="numerical tolerance (default 1e-10 or SLDKIT_TOL)")
 
@@ -739,13 +741,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="emit a generator basis and its "
                                      "structure constants")
     p.add_argument("--n", type=int, required=True)
-    _add_common_flags(p)
+    _add_output_flag(p)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("sld", help="solve for the SLD of a family at theta")
     _add_family_flags(p)
     p.add_argument("--theta", type=float, default=0.0)
-    _add_common_flags(p)
+    _add_output_flag(p)
+    _add_tol_flag(p)
     p.set_defaults(func=cmd_sld)
 
     p = sub.add_parser("qfi", help="tabulate the Fisher information over theta")
@@ -754,7 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-range", help="START:STOP:COUNT sweep")
     p.add_argument("--check-oracle", action="store_true",
                    help="add a spectral-method column and deviation summary")
-    _add_common_flags(p)
+    _add_output_flag(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_tol_flag(p)
     p.set_defaults(func=cmd_qfi)
 
     p = sub.add_parser("tensor", help="Fisher tensor over the orbit chart "
@@ -763,7 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True,
                    help="comma-separated weights k_1..k_n, "
                         f"2 <= n <= {_TENSOR_MAX_N}")
-    _add_common_flags(p)
+    _add_output_flag(p)
+    _add_tol_flag(p)
     p.set_defaults(func=cmd_tensor)
     return parser
 

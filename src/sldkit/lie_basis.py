@@ -207,12 +207,13 @@ class GeneratorBasis:
 
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
-    """Antisymmetric (c) and symmetric (f) structure constants of a basis."""
+    """Antisymmetric (c) and symmetric (f) structure constants of a basis,
+    with the basis's diagonal-generator slots."""
 
     dimension: int
     c: StructureTensor
     f: StructureTensor
-    diagonal_indices: tuple = ()
+    diagonal_indices: tuple
 
     def to_json_dict(self) -> dict:
         return {

@@ -352,8 +352,11 @@ class TangentForm:
     @classmethod
     def from_coefficients(cls, coeff_identity: float, coeffs,
                           basis: GeneratorBasis | None = None) -> "TangentForm":
+        coeff_identity = float(coeff_identity)
         coeffs = np.asarray(coeffs, dtype=float).copy()
-        return cls(float(coeff_identity), *_frozen(
+        if not (np.isfinite(coeff_identity) and np.isfinite(coeffs).all()):
+            raise ValueError("tangent coefficients must be finite")
+        return cls(coeff_identity, *_frozen(
             coeffs, reconstruct(coeff_identity, coeffs, basis)))
 
     def to_json_dict(self) -> dict:

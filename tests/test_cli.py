@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -1111,10 +1112,37 @@ class TestFamilyValidation:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_csv_only_for_qfi(self, capsys):
-        code, _, err = run(["basis", "--n", "2", "--format", "csv"], capsys)
-        assert code == 1
-        assert "csv" in err
+    @pytest.mark.parametrize("argv, flag", [
+        (["basis", "--n", "2", "--tol", "nan"], "--tol nan"),
+        (["basis", "--n", "2", "--tol", "1e-8"], "--tol 1e-8"),
+        (["basis", "--n", "2", "--format", "json"], "--format json"),
+        (["basis", "--n", "2", "--format", "csv"], "--format csv"),
+        (["sld", "--input", "f.json", "--format", "json"], "--format json"),
+        (["tensor", "--weights", "0.5,0.5", "--format", "csv"],
+         "--format csv"),
+    ], ids=["basis-tol-nan", "basis-tol", "basis-json", "basis-csv",
+            "sld-json", "tensor-csv"])
+    def test_flag_the_command_does_not_read(self, capsys, argv, flag):
+        # refused by the parser, before any file is read
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {flag}\n"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("basis", ["--n", "--output"]),
+        ("sld", ["--input", "--method", "--fd-step", "--theta", "--output",
+                 "--tol"]),
+        ("qfi", ["--input", "--method", "--fd-step", "--thetas",
+                 "--theta-range", "--check-oracle", "--output", "--format",
+                 "--tol"]),
+        ("tensor", ["--weights", "--output", "--tol"]),
+    ], ids=["basis", "sld", "qfi", "tensor"])
+    def test_each_command_lists_only_its_flags(self, capsys, command, flags):
+        code, out, _ = run([command, "-h"], capsys)
+        assert code == 0
+        assert re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.M) == [
+            "--help", *flags]
+        assert ("--format {json,csv}" in out) == (command == "qfi")
 
 
 def _run_child(argv, preexec_fn=None):
@@ -1214,22 +1242,22 @@ def test_out_of_range_family_fails_with_one_line(tmp_path, family, command,
     assert out == ""
 
 
-def test_largest_generator_coefficients_solve_cleanly(tmp_path):
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("method", ["general", "oracle", "closed"])
+def test_largest_generator_coefficients_solve_cleanly(tmp_path, capsys, n,
+                                                      method):
     # at the bound, every method runs with nothing on stderr
-    for n in (2, 16):
-        coeffs = np.full(n * n - 1, cli._COEFF_LIMIT / n ** 2)
-        coeffs[::2] *= -1
-        weights = np.arange(n, 0, -1.0)
-        path = write_family(tmp_path, {
-            "kind": "exp_generator", "n": n,
-            "weights": (weights / weights.sum()).tolist(),
-            "generator_coeffs": coeffs.tolist()}, f"n{n}.json")
-        for method in ("general", "oracle", "closed"):
-            code, out, err = _run_child(["qfi", "--input", path, "--thetas",
-                                         "0,1", "--check-oracle",
-                                         "--method", method])
-            assert (code, err) == (0, "")
-            assert np.isfinite(json.loads(out)["max_abs_dev"])
+    coeffs = np.full(n * n - 1, cli._COEFF_LIMIT / n ** 2)
+    coeffs[::2] *= -1
+    weights = np.arange(n, 0, -1.0)
+    path = write_family(tmp_path, {
+        "kind": "exp_generator", "n": n,
+        "weights": (weights / weights.sum()).tolist(),
+        "generator_coeffs": coeffs.tolist()})
+    code, out, err = run(["qfi", "--input", path, "--thetas", "0,1",
+                          "--check-oracle", "--method", method], capsys)
+    assert (code, err) == (0, "")
+    assert np.isfinite(json.loads(out)["max_abs_dev"])
 
 
 @pytest.mark.parametrize("n", [2, 16])

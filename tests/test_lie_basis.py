@@ -1,5 +1,6 @@
 """Generator bases and structure constants."""
 
+import dataclasses
 import itertools
 import json
 import time
@@ -11,8 +12,8 @@ import pytest
 from helpers import (GELL_MANN, PAULI, SQ3, dense_structure_constants,
                      fresh_peak_mb)
 
-from sldkit import (GeneratorBasis, StructureConstants, StructureTensor,
-                    build_basis, compute_structure_constants, verify_basis)
+from sldkit import (GeneratorBasis, StructureTensor, build_basis,
+                    compute_structure_constants, verify_basis)
 from sldkit.lie_basis import (DROP_TOL, _jacobi_sums, matrix_to_pairs,
                               pairs_to_matrix)
 
@@ -259,7 +260,7 @@ def test_verify_basis_detects_jacobi_violation(n):
     triples, values = map(np.array, zip(*good.c.items()))
     values[0] *= 1.01
     bad_c = StructureTensor(good.c.size, triples, values, symmetric=False)
-    report = verify_basis(basis, StructureConstants(n, bad_c, good.f))
+    report = verify_basis(basis, dataclasses.replace(good, c=bad_c))
     assert any("Jacobi identity violated" in msg for msg in report)
     assert any("product reconstruction" in msg for msg in report)
     # the sparse cyclic sums, gathered over every l, equal the dense ones
@@ -283,13 +284,13 @@ def test_verify_basis_detects_diagonal_triples():
     basis = build_basis(4)
     good = compute_structure_constants(basis)
     assert basis.diagonal_indices == (12, 13, 14)
-    bad_c = StructureConstants(4, _with_entry(good.c, (12, 13, 14), 0.25),
-                               good.f)
+    bad_c = dataclasses.replace(
+        good, c=_with_entry(good.c, (12, 13, 14), 0.25))
     assert [msg for msg in verify_basis(basis, bad_c)
             if "diagonal triple" in msg] == [
         "c nonzero on diagonal triple (12, 13, 14)"]
-    bad_f = StructureConstants(4, good.c,
-                               _with_entry(good.f, (0, 12, 13), 0.25))
+    bad_f = dataclasses.replace(
+        good, f=_with_entry(good.f, (0, 12, 13), 0.25))
     assert [msg for msg in verify_basis(basis, bad_f)
             if "diagonal triple" in msg] == [
         "f nonzero on mixed diagonal triple (12, 0, 13)",

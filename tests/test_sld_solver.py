@@ -12,7 +12,8 @@ from helpers import (anticommutator_matrix, assert_same_modulo_gauge,
 
 from sldkit import sld_solver
 from sldkit import (DensityState, InconsistentSystemError,
-                    KernelInconsistentError, MixingWeights, TangentForm,
+                    KernelInconsistentError, MixingWeights,
+                    StructureConstants, TangentForm,
                     adjoint_transport, assemble, base_point, build_basis,
                     closed_form, compute_structure_constants, expand,
                     qfi_eigenbasis, sld_eigenbasis, solve,
@@ -59,6 +60,18 @@ class TestAssemble:
             system = assemble(state, zero_form(3), constants3)
             assert np.linalg.det(system.diagonal_block()) == pytest.approx(
                 np.prod(k), abs=1e-12)
+
+    def test_constants_state_their_diagonal_slots(self, constants3):
+        # a record without its diagonal slots would make the block 1 x 1
+        with pytest.raises(TypeError, match="diagonal_indices"):
+            StructureConstants(3, constants3.c, constants3.f)
+        k = [0.5, 0.3, 0.2]
+        state = base_point(MixingWeights(k))
+        hand_built = StructureConstants(3, constants3.c, constants3.f,
+                                        build_basis(3).diagonal_indices)
+        block = assemble(state, zero_form(3), hand_built).diagonal_block()
+        assert block.shape == (3, 3)
+        assert np.linalg.det(block) == pytest.approx(np.prod(k), abs=1e-12)
 
     def test_three_level_offdiagonal_rows_decouple(self, constants3):
         k = [0.5, 0.3, 0.2]

@@ -411,6 +411,19 @@ def test_tangent_form_from_coefficients_round_trip(basis3):
     assert np.allclose(back, coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("coeff_identity, coeff", [
+    (np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan), (0.0, -np.inf)],
+    ids=["identity-nan", "identity-inf", "coeffs-nan", "coeffs-minus-inf"])
+def test_tangent_form_from_coefficients_rejects_non_finite(basis3,
+                                                           coeff_identity,
+                                                           coeff):
+    # as from_matrix does, rather than yield an SLD of NaNs
+    coeffs = np.zeros(8)
+    coeffs[3] = coeff
+    with pytest.raises(ValueError, match="tangent coefficients must be finite"):
+        TangentForm.from_coefficients(coeff_identity, coeffs, basis3)
+
+
 _QUBIT = DensityState.from_matrix(np.diag([0.6, 0.4]))
 
 
