@@ -5,16 +5,17 @@ Commands
 basis   Emit a generator basis and its structure constants as JSON.
         Flags: --n, --output.
 sld     Solve for the SLD of a one-parameter family at a given theta.
-        Flags: --input, --method, --fd-step, --theta, --output, --tol.
+        Flags: --input, --method, --theta, --output, --tol.
 qfi     Tabulate the quantum Fisher information over a theta sweep.
-        Flags: --input, --method, --fd-step, --thetas, --theta-range,
-        --check-oracle, --output, --format {json,csv}, --tol.
+        Flags: --input, --method, --thetas, --theta-range, --check-oracle,
+        --output, --format {json,csv}, --tol.
 tensor  Fisher tensor over the orbit chart of diag(k), 2 <= n <= 16, with
         closed-form comparison.  Flags: --weights, --output, --tol.
 
 Each command takes only the flags it reads: any other flag, such as
 --format on ``basis``, ``sld`` or ``tensor`` (which write JSON only) or
 --tol on ``basis``, is a usage error, argparse's "unrecognized arguments".
+A flag is read only when spelled in full: ``--form`` is not ``--format``.
 
 ``sld`` and ``qfi`` take ``--method``: ``general`` (structure-constant
 solve), ``oracle`` (spectral), or ``closed``, which applies the pair-rule
@@ -37,11 +38,12 @@ Families are described by a kind-tagged JSON object:
 for rho(theta) = exp(-i theta K) rho0 exp(i theta K) with K expanded on the
 generator basis;
 
-    {"kind": "explicit_matrices", "n": 2, "fd_step": 1e-5,
+    {"kind": "explicit_matrices", "n": 2,
      "matrices": [[0.0, [[[re, im], ...], ...]], ...]}
 
-for sampled matrices (linearly interpolated, tangents by central
-differences, one-sided within fd_step of either end); and
+for sampled matrices at distinct thetas, linearly interpolated, with the
+tangent the slope of the segment [t_{j-1}, t_j] that holds theta: a knot
+takes its left segment's slope, and each end its end segment's; and
 
     {"kind": "weight_path", "n": 2, "weights": [0.75, 0.25],
      "weight_rates": [1.0, -1.0]}
@@ -52,19 +54,17 @@ Exit status: 0 success (nothing on stderr), 1 usage error, 2 numerical error;
 diagnostics are a single stderr line prefixed "error:".  SLDKIT_TOL overrides
 the default tolerance 1e-10 (an explicit --tol wins; an error in SLDKIT_TOL
 names it); a tolerance that is not a number, not finite or below 1e-10, any
-non-finite number in a family, a theta or the tensor weights, a
-finite-difference step (fd_step or --fd-step, for any family kind) that is not
-positive or exceeds half the sampled range, and a theta outside the family's
-domain (the sampled range of explicit_matrices, or where a weight_path weight
-turns negative) are usage errors.  Every theta and the step are checked before
-the first theta is evaluated.  A request too large for memory (such as a
---theta-range COUNT of 10**13) is a usage error too.  An argument that starts
-with "-" and a digit is a value, so a sweep may start below zero:
---theta-range -1:1:40, --thetas -0.5,0.5.  A family file that is not UTF-8
-JSON is a usage error that names the file, and so is a JSON boolean or
-string in a numeric field (numpy would read true as 1 and "0.5" as 0.5).
-Finite numbers too large to work with are errors too: weights that sum to
-inf, and generator_coeffs and weight_rates whose Fisher information could
+non-finite number in a family, a theta or the tensor weights, a repeated
+sample theta, and a theta outside the family's domain (the sampled range of
+explicit_matrices, or where a weight_path weight turns negative) are usage
+errors.  Every theta is checked before any theta is evaluated.  A request too
+large for memory (such as a --theta-range COUNT of 10**13) is a usage error
+too.  An argument that starts with "-" and a digit is a value, so a sweep may
+start below zero: --theta-range -1:1:40, --thetas -0.5,0.5.  A family file
+that is not UTF-8 JSON is a usage error that names the file, and so is a JSON
+boolean or string in a numeric field (numpy would read true as 1 and "0.5" as
+0.5).  Finite numbers too large to work with are errors too: weights that sum
+to inf, and generator_coeffs and weight_rates whose Fisher information could
 overflow (magnitude above sqrt(max float / 8) / n^2, and 1e-10 times that),
 are usage errors; any other overflow, division by zero or invalid
 floating-point operation in a command is a numerical error, never a numpy
@@ -75,9 +75,9 @@ break: ``basis``, ``sld`` and ``tensor`` write it with :func:`_dump_json`,
 ``qfi`` with :func:`_rows_json`, both with the C encoder's float text.
 
 A family is parsed once per command: :class:`FamilySpec` holds what does not
-depend on theta, with the command's finite-difference step.  Both commands
-evaluate their thetas with :func:`family_state_and_tangent`, which takes a
-stack along a leading axis (one stacked ``eigh``).  ``sld`` wraps its one
+depend on theta.  Both commands evaluate their thetas with
+:func:`family_state_and_tangent`, which takes a stack along a leading axis
+(one stacked ``eigh``).  ``sld`` wraps its one
 state and tangent as a :class:`DensityState` and a :class:`TangentForm` and
 solves them through the library's one-state path (``solve``,
 ``sld_eigenbasis`` or the pair rule in the frame U(theta)), which gives the
@@ -109,7 +109,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -117,11 +117,11 @@ import numpy as np
 
 from . import fisher, oracle, sld_solver
 from .lie_basis import build_basis, compute_structure_constants, pairs_to_matrix
-from .state_space import (DEFAULT_FD_STEP, DEFAULT_TOL, POSITIVITY_FLOOR,
-                          DensityState, MixingWeights, TangentForm,
-                          _check_unit_sum, _difference_quotient, _FormStack,
-                          _orbit_tangent, _StateStack, base_point,
-                          check_tolerance, reconstruct, transversal_tangent)
+from .state_space import (DEFAULT_TOL, POSITIVITY_FLOOR, DensityState,
+                          MixingWeights, TangentForm, _check_unit_sum,
+                          _difference_quotient, _FormStack, _orbit_tangent,
+                          _StateStack, base_point, check_tolerance,
+                          reconstruct, transversal_tangent)
 
 _FAMILY_KINDS = ("exp_generator", "explicit_matrices", "weight_path")
 #: slack on both ends of a sampled theta range
@@ -149,15 +149,13 @@ class FamilySpec:
 
     :func:`parse_family` computes what does not depend on theta once, as
     read-only arrays: K = sum_k c_k t_k, its eigh and diag(k); the sorted
-    sample thetas and samples; the weight_path tangent diag(dk).
-    ``fd_step`` is the command's: the family's, or ``--fd-step``.
+    sample thetas, distinct, and samples; the weight_path tangent diag(dk).
     """
 
     kind: str
     n: int
     weights: MixingWeights | None = None
     weight_rates: np.ndarray | None = None
-    fd_step: float = DEFAULT_FD_STEP
     generator: np.ndarray | None = None
     generator_eigh: tuple | None = None
     base_matrix: np.ndarray | None = None
@@ -211,13 +209,12 @@ def parse_family(data: dict) -> FamilySpec:
     required = {"exp_generator": {"weights", "generator_coeffs"},
                 "explicit_matrices": {"matrices"},
                 "weight_path": {"weights", "weight_rates"}}[kind]
-    optional = {"fd_step"} if kind == "explicit_matrices" else set()
     present = set(data) - {"kind", "n"}
     missing = required - present
     if missing:
         raise ValueError(f"family kind {kind!r} is missing fields: "
                          f"{', '.join(sorted(missing))}")
-    extra = present - required - optional
+    extra = present - required
     if extra:
         raise ValueError(f"family kind {kind!r} does not accept fields: "
                          f"{', '.join(sorted(extra))}")
@@ -253,10 +250,14 @@ def parse_family(data: dict) -> FamilySpec:
         if len(samples) < 2:
             raise ValueError("explicit_matrices needs at least two samples")
         samples.sort(key=lambda s: s[0])
-        fields.update(sample_thetas=np.array([s[0] for s in samples]),
-                      sample_matrices=np.stack([s[1] for s in samples]),
-                      fd_step=_positive_step(data.get("fd_step",
-                                                      DEFAULT_FD_STEP)))
+        thetas = np.array([s[0] for s in samples])
+        repeated = np.diff(thetas) == 0
+        if repeated.any():
+            theta = float(thetas[repeated.argmax()])
+            raise ValueError(f"sample theta {theta!r} is repeated: "
+                             "explicit_matrices needs distinct sample thetas")
+        fields.update(sample_thetas=thetas,
+                      sample_matrices=np.stack([s[1] for s in samples]))
     else:
         rates = _finite("weight_rates", data["weight_rates"])
         if rates.shape != (n,):
@@ -280,26 +281,6 @@ def _check_magnitude(name: str, values: np.ndarray, limit: float,
         raise ValueError(
             f"{name} must not exceed {largest:.3g} in magnitude at n = {n}, "
             f"got {peak:.3g}: the Fisher information would overflow")
-
-
-def _positive_step(value) -> float:
-    step = _number("fd_step", value)
-    if step <= 0:
-        raise ValueError(f"fd_step must be positive, got {step!r}")
-    return step
-
-
-def _with_fd_step(spec: FamilySpec, override) -> FamilySpec:
-    """``spec`` with the finite-difference step of a command: ``--fd-step``
-    if given, else the family's.  An explicit_matrices family needs the
-    sampled range to hold a central difference."""
-    step = spec.fd_step if override is None else _positive_step(override)
-    if spec.kind == "explicit_matrices":
-        lo, hi = (float(t) for t in spec.sample_thetas[[0, -1]])
-        if hi - lo < 2.0 * step:
-            raise ValueError(f"fd_step {step!r} exceeds half the sampled range "
-                             f"[{lo!r}, {hi!r}]")
-    return replace(spec, fd_step=step)
 
 
 def _check_thetas(spec: FamilySpec, thetas: np.ndarray) -> None:
@@ -338,19 +319,6 @@ def _rotation(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
     return (V * np.exp(-1j * thetas[:, None, None] * w)) @ V.conj().T
 
 
-def _interpolate(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
-    """An explicit_matrices family at each theta, linear between its
-    samples (thetas clamped into the sampled range).  A zero-width first
-    segment is met only at its left end, which takes the first sample."""
-    samples, mats = spec.sample_thetas, spec.sample_matrices
-    thetas = np.minimum(np.maximum(thetas, samples[0]), samples[-1])
-    j = np.clip(np.searchsorted(samples, thetas), 1, samples.size - 1)
-    t0, t1 = samples[j - 1], samples[j]
-    frac = ((thetas - t0) / np.where(t1 > t0, t1 - t0, 1.0))[:, None, None]
-    inside = (1.0 - frac) * mats[j - 1] + frac * mats[j]
-    return np.where((thetas <= samples[0])[:, None, None], mats[0], inside)
-
-
 def family_state_and_tangent(spec: FamilySpec, thetas):
     """Evaluate the states and tangents of a family at an array of thetas.
 
@@ -359,11 +327,12 @@ def family_state_and_tangent(spec: FamilySpec, thetas):
     theta-dependent work is done here: exp_generator families get
     rho(theta) = U diag(k) U^dag, with U from the eigendecomposition of K
     held on ``spec``, and the analytic tangent -i[K, rho(theta)];
-    explicit_matrices use central differences with ``spec.fd_step`` on
-    the interpolated samples, taken at theta clamped into [lo + step,
-    hi - step] so that they stay in the sampled range (the end segment's
-    slope near an end); weight_path families get diag(k + theta dk) and
-    the held transversal tangent sum dk_i P_i.
+    explicit_matrices get, on the segment [t_{j-1}, t_j] that
+    ``searchsorted`` picks for theta clamped into the sampled range (a knot
+    lies on its left segment, each end on its end segment), the linear
+    interpolation of the samples and its exact tangent, the slope
+    (M_j - M_{j-1}) / (t_j - t_{j-1}); weight_path families get
+    diag(k + theta dk) and the held transversal tangent sum dk_i P_i.
     """
     thetas = np.asarray(thetas, dtype=float)
     basis = build_basis(spec.n)
@@ -374,13 +343,15 @@ def family_state_and_tangent(spec: FamilySpec, thetas):
         return states, _FormStack(*_orbit_tangent(spec.generator,
                                                   states.matrix, basis))
     if spec.kind == "explicit_matrices":
-        step = spec.fd_step
-        states = _StateStack.from_matrices(_interpolate(spec, thetas), basis)
-        lo, hi = spec.sample_thetas[[0, -1]]
-        centres = np.minimum(np.maximum(thetas, lo + step), hi - step)
+        samples, mats = spec.sample_thetas, spec.sample_matrices
+        thetas = np.minimum(np.maximum(thetas, samples[0]), samples[-1])
+        j = np.clip(np.searchsorted(samples, thetas), 1, samples.size - 1)
+        width = (samples[j] - samples[j - 1])[:, None, None]
+        frac = (thetas - samples[j - 1])[:, None, None] / width
+        states = _StateStack.from_matrices(
+            (1.0 - frac) * mats[j - 1] + frac * mats[j], basis)
         return states, _FormStack(*_difference_quotient(
-            _interpolate(spec, centres + step),
-            _interpolate(spec, centres - step), step, basis))
+            mats[j], mats[j - 1], width, basis))
     values = spec.weights.values + thetas[:, None] * spec.weight_rates
     _check_unit_sum(values)
     matrices = np.zeros(values.shape + (spec.n,), dtype=complex)
@@ -452,11 +423,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose errors raise, and which reads an argument
-    that starts with ``-`` and a digit (``-1:1:40``, ``-0.5,0.5``) as a
-    value, never as an option: no option of ours starts with a digit."""
+    """An argparse parser whose errors raise, which takes no prefix of a
+    long flag for the flag (``--form`` is not ``--format``), and which
+    reads an argument that starts with ``-`` and a digit (``-1:1:40``,
+    ``-0.5,0.5``) as a value, never as an option: no option of ours starts
+    with a digit.  ``add_subparsers`` builds its sub-parsers as this
+    class, so they take the same rules."""
 
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d.*")
 
@@ -611,7 +586,6 @@ def cmd_sld(args) -> int:
     tol = _tolerance(args)
     thetas = np.array([_number("theta", args.theta)])
     _check_thetas(spec, thetas)
-    spec = _with_fd_step(spec, args.fd_step)
     states, forms = family_state_and_tangent(spec, thetas)
     for array in (*states, *forms):  # checked as a stack, then frozen
         array.setflags(write=False)
@@ -664,8 +638,7 @@ def cmd_qfi(args) -> int:
     tol = _tolerance(args)
     thetas = _theta_values(args)
     _check_thetas(spec, thetas)
-    run = functools.partial(_sweep_block, _with_fd_step(spec, args.fd_step),
-                            method=args.method, tol=tol,
+    run = functools.partial(_sweep_block, spec, method=args.method, tol=tol,
                             check_oracle=args.check_oracle)
     # as many thetas as fit one stacked n x n complex array: the solver
     # chunks the n^2 x n^2 arrays of a block by the same budget
@@ -728,8 +701,6 @@ def _add_family_flags(parser):
                         help="path to a family-spec JSON file")
     parser.add_argument("--method", default="general",
                         choices=("general", "closed", "oracle"))
-    parser.add_argument("--fd-step", type=float, default=None,
-                        help="finite-difference step for sampled families")
 
 
 def build_parser() -> argparse.ArgumentParser:

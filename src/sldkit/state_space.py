@@ -427,17 +427,19 @@ def numeric_tangent(family, theta: float, step: float = DEFAULT_FD_STEP,
         raise ValueError("finite-difference step must be finite and positive")
     plus = _as_square(family(theta + step))
     coeff_identity, coeffs, diff = _difference_quotient(
-        plus, _as_square(family(theta - step)), step,
+        plus, _as_square(family(theta - step)), 2.0 * step,
         _resolve_basis(plus.shape[0], basis))
     return TangentForm(float(coeff_identity), *_frozen(coeffs, diff))
 
 
-def _difference_quotient(plus: np.ndarray, minus: np.ndarray, step: float,
+def _difference_quotient(plus: np.ndarray, minus: np.ndarray,
+                         divisor: float | np.ndarray,
                          basis: GeneratorBasis) -> tuple:
-    """(plus - minus) / (2 step) Hermitised, with its expansion, for one
-    pair of matrices or two stacks: (identity coefficient, coefficients,
-    matrix).  Hermitian by construction, so it is not checked again."""
-    diff = (plus - minus) / (2.0 * step)
+    """(plus - minus) / divisor Hermitised, with its expansion, for one
+    pair of matrices or two stacks (``divisor`` a number, or one per item
+    shaped to broadcast): (identity coefficient, coefficients, matrix).
+    Hermitian by construction, so it is not checked again."""
+    diff = (plus - minus) / divisor
     diff = 0.5 * (diff + diff.conj().swapaxes(-1, -2))
     return (*_expand_each(diff, basis), diff)
 

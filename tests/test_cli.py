@@ -8,7 +8,6 @@ import re
 import resource
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,11 +169,11 @@ class TestSldCommand:
         (QUTRIT_FAMILY, 0),
         (dict(QUTRIT_FAMILY, weights=[0.6, 0.4, 0.0]), 1),
         (dict(QUQUART_FAMILY, weights=[0.5, 0.5, 0.0, 0.0]), 4),
-        ({"kind": "explicit_matrices", "n": 3, "fd_step": 1e-3, "matrices": [
+        ({"kind": "explicit_matrices", "n": 3, "matrices": [
             [0.0, matrix_to_pairs(np.diag([0.5, 0.3, 0.2]))],
             [1.0, matrix_to_pairs([[0.4, 0.1j, 0.05], [-0.1j, 0.3, 0.0],
                                    [0.05, 0.0, 0.3]])]]}, 0),
-        ({"kind": "explicit_matrices", "n": 3, "fd_step": 1e-3, "matrices": [
+        ({"kind": "explicit_matrices", "n": 3, "matrices": [
             [0.0, matrix_to_pairs(np.diag([0.6, 0.4, 0.0]))],
             [1.0, matrix_to_pairs([[0.5, 0.1j, 0.0], [-0.1j, 0.5, 0.0],
                                    [0.0, 0.0, 0.0]])]]}, 1),
@@ -402,20 +401,23 @@ class TestQfiCommand:
         assert data["max_abs_dev"] < bound
 
     def test_explicit_matrices_family(self, tmp_path, capsys):
-        # diagonal family linear in theta: rho = diag(0.75 - t/10, 0.25 + t/10)
+        # diagonal family linear in theta: rho = diag(0.75 - t/10, 0.25 + t/10),
+        # sampled every 0.1: theta 0 is a knot, and 0.2 lies 7e-17 below one
         thetas = np.linspace(-0.5, 0.5, 11)
         samples = [[float(t),
                     matrix_to_pairs(np.diag([0.75 - 0.1 * t, 0.25 + 0.1 * t]))]
                    for t in thetas]
         family = write_family(tmp_path, {
-            "kind": "explicit_matrices", "n": 2,
-            "matrices": samples, "fd_step": 1e-3,
+            "kind": "explicit_matrices", "n": 2, "matrices": samples,
         })
-        code, out, _ = run(["qfi", "--input", family, "--thetas", "0"], capsys)
+        code, out, _ = run(["qfi", "--input", family,
+                            "--thetas", "0,0.13,0.2,0.37"], capsys)
         assert code == 0
-        row = json.loads(out)["rows"][0]
-        expected = 0.01 / 0.75 + 0.01 / 0.25  # sum dk_i^2 / k_i
-        assert row["qfi"] == pytest.approx(expected, abs=1e-8)
+        for row in json.loads(out)["rows"]:
+            t = row["theta"]
+            # sum dk_i^2 / k_i
+            expected = 0.01 / (0.75 - 0.1 * t) + 0.01 / (0.25 + 0.1 * t)
+            assert row["qfi"] == pytest.approx(expected, rel=1e-13)
 
     def test_rows_ordered_by_theta(self, tmp_path, capsys):
         family = write_family(tmp_path, QUBIT_FAMILY)
@@ -436,64 +438,63 @@ class TestQfiCommand:
         assert "range" in err
 
     def test_sampled_range_ends(self, tmp_path, capsys):
-        # within fd_step of an end the difference takes the end segment's
-        # slope instead of stepping outside the sampled range
+        # the tangent is the slope of the segment that holds theta: each end
+        # takes its end segment's slope, and the knot 0.1 its left segment's
         from sldkit import DensityState, TangentForm, qfi_eigenbasis
         mats = [np.diag([0.7, 0.3]), np.array([[0.6, 0.1j], [-0.1j, 0.4]]),
                 np.array([[0.5, 0.2], [0.2, 0.5]])]
-        family = write_family(tmp_path, {
-            "kind": "explicit_matrices", "n": 2,
-            "matrices": [[t, matrix_to_pairs(m)]
-                         for t, m in zip((0.0, 0.1, 0.3), mats)]})
-        code, out, err = run(["qfi", "--input", family, "--theta-range",
-                              "0:0.3:4"], capsys)
+        payload = {"kind": "explicit_matrices", "n": 2,
+                   "matrices": [[t, matrix_to_pairs(m)]
+                                for t, m in zip((0.0, 0.1, 0.3), mats)]}
+        family = write_family(tmp_path, payload)
+        thetas = [0.0, 0.05, 0.1, 0.2, 0.3]
+        code, out, err = run(["qfi", "--input", family, "--thetas",
+                              ",".join(map(str, thetas))], capsys)
         assert code == 0, err
-        rows = json.loads(out)["rows"]
-        slopes = [(mats[1] - mats[0]) / 0.1, (mats[2] - mats[1]) / 0.2]
-        for row, state, slope in zip([rows[0], rows[3]], [mats[0], mats[2]],
-                                     slopes):
+        spec = parse_family(payload)
+        samples = spec.sample_matrices
+        slopes = [(samples[1] - samples[0]) / (0.1 - 0.0),
+                  (samples[2] - samples[1]) / (0.3 - 0.1)]
+        segments = [0, 0, 0, 1, 1]
+        states = [mats[0], (mats[0] + mats[1]) / 2, mats[1],
+                  (mats[1] + mats[2]) / 2, mats[2]]
+        for row, state, segment in zip(json.loads(out)["rows"], states,
+                                       segments):
             expected = qfi_eigenbasis(DensityState.from_matrix(state),
-                                      TangentForm.from_matrix(slope))
-            assert row["qfi"] == pytest.approx(expected, rel=1e-8)
+                                      TangentForm.from_matrix(slopes[segment]))
+            assert row["qfi"] == pytest.approx(expected, rel=1e-12)
+        # each tangent is its segment's slope, Hermitised, bit for bit
+        _, forms = cli.family_state_and_tangent(spec, np.array(thetas))
+        for form, coeffs, segment in zip(forms.matrix, forms.coeffs,
+                                         segments):
+            slope = 0.5 * (slopes[segment] + slopes[segment].conj().T)
+            assert form.tobytes() == slope.tobytes()
+            assert coeffs.tobytes() == TangentForm.from_matrix(
+                slope).coeffs.tobytes()
         code, out, err = run(["sld", "--input", family, "--theta", "0.3"],
                              capsys)
         assert code == 0, err
         assert json.loads(out)["residual"] < 1e-10
-        code, _, err = run(["sld", "--input", family, "--theta", "0.1",
-                            "--fd-step", "0.2"], capsys)
-        assert code == 1
-        assert "fd_step 0.2 exceeds half the sampled range" in err
 
     @pytest.mark.parametrize("command", [["qfi", "--thetas", "0"],
                                          ["sld", "--theta", "0"]],
                              ids=["qfi", "sld"])
-    def test_repeated_lowest_sample_warns_nothing(self, tmp_path, capsys,
-                                                  command):
-        # two samples at the lowest theta make a zero-width first segment:
-        # theta 0 takes the first sample, and no numpy warning reaches
-        # stderr (pytest's own capture would hide it, so warnings raise)
-        first, second = np.diag([0.7, 0.3]), np.diag([0.6, 0.4])
+    @pytest.mark.parametrize("repeated", [0.0, 0.5], ids=["lowest", "inner"])
+    def test_repeated_sample_theta_is_refused(self, tmp_path, capsys, command,
+                                              repeated):
+        # two samples at one theta make a zero-width segment, a jump with
+        # no slope: the family is refused, whichever theta is asked for
         family = write_family(tmp_path, {
             "kind": "explicit_matrices", "n": 2,
-            "matrices": [[0.0, matrix_to_pairs(first)],
-                         [0.0, matrix_to_pairs(second)],
-                         [1.0, matrix_to_pairs(np.diag([0.5, 0.5]))]]})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(command[:1] + ["--input", family]
-                                 + command[1:], capsys)
-        assert (code, err) == (0, "")
-        # the difference spans theta 0 (the first sample) and 2 fd_step
-        # (on the segment from the second sample)
-        plus = (1 - 2e-5) * second + 2e-5 * np.diag([0.5, 0.5])
-        rates = np.diag(plus - first) / 2e-5
-        if command[0] == "qfi":
-            assert json.loads(out)["rows"][0]["qfi"] == pytest.approx(
-                np.sum(rates ** 2 / np.diag(first)), rel=1e-8)
-        else:
-            # L = diag(dk / k), whose sigma_z coefficient is half the gap
-            assert json.loads(out)["L"][-1] == pytest.approx(
-                (rates[0] / 0.7 - rates[1] / 0.3) / 2, rel=1e-8)
+            "matrices": [[repeated, matrix_to_pairs(np.diag([0.7, 0.3]))],
+                         [1.0, matrix_to_pairs(np.diag([0.5, 0.5]))],
+                         [repeated, matrix_to_pairs(np.diag([0.6, 0.4]))],
+                         [0.0 if repeated else 0.5,
+                          matrix_to_pairs(np.diag([0.65, 0.35]))]]})
+        got = run(command[:1] + ["--input", family] + command[1:], capsys)
+        assert got == (1, "", f"error: sample theta {repeated!r} is repeated: "
+                              "explicit_matrices needs distinct sample "
+                              "thetas\n")
 
     @pytest.mark.parametrize("thetas, code, message", [
         ("0,1", 2, "kernel-inconsistent tangent: <0|drho|0> = "
@@ -511,7 +512,7 @@ class TestQfiCommand:
         # state-stage error).  The first theta in sweep order decides,
         # whatever stage each fails at.
         family = write_family(tmp_path, {
-            "kind": "explicit_matrices", "n": 2, "fd_step": 1e-3,
+            "kind": "explicit_matrices", "n": 2,
             "matrices": [[0.0, matrix_to_pairs(np.diag([1.0, 0.0]))],
                          [0.5, matrix_to_pairs(np.diag([0.9, 0.1]))],
                          [1.0, matrix_to_pairs([[0.5, 0.3], [0.0, 0.5]])]]})
@@ -519,11 +520,11 @@ class TestQfiCommand:
         assert got == (code, "", f"error: {message}\n")
 
     def test_first_failure_after_a_passing_prefix(self, tmp_path, capsys):
-        # thetas up to 0.4 pass; 0.5 is pure and its tangent sits on the
-        # kernel level (a solve-stage error); 0.8 is not Hermitian (a
-        # state-stage error, which the run of the whole block meets first).
-        # Only halves searched in order, the first before the second, and
-        # split down to one theta reach 0.5.
+        # thetas up to 0.4 pass; 0.5 is pure and its tangent, the slope of
+        # its left segment, sits on the kernel level (a solve-stage error);
+        # 0.8 is not Hermitian (a state-stage error, which the run of the
+        # whole block meets first).  Only halves searched in order, the
+        # first before the second, and split down to one theta reach 0.5.
         family = write_family(tmp_path, {
             "kind": "explicit_matrices", "n": 2,
             "matrices": [[0.0, matrix_to_pairs(np.diag([0.9, 0.1]))],
@@ -532,7 +533,7 @@ class TestQfiCommand:
         got = run(["qfi", "--input", family,
                    "--thetas", "0.1,0.2,0.3,0.4,0.5,0.8"], capsys)
         assert got == (2, "", "error: kernel-inconsistent tangent: "
-                              "<0|drho|0> = 4.000e-01+0.000e+00j on a pair "
+                              "<0|drho|0> = -2.000e-01+0.000e+00j on a pair "
                               "of kernel levels (eigenvalues <= tol = "
                               "1.000e-10)\n")
 
@@ -716,7 +717,6 @@ class TestInvalidNumbers:
         ("weight_rates", [float("nan"), -1.0], WEIGHT_PATH_FAMILY),
         ("matrices", [[0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
                       [0.1, matrix_to_pairs(np.diag([np.nan, 0.4]))]], None),
-        ("fd_step", float("nan"), None),
     ])
     def test_rejects_non_finite_family(self, tmp_path, capsys, field, value,
                                        family):
@@ -737,8 +737,6 @@ class TestInvalidNumbers:
          SAMPLED_FAMILY, "sample theta must be a single number"),
         ("weights", {"a": 1}, QUBIT_FAMILY, "weights must be numeric"),
         ("matrices", 5, SAMPLED_FAMILY, "matrices must be a list"),
-        ("fd_step", [1e-3, 1e-4], SAMPLED_FAMILY,
-         "fd_step must be a single number"),
         # numpy reads true and false as 1 and 0: before, the weights solved
         # as diag(1, 0) and n as "got 1"
         ("weights", [True, False], WEIGHT_PATH_FAMILY,
@@ -754,7 +752,6 @@ class TestInvalidNumbers:
         ("matrices", [[0.0, [[[False, 0], [0, 0]], [[0, 0], [1, 0]]]],
                       SAMPLED_FAMILY["matrices"][1]],
          SAMPLED_FAMILY, "matrices must be numeric"),
-        ("fd_step", True, SAMPLED_FAMILY, "fd_step must be numeric"),
         # numpy parses numeric strings: before, these solved
         ("weights", ["0.75", "0.25"], WEIGHT_PATH_FAMILY,
          "weights must be numeric"),
@@ -769,13 +766,11 @@ class TestInvalidNumbers:
         ("matrices", [[0.0, [[["0.7", 0], [0, 0]], [[0, 0], [0.3, 0]]]],
                       SAMPLED_FAMILY["matrices"][1]],
          SAMPLED_FAMILY, "matrices must be numeric"),
-        ("fd_step", "1e-3", SAMPLED_FAMILY, "fd_step must be numeric"),
         ("n", 10 ** 400, QUBIT_FAMILY, "n must be finite"),
     ], ids=["n-list", "n-fraction", "coeffs-dict", "theta-list", "weights-dict",
-            "matrices-int", "fd_step-list", "weights-bool", "rates-bool",
-            "coeffs-bool", "n-bool", "theta-bool", "matrix-bool",
-            "fd_step-bool", "weights-str", "rates-str", "coeffs-str", "n-str",
-            "theta-str", "matrix-str", "fd_step-str", "n-huge-int"])
+            "matrices-int", "weights-bool", "rates-bool", "coeffs-bool",
+            "n-bool", "theta-bool", "matrix-bool", "weights-str", "rates-str",
+            "coeffs-str", "n-str", "theta-str", "matrix-str", "n-huge-int"])
     def test_rejects_wrong_types(self, tmp_path, capsys, field, value, family,
                                  message):
         path = write_family(tmp_path, dict(family, **{field: value}))
@@ -981,11 +976,17 @@ class TestFamilyValidation:
             parse_family({"kind": "exp_generator", "n": 2,
                           "weights": [0.5, 0.5]})
 
-    def test_foreign_fields_rejected(self):
-        spec = dict(QUBIT_FAMILY)
-        spec["weight_rates"] = [1.0, -1.0]
-        with pytest.raises(ValueError, match="does not accept"):
-            parse_family(spec)
+    @pytest.mark.parametrize("payload, field", [
+        (dict(QUBIT_FAMILY, weight_rates=[1.0, -1.0]), "weight_rates"),
+        (dict(SAMPLED_FAMILY, fd_step=1e-3), "fd_step"),
+    ], ids=["weight_rates", "fd_step"])
+    def test_foreign_fields_rejected(self, tmp_path, capsys, payload, field):
+        message = (f"family kind {payload['kind']!r} does not accept fields: "
+                   f"{field}")
+        with pytest.raises(ValueError, match=message):
+            parse_family(payload)
+        got = run(["sld", "--input", write_family(tmp_path, payload)], capsys)
+        assert got == (1, "", f"error: {message}\n")
 
     def test_coefficient_length_checked(self):
         spec = dict(QUBIT_FAMILY)
@@ -1050,69 +1051,12 @@ class TestFamilyValidation:
                        "for theta in [-0.5, 0.5]\n")
         assert evaluated == []
 
-    @pytest.mark.parametrize("value, message", [
-        (0.0, "fd_step must be positive, got 0.0"),
-        (-1e-3, "fd_step must be positive, got -0.001"),
-        (float("nan"), "fd_step must be finite"),
-        (float("inf"), "fd_step must be finite")])
-    def test_fd_step_must_be_finite_and_positive(self, value, message):
-        with pytest.raises(ValueError, match=message):
-            parse_family(dict(SAMPLED_FAMILY, fd_step=value))
-
-    @staticmethod
-    def count_evaluations(monkeypatch):
-        evaluated = []
-        evaluate = cli.family_state_and_tangent
-
-        def counting(spec, thetas, **kwargs):
-            evaluated.append(thetas)
-            return evaluate(spec, thetas, **kwargs)
-
-        monkeypatch.setattr(cli, "family_state_and_tangent", counting)
-        return evaluated
-
-    @pytest.mark.parametrize("payload", [QUBIT_FAMILY, SAMPLED_FAMILY,
-                                         WEIGHT_PATH_FAMILY],
-                             ids=["exp_generator", "explicit", "weight_path"])
-    @pytest.mark.parametrize("step, message", [
-        ("-5", "fd_step must be positive, got -5.0"),
-        ("0", "fd_step must be positive, got 0.0"),
-        ("nan", "fd_step must be finite")])
-    @pytest.mark.parametrize("command", [["qfi", "--thetas", "0,0.05"],
-                                         ["sld", "--theta", "0.05"]],
-                             ids=["qfi", "sld"])
-    def test_fd_step_flag_checked_for_every_kind(
-            self, tmp_path, capsys, monkeypatch, payload, step, message,
-            command):
-        family = write_family(tmp_path, payload)
-        evaluated = self.count_evaluations(monkeypatch)
-        got = run(command[:1] + ["--input", family, "--fd-step", step]
-                  + command[1:], capsys)
-        assert got == (1, "", f"error: {message}\n")
-        assert evaluated == []
-
-    def test_fd_step_range_checked_before_first_theta(
-            self, tmp_path, capsys, monkeypatch):
-        # the first sample is not Hermitian: evaluating theta 0 would fail
-        # there, but the step is checked before any theta is evaluated
-        family = write_family(tmp_path, dict(SAMPLED_FAMILY, fd_step=0.2,
-                                             matrices=[
-            [0.0, matrix_to_pairs([[0.7, 0.3], [0.0, 0.3]])],
-            [0.1, matrix_to_pairs(np.diag([0.6, 0.4]))]]))
-        evaluated = self.count_evaluations(monkeypatch)
-        code, out, err = run(["qfi", "--input", family, "--thetas", "0,0.1"],
-                             capsys)
-        assert (code, out) == (1, "")
-        assert err == ("error: fd_step 0.2 exceeds half the sampled range "
-                       "[0.0, 0.1]\n")
-        assert evaluated == []
-
     def test_usage_error_on_unknown_flag(self, capsys):
         code, _, err = run(["basis", "--n", "2", "--bogus"], capsys)
         assert code == 1
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("argv, flag", [
+    @pytest.mark.parametrize("argv, message", [
         (["basis", "--n", "2", "--tol", "nan"], "--tol nan"),
         (["basis", "--n", "2", "--tol", "1e-8"], "--tol 1e-8"),
         (["basis", "--n", "2", "--format", "json"], "--format json"),
@@ -1120,21 +1064,34 @@ class TestFamilyValidation:
         (["sld", "--input", "f.json", "--format", "json"], "--format json"),
         (["tensor", "--weights", "0.5,0.5", "--format", "csv"],
          "--format csv"),
+        (["sld", "--input", "f.json", "--fd-step", "1e-3"], "--fd-step 1e-3"),
+        (["qfi", "--input", "f.json", "--thetas", "0", "--fd-step", "1e-3"],
+         "--fd-step 1e-3"),
+        # a prefix of a flag is no spelling of it
+        (["qfi", "--input", "f.json", "--thetas", "0", "--form", "csv"],
+         "--form csv"),
+        (["basis", "--n", "2", "--out", "b.json"], "--out b.json"),
+        (["sld", "--inp", "f.json", "--the", "0.1", "--meth", "oracle"],
+         None),
     ], ids=["basis-tol-nan", "basis-tol", "basis-json", "basis-csv",
-            "sld-json", "tensor-csv"])
-    def test_flag_the_command_does_not_read(self, capsys, argv, flag):
-        # refused by the parser, before any file is read
+            "sld-json", "tensor-csv", "sld-fd-step", "qfi-fd-step",
+            "qfi-form", "basis-out", "sld-prefixes"])
+    def test_flag_the_command_does_not_read(self, tmp_path, monkeypatch,
+                                            capsys, argv, message):
+        # refused by the parser, before any file is read or written
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: unrecognized arguments: {flag}\n"
+        assert err == ("error: the following arguments are required: --input\n"
+                       if message is None
+                       else f"error: unrecognized arguments: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, flags", [
         ("basis", ["--n", "--output"]),
-        ("sld", ["--input", "--method", "--fd-step", "--theta", "--output",
-                 "--tol"]),
-        ("qfi", ["--input", "--method", "--fd-step", "--thetas",
-                 "--theta-range", "--check-oracle", "--output", "--format",
-                 "--tol"]),
+        ("sld", ["--input", "--method", "--theta", "--output", "--tol"]),
+        ("qfi", ["--input", "--method", "--thetas", "--theta-range",
+                 "--check-oracle", "--output", "--format", "--tol"]),
         ("tensor", ["--weights", "--output", "--tol"]),
     ], ids=["basis", "sld", "qfi", "tensor"])
     def test_each_command_lists_only_its_flags(self, capsys, command, flags):
@@ -1306,7 +1263,7 @@ def _broken_families(draw):
         family = {"weights": weights,
                   "generator_coeffs": rng.normal(size=n * n - 1).tolist()}
     elif kind == "explicit_matrices":
-        family = {"fd_step": 1e-3, "matrices": [
+        family = {"matrices": [
             [t, matrix_to_pairs(np.diag(rng.dirichlet(np.ones(n))))]
             for t in (0.0, 1.0)]}
     else:
@@ -1472,7 +1429,7 @@ class TestPerThetaWork:
         (QUBIT_FAMILY, "closed", SHUFFLED_THETAS),
         (PURE_QUTRIT_FAMILY, "general", SHUFFLED_THETAS),
         (QUTRIT_FAMILY, "closed", SHUFFLED_THETAS),
-        ({"kind": "explicit_matrices", "n": 2, "fd_step": 1e-4,
+        ({"kind": "explicit_matrices", "n": 2,
           "matrices": [[0.0, matrix_to_pairs(np.diag([0.7, 0.3]))],
                        [0.1, matrix_to_pairs([[0.6, 0.1j], [-0.1j, 0.4]])],
                        [0.3, matrix_to_pairs([[0.5, 0.2], [0.2, 0.5]])]]},

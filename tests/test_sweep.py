@@ -60,7 +60,7 @@ def sweeps(draw):
         for t in (0.0, 0.5, 1.0):
             U = haar_unitary(n, rng)
             samples.append([t, matrix_to_pairs((U * weights) @ U.conj().T)])
-        family = {"matrices": samples, "fd_step": 1e-3}
+        family = {"matrices": samples}
         lo, hi = 0.0, 1.0
     else:
         rates = 0.1 * rng.normal(size=n)
@@ -164,7 +164,7 @@ def test_kernel_sizes_mixed_in_one_sweep(budget):
         (0.0, [0.6, 0.4, 0.0, 0.0]), (0.5, [0.6, 0.4, 0.0, 0.0]),
         (1.0, [0.5, 0.3, 0.2, 0.0]))]
     spec = cli.parse_family({"kind": "explicit_matrices", "n": 4,
-                             "fd_step": 1e-3, "matrices": samples})
+                             "matrices": samples})
     constants = compute_structure_constants(build_basis(4))
     thetas = [0.8, 0.1, 0.7, 0.2, 0.9, 0.3]
     ordered, rows = _sweep(spec, thetas, budget)
@@ -194,7 +194,7 @@ def test_solver_chunks_do_not_change_the_stack(monkeypatch, n):
         w[:n - zeros] = 0.9 * rng.dirichlet(np.ones(n - zeros)) + 0.1 / n
         samples.append([t, matrix_to_pairs((U * (w / w.sum())) @ U.conj().T)])
     spec = cli.parse_family({"kind": "explicit_matrices", "n": n,
-                             "fd_step": 1e-3, "matrices": samples})
+                             "matrices": samples})
     interleaved = np.array([0.9, 0.1, 0.5, 0.3, 0.8, 0.6, 0.2, 0.95, 0.45,
                             0.0, 0.65])
     order = np.argsort(interleaved)
@@ -247,13 +247,11 @@ def test_kernel_size_returning_in_one_block(tmp_path, capsys, monkeypatch,
         w = np.zeros(n)
         w[:n - zeros] = 0.9 * rng.dirichlet(np.ones(n - zeros)) + 0.1 / n
         samples.append([t, matrix_to_pairs((U * (w / w.sum())) @ U.conj().T)])
-    family = {"kind": "explicit_matrices", "n": n, "fd_step": 1e-3,
-              "matrices": samples}
+    family = {"kind": "explicit_matrices", "n": n, "matrices": samples}
     path = tmp_path / "family.json"
     path.write_text(json.dumps(family))
-    # 40 thetas that stay 0.0125 from every sample, so no central
-    # difference crosses into another kernel size: within 1e-10 of the
-    # oracle
+    # 40 thetas that stay 0.0125 from every sample, each tangent its
+    # segment's slope: within 1e-10 of the oracle
     assert cli.main(["qfi", "--input", str(path), "--check-oracle",
                      "--theta-range", "0.0125:0.9875:40"]) == 0
     assert json.loads(capsys.readouterr().out)["max_abs_dev"] < 1e-10
