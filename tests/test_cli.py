@@ -737,6 +737,10 @@ class TestInvalidNumbers:
          SAMPLED_FAMILY, "sample theta must be a single number"),
         ("weights", {"a": 1}, QUBIT_FAMILY, "weights must be numeric"),
         ("matrices", 5, SAMPLED_FAMILY, "matrices must be a list"),
+        # a field the kind does not read is refused by name, whatever its
+        # value holds
+        ("fd_step", [1e-3, 1e-4], SAMPLED_FAMILY,
+         "family kind 'explicit_matrices' does not accept fields: fd_step"),
         # numpy reads true and false as 1 and 0: before, the weights solved
         # as diag(1, 0) and n as "got 1"
         ("weights", [True, False], WEIGHT_PATH_FAMILY,
@@ -752,6 +756,8 @@ class TestInvalidNumbers:
         ("matrices", [[0.0, [[[False, 0], [0, 0]], [[0, 0], [1, 0]]]],
                       SAMPLED_FAMILY["matrices"][1]],
          SAMPLED_FAMILY, "matrices must be numeric"),
+        ("fd_step", True, SAMPLED_FAMILY,
+         "family kind 'explicit_matrices' does not accept fields: fd_step"),
         # numpy parses numeric strings: before, these solved
         ("weights", ["0.75", "0.25"], WEIGHT_PATH_FAMILY,
          "weights must be numeric"),
@@ -766,11 +772,14 @@ class TestInvalidNumbers:
         ("matrices", [[0.0, [[["0.7", 0], [0, 0]], [[0, 0], [0.3, 0]]]],
                       SAMPLED_FAMILY["matrices"][1]],
          SAMPLED_FAMILY, "matrices must be numeric"),
+        ("fd_step", "1e-3", SAMPLED_FAMILY,
+         "family kind 'explicit_matrices' does not accept fields: fd_step"),
         ("n", 10 ** 400, QUBIT_FAMILY, "n must be finite"),
     ], ids=["n-list", "n-fraction", "coeffs-dict", "theta-list", "weights-dict",
-            "matrices-int", "weights-bool", "rates-bool", "coeffs-bool",
-            "n-bool", "theta-bool", "matrix-bool", "weights-str", "rates-str",
-            "coeffs-str", "n-str", "theta-str", "matrix-str", "n-huge-int"])
+            "matrices-int", "fd_step-list", "weights-bool", "rates-bool",
+            "coeffs-bool", "n-bool", "theta-bool", "matrix-bool",
+            "fd_step-bool", "weights-str", "rates-str", "coeffs-str", "n-str",
+            "theta-str", "matrix-str", "fd_step-str", "n-huge-int"])
     def test_rejects_wrong_types(self, tmp_path, capsys, field, value, family,
                                  message):
         path = write_family(tmp_path, dict(family, **{field: value}))
@@ -976,17 +985,17 @@ class TestFamilyValidation:
             parse_family({"kind": "exp_generator", "n": 2,
                           "weights": [0.5, 0.5]})
 
-    @pytest.mark.parametrize("payload, field", [
-        (dict(QUBIT_FAMILY, weight_rates=[1.0, -1.0]), "weight_rates"),
-        (dict(SAMPLED_FAMILY, fd_step=1e-3), "fd_step"),
-    ], ids=["weight_rates", "fd_step"])
-    def test_foreign_fields_rejected(self, tmp_path, capsys, payload, field):
-        message = (f"family kind {payload['kind']!r} does not accept fields: "
-                   f"{field}")
-        with pytest.raises(ValueError, match=message):
-            parse_family(payload)
-        got = run(["sld", "--input", write_family(tmp_path, payload)], capsys)
-        assert got == (1, "", f"error: {message}\n")
+    def test_foreign_fields_rejected(self, tmp_path, capsys):
+        for payload, field in [
+                (dict(QUBIT_FAMILY, weight_rates=[1.0, -1.0]), "weight_rates"),
+                (dict(SAMPLED_FAMILY, fd_step=1e-3), "fd_step")]:
+            message = (f"family kind {payload['kind']!r} does not accept "
+                       f"fields: {field}")
+            with pytest.raises(ValueError, match=message):
+                parse_family(payload)
+            got = run(["sld", "--input", write_family(tmp_path, payload)],
+                      capsys)
+            assert got == (1, "", f"error: {message}\n")
 
     def test_coefficient_length_checked(self):
         spec = dict(QUBIT_FAMILY)
@@ -1049,6 +1058,27 @@ class TestFamilyValidation:
         assert err == (f"error: theta {theta} drives weight {level} of the "
                        f"weight_path to {value}; its weights stay nonnegative "
                        "for theta in [-0.5, 0.5]\n")
+        assert evaluated == []
+
+    @pytest.mark.parametrize("payload", [QUBIT_FAMILY, SAMPLED_FAMILY,
+                                         WEIGHT_PATH_FAMILY],
+                             ids=["exp_generator", "explicit", "weight_path"])
+    @pytest.mark.parametrize("step", ["1e-3", "-5", "0", "nan"])
+    @pytest.mark.parametrize("command", [["qfi", "--thetas", "0,0.05"],
+                                         ["sld", "--theta", "0.05"]],
+                             ids=["qfi", "sld"])
+    def test_fd_step_flag_refused_for_every_kind(
+            self, tmp_path, capsys, monkeypatch, payload, step, command):
+        # no kind reads a step, whatever its value: the parser refuses the
+        # flag before any theta is evaluated
+        family = write_family(tmp_path, payload)
+        evaluated = []
+        monkeypatch.setattr(cli, "family_state_and_tangent",
+                            lambda *args, **kwargs: evaluated.append(args))
+        got = run(command[:1] + ["--input", family, "--fd-step", step]
+                  + command[1:], capsys)
+        assert got == (1, "", f"error: unrecognized arguments: --fd-step "
+                              f"{step}\n")
         assert evaluated == []
 
     def test_usage_error_on_unknown_flag(self, capsys):
