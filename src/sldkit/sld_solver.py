@@ -31,9 +31,12 @@ case, building those parts afresh for each chunk of states.  The body
 follows a plan of runs of states with one kernel size (:func:`_plan`),
 runs the rejection test once per run, and makes one LU solve per chunk
 with every direction as a column, through :func:`_lu_solve`, the one
-call of LAPACK's gesv.  A held state also keeps its one-state plan and
-its frozen gauge, so a further direction there pays for its arithmetic
-and little else.
+call of LAPACK's gesv.  That is a state's first solve, and the sweep's
+every solve.  From a held state's second solve on, :func:`_solve_held`
+takes the same steps for that one state, with A^-1 of its scaled
+operator A, inverted once (:func:`_inverse`), in place of the LU, and
+two steps of iterative refinement; its solutions agree with a first
+solve's to the LU's forward-error bound, not bit for bit.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
-# LAPACK's gesv beneath np.linalg.solve: numpy keeps the gufunc private, so
-# it is imported here alone and called from _lu_solve alone
-from numpy.linalg._umath_linalg import solve as _gesv
+# LAPACK's gesv beneath np.linalg.solve and np.linalg.inv: numpy keeps the
+# gufuncs private, so they are imported here alone and called from
+# _lu_solve and _inverse alone
+from numpy.linalg._umath_linalg import inv as _inv, solve as _gesv
 
 from .lie_basis import (GeneratorBasis, StructureConstants, _frozen,
                         matrix_to_pairs)
@@ -155,11 +159,15 @@ def _finalize(L: np.ndarray, coeff_identity, coeffs: np.ndarray,
 
     ``L``, ``coeff_identity``, ``coeffs`` and ``form_matrix`` carry one
     leading axis over the solutions, which share the gauge basis (a tuple
-    of read-only matrices, frozen where it is built).
+    of read-only matrices, frozen where it is built); without that axis
+    (L an n x n matrix) they give the one solution itself.
     """
     residual = _frobenius(form_matrix
                           - 0.5 * (state_matrix @ L + L @ state_matrix))
     _frozen(L, coeffs)
+    if L.ndim == 2:
+        return SLDSolution(float(coeff_identity), coeffs, L, gauge,
+                           float(residual))
     return tuple(map(SLDSolution, coeff_identity.tolist(), coeffs, L,
                      itertools.repeat(gauge), residual.tolist()))
 
@@ -171,33 +179,33 @@ class _StateOperator:
     ``matrix`` is M for ``constants``, set by :func:`assemble`.
     :func:`solve` completes the record for one ``tol`` and ``basis`` (None
     until then) with:
-    - ``plan``, the one-state plan of :func:`_solve_runs` (its kernel size
-      r, its one run and its one chunk), from :func:`_plan`;
     - ``kernel``, the r kernel columns of rho's eigenframe as a contiguous
       (1, n, r) stack, the rejection test's frame;
     - ``gauge``, the kernel gauge basis, frozen once, when it is built;
     - ``weights``, the Frobenius weights W, shaped (1, 1, n^2);
     - ``projector``, Z^T Z (None when the gauge is empty);
-    - ``operator``, the scaled operator W M W^-1 + Z^T Z.
-    Another tolerance or basis replaces the whole record, so its parts
-    never belong to two tolerances.  The record is n^4 floats twice over
-    (M and the scaled operator) for as long as the state lives; it is kept
-    because a caller that solves one direction per call at a state (the
-    README quickstart, a Fisher tensor built direction by direction) would
-    otherwise pay for M and its scaling on every call, about 1.5 to 2
-    times the time of a held direction.
+    - ``operator``, the scaled operator A = W M W^-1 + Z^T Z;
+    - ``inverse``, A^-1, from the record's second solve on (None until
+      then), which every later solve multiplies by (:func:`_solve_held`).
+    Another tolerance or basis replaces the whole record, inverse and all,
+    so its parts never belong to two tolerances.  The record is n^4 floats
+    three times over (M, A and A^-1; 1.5 MB at n = 16) for as long as the
+    state lives; it is kept because a caller that solves one direction per
+    call at a state (the README quickstart, a Fisher tensor built direction
+    by direction) would otherwise pay for M, its scaling and an LU on every
+    call.
     """
 
     constants: StructureConstants | None
     matrix: np.ndarray
     tol: float | None = None
     basis: GeneratorBasis | None = None
-    plan: tuple = ()
     kernel: np.ndarray | None = None
     gauge: tuple = ()
     weights: np.ndarray | None = None
     projector: np.ndarray | None = None
     operator: np.ndarray | None = None
+    inverse: np.ndarray | None = None
 
     def parts(self, part: slice, r: int) -> tuple:
         """W, Z^T Z and the scaled operator, for the one chunk of
@@ -282,17 +290,21 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     Hermitian matrices on the kernel block, built in rho's eigenframe as in
     the oracle, and the solution is its minimum-norm representative.
 
-    This is the one-state case of :func:`_solve_runs`, with the k forms as
-    its directions (k = 1 for a single form): one run and one chunk.  When
-    ``system`` was assembled at ``state``, the record held there (the
-    one-state plan, the kernel, the frozen gauge, W, Z^T Z and the scaled
-    operator) is built once per state and tolerance and reused, so a
-    further direction costs the rejection test (nothing at a full-rank
-    state), one LU solve with the k right-hand sides as columns, one
-    product for every L and the residuals.  Directions solved one per call
-    at a held state give bit for bit what each gives solved alone at a
-    fresh state, and a one-element sequence gives bit for bit the single
-    form's solution.
+    The first solve of a state's record is the one-state case of
+    :func:`_solve_runs`, with the k forms as its directions (k = 1 for a
+    single form): one run, one chunk and one LU solve (gesv) with the k
+    right-hand sides as columns, whose bits do not depend on what the state
+    solved before.  When ``system`` was assembled at ``state``, the record
+    held there (the kernel, the frozen gauge, W, Z^T Z and the scaled
+    operator A) is built once per state, tolerance and basis and reused.
+    From its second solve on, the record also holds A^-1, inverted once,
+    and a solve costs the rejection test (nothing at a full-rank state),
+    five products with A and A^-1 (two steps of iterative refinement), one
+    product for every L and the residuals (:func:`_solve_held`).  Such a
+    later solve agrees with the same forms solved first at a fresh state to
+    the forward-error bound c kappa eps max(1, |L|), not bit for bit; a
+    one-element sequence gives bit for bit the single form's solution at
+    the same place in a state's calls.
 
     Raises
     ------
@@ -308,15 +320,58 @@ def solve(system: SLDSystem, state: DensityState, tol: float = DEFAULT_TOL,
     if state.dimension != n:
         raise ValueError("state dimension does not match system")
     basis = _resolve_basis(n, basis)
-    held = _scaled_operator(system, state, check_tolerance(tol), basis)
-    x = _solve_runs(held.plan, held.kernel,
+    held = state._operator
+    record = _scaled_operator(system, state, check_tolerance(tol), basis)
+    if record is held:  # built by an earlier solve
+        return _solve_held(system, state, record)
+    x = _solve_runs(_plan((record.kernel.shape[-1],), n * n), record.kernel,
                     system.form_matrix.reshape(1, -1, n, n),
-                    system.rhs.reshape(1, -1, n * n), held.parts,
-                    held.tol)[0]
+                    system.rhs.reshape(1, -1, n * n), record.parts,
+                    record.tol)[0]
     solutions = _finalize(_reconstruct(x[:, 0], x[:, 1:], basis), x[:, 0],
                           x[:, 1:], state.matrix, system.form_matrix,
-                          held.gauge)
+                          record.gauge)
     return solutions if system.rhs.ndim == 2 else solutions[0]
+
+
+def _solve_held(system: SLDSystem, state: DensityState,
+                held: _StateOperator):
+    """:func:`solve` at the state's held record, from its second solve on.
+
+    The steps of :func:`_solve_runs` for one state, written for it: the
+    rejection test, w = W d - Z^T Z W d, then y = A^-1 w refined twice,
+    y += A^-1 (w - A y), and x = y / W.  A^-1 is inverted on the first
+    call here and held.  The plain product y = A^-1 w errs by about
+    kappa eps ||A^-1|| ||w||, far above the LU's kappa eps ||y|| when w is
+    small on the near-kernel pairs, as orbit tangents are.  Each step of
+    fixed-precision refinement cuts that error by about kappa eps (Skeel,
+    Math. Comp. 35, 817 (1980); Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 12).  Over 1,500 states at
+    n = 2..8 with kernel levels at 0 to 0.99 tol next to kept ones at 1.01
+    to 2 tol (kappa up to about 2e10), one step left L up to 265 kappa eps
+    max(1, |L|) from the oracle's, two steps 3.98, as the LU did, and a
+    third gained nothing.
+    """
+    forms, rhs = system.form_matrix, system.rhs
+    if held.kernel.shape[-1]:
+        D = forms.reshape(1, -1, *forms.shape[-2:])
+        _reject_kernel_pairs(_in_frame(held.kernel[:, None], D), D, held.tol)
+    if held.inverse is None:
+        held.inverse = _inverse(held.operator)
+    weights = held.weights[0, 0]
+    w = weights * rhs  # W d, one row per form
+    if held.projector is not None:
+        w -= w.dot(held.projector)  # Z^T Z is symmetric
+    # rows times A^-T and A^T: A^-1 and A on each column; ``dot`` costs
+    # less per call than ``@`` at these sizes
+    inverse, operator = held.inverse.T, held.operator.T
+    y = w.dot(inverse)
+    for _ in range(2):
+        y += (w - y.dot(operator)).dot(inverse)
+    x = y / weights
+    coeff_identity, coeffs = x[..., 0], x[..., 1:]
+    return _finalize(_reconstruct(coeff_identity, coeffs, held.basis),
+                     coeff_identity, coeffs, state.matrix, forms, held.gauge)
 
 
 def _solve_stack(states, forms, constants: StructureConstants, tol: float,
@@ -385,9 +440,24 @@ def _lu_solve(operator: np.ndarray, columns: np.ndarray) -> np.ndarray:
     operands never need, cost about as much as the LU of an n = 4 system
     (8.4 against 3.9 us).
     """
-    with np.errstate(call=_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
+    with _lapack_errors():
         return _gesv(operator, columns, signature="dd->d")
+
+
+def _inverse(operator: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(operator)`` for a float operator, without its Python
+    wrapper: the same gufunc (gesv against the identity) under the same
+    error state as :func:`_lu_solve`, so the same bits, and
+    ``LinAlgError`` for a singular operator."""
+    with _lapack_errors():
+        return _inv(operator, signature="d->d")
+
+
+def _lapack_errors():
+    """numpy.linalg's error state around its gufuncs: a singular operator
+    raises ``LinAlgError``, and no other floating-point flag warns."""
+    return np.errstate(call=_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
 def _singular(error, flag):
@@ -398,8 +468,8 @@ def _solve_runs(plan, vectors: np.ndarray, forms: np.ndarray,
                 rhs: np.ndarray, parts, tol: float) -> np.ndarray:
     """x of M x = d for S states and k directions at each: (S, k, n^2).
 
-    ``plan`` is the states' runs and chunks from :func:`_plan` (a held
-    state keeps its own), ``vectors`` the states' eigenvectors (S, n, m),
+    ``plan`` is the states' runs and chunks from :func:`_plan`,
+    ``vectors`` the states' eigenvectors (S, n, m),
     ``forms`` the drho (S, k, n, n) and ``rhs`` the d (S, k, n^2).
     ``eigh`` sorts eigenvalues in ascending order, so the kernel is each
     state's leading r levels, and ``vectors`` needs only those (m >= r).
@@ -456,7 +526,6 @@ def _scaled_operator(system: SLDSystem, state: DensityState, tol: float,
     vectors = state.eigenvectors[:, :r]
     record = _StateOperator(
         held.constants if own else None, system.matrix, tol, basis,
-        _plan((r,), system.matrix.shape[-1]),
         np.ascontiguousarray(vectors[None]),
         *_scaled_parts(system.matrix.copy(), vectors, basis))
     if own:

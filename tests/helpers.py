@@ -149,16 +149,27 @@ def loop_kernel_gauge(vectors):
 
 def count_lu_solves(monkeypatch):
     """Record the (operator, right-hand side) shapes of every LU solve from
-    here on, at the solver's one LAPACK call site
-    (``sld_solver._lu_solve``); returns the growing list."""
+    here on, at the solver's gesv call site (``sld_solver._lu_solve``);
+    returns the growing list."""
+    return _count_shapes(monkeypatch, "_lu_solve")
+
+
+def count_inverses(monkeypatch):
+    """Record the (operator,) shape of every inversion from here on, at the
+    solver's inverse call site (``sld_solver._inverse``); returns the
+    growing list."""
+    return _count_shapes(monkeypatch, "_inverse")
+
+
+def _count_shapes(monkeypatch, name):
     calls = []
-    lu_solve = sld_solver._lu_solve
+    call = getattr(sld_solver, name)
 
-    def counting(a, b):
-        calls.append((np.shape(a), np.shape(b)))
-        return lu_solve(a, b)
+    def counting(*operands):
+        calls.append(tuple(map(np.shape, operands)))
+        return call(*operands)
 
-    monkeypatch.setattr(sld_solver, "_lu_solve", counting)
+    monkeypatch.setattr(sld_solver, name, counting)
     return calls
 
 

@@ -183,6 +183,32 @@ def test_solver_within_the_kappa_bound_of_the_oracle(problem):
                                   SOLVER_ORACLE_C)
 
 
+@settings(deadline=None)
+@given(near_cutoff_problems(), st.integers(0, 2 ** 32 - 1))
+def test_held_directions_within_the_kappa_bound_of_the_oracle(problem, seed):
+    # later directions at a held state (the problem's form, then four
+    # random orbit tangents): the held inverse and its refinement steps,
+    # against the oracle near the rank threshold
+    weights, state, form = problem
+    n = weights.dimension
+    basis = build_basis(n)
+    constants = compute_structure_constants(basis)
+    rng = np.random.default_rng(seed)
+    solve(assemble(state, TangentForm.from_coefficients(
+        0.0, np.zeros(n * n - 1)), constants), state)
+    for form in [form] + [
+            tangent_from_generator(random_hermitian(n, rng), state, basis)
+            for _ in range(4)]:
+        sol = _solve_or_reject(
+            lambda: solve(assemble(state, form, constants), state))
+        spectral = _solve_or_reject(lambda: sld_eigenbasis(state, form))
+        assert (sol is None) == (spectral is None)
+        if sol is not None:
+            assert_within_kappa_bound(sol, spectral, state.eigenvalues,
+                                      DEFAULT_TOL, SOLVER_ORACLE_C)
+    assert state._operator.inverse is not None
+
+
 @st.composite
 def near_cutoff_families(draw):
     """An exp_generator family whose weights put levels next to the

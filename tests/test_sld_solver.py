@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import (anticommutator_matrix, assert_same_modulo_gauge,
-                     assert_within_kappa_bound, condition_number,
-                     count_lu_solves, haar_unitary, loop_kernel_gauge, random_full_rank_weights,
-                     random_hermitian)
+from helpers import (KAPPA_C, anticommutator_matrix,
+                     assert_same_modulo_gauge, assert_within_kappa_bound,
+                     condition_number, count_inverses, count_lu_solves,
+                     haar_unitary, loop_kernel_gauge,
+                     random_full_rank_weights, random_hermitian)
 
 from sldkit import sld_solver
 from sldkit import (DensityState, InconsistentSystemError,
@@ -388,6 +389,13 @@ def assert_same_bits(a, b):
     assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
+#: c of the bound between a record's later solve (its held inverse and two
+#: refinement steps) and the same form solved first at a fresh state
+#: (gesv): each side carries its own error, as in
+#: test_properties.SOLVER_ORACLE_C
+HELD_C = 2 * KAPPA_C
+
+
 class TestPerStateReuse:
     """Directions at one state share its eigenframe and operator."""
 
@@ -405,6 +413,7 @@ class TestPerStateReuse:
                             * (1.0 - sum(small)), small))
         U = haar_unitary(n, rng)
         state = DensityState.from_matrix((U * k) @ U.conj().T, basis)
+        previous = None
         for a, generator in enumerate(basis.generators):
             # switch the tolerance mid-sequence, and back
             tol = 1e-6 if a % 3 == 1 else 1e-10
@@ -413,8 +422,13 @@ class TestPerStateReuse:
             fresh_state = DensityState.from_matrix(state.matrix, basis)
             fresh = solve(assemble(fresh_state, form, constants),
                           fresh_state, tol)
-            assert_same_solution(shared, fresh)
+            if tol == previous:  # the record's later solve: its inverse
+                assert_within_kappa_bound(shared, fresh, state.eigenvalues,
+                                          tol, c=HELD_C)
+            else:  # a new tolerance's record: its first solve, by gesv
+                assert_same_solution(shared, fresh)
             assert shared.gauge_dim == np.count_nonzero(k <= tol) ** 2
+            previous = tol
 
     @pytest.mark.parametrize(
         "n, rank",
@@ -422,8 +436,9 @@ class TestPerStateReuse:
         + [pytest.param(n, max(n - 2, 1), id=f"n{n}-deficient")
            for n in range(2, 9)])
     def test_held_directions_keep_their_bits(self, n, rank):
-        # the held record (plan, kernel, frozen gauge, scaled operator)
-        # gives a direction the bits it gets alone at a fresh state
+        # a state's first solve (gesv) gives a direction the bits it gets
+        # alone at a fresh state; its later solves, by the held inverse
+        # and its refinement steps, agree with those to the kappa bound
         rng = np.random.default_rng(110 + 10 * n + rank)
         basis = build_basis(n)
         constants = compute_structure_constants(basis)
@@ -432,16 +447,43 @@ class TestPerStateReuse:
         held = [solve(assemble(state, form, constants), state)
                 for form in forms]
         assert held[0].gauge_dim == (n - rank) ** 2
-        for form, sol in zip(forms[1:], held[1:]):
+        for i, (form, sol) in enumerate(zip(forms, held)):
             fresh = DensityState.from_matrix(state.matrix, basis)
-            assert_same_bits(sol, solve(assemble(fresh, form, constants),
-                                        fresh))
+            alone = solve(assemble(fresh, form, constants), fresh)
+            if i == 0:
+                assert_same_bits(sol, alone)
+            else:
+                assert_within_kappa_bound(sol, alone, state.eigenvalues,
+                                          1e-10, c=HELD_C)
         # a sequence of forms at the held state, and at a fresh one
         fresh = DensityState.from_matrix(state.matrix, basis)
         for a, b in zip(solve(assemble(state, forms[1:], constants), state),
                         solve(assemble(fresh, forms[1:], constants), fresh),
                         strict=True):
-            assert_same_bits(a, b)
+            assert_within_kappa_bound(a, b, state.eigenvalues, 1e-10,
+                                      c=HELD_C)
+
+    def test_held_directions_near_the_cutoff_match_the_oracle(self):
+        # one O(1) level next to five on both sides of the cutoff (kappa
+        # ~ 2e10): the held inverse with one refinement step left these
+        # directions up to 90 kappa eps max(1, |L|) from the oracle, the
+        # two steps held leave them within 0.6
+        rng = np.random.default_rng(121)
+        n = 6
+        basis = build_basis(n)
+        constants = compute_structure_constants(basis)
+        small = 1e-10 * np.array([0.0, 0.3, 0.5, 1.01, 1.01])
+        k = np.concatenate((small, [1.0 - small.sum()]))
+        U = haar_unitary(n, rng)
+        state = DensityState.from_matrix((U * k) @ U.conj().T, basis)
+        solve(assemble(state, zero_form(n, basis), constants), state)
+        for _ in range(8):
+            form = orbit_form(state, rng, basis)
+            assert_within_kappa_bound(
+                solve(assemble(state, form, constants), state),
+                sld_eigenbasis(state, form), state.eigenvalues, 1e-10,
+                c=HELD_C)
+        assert state._operator.inverse is not None
 
     def test_one_eigh_per_state(self, monkeypatch):
         calls = []
@@ -469,7 +511,38 @@ class TestPerStateReuse:
             qfi_eigenbasis(state, form)
         assert len(calls) == 1
 
-    def test_system_from_another_state_solves_by_fallback(self):
+    def test_one_factorization_per_record(self, monkeypatch):
+        # k held directions: one gesv (the record's first solve) and one
+        # inverse (its second); another tolerance or basis is a new record
+        # with its own of each, so no inverse meets another record's gauge
+        rng = np.random.default_rng(34)
+        basis = build_basis(4)
+        constants = compute_structure_constants(basis)
+        state = _random_state(4, 3, rng, basis)
+        forms = [orbit_form(state, rng, basis) for _ in range(5)]
+        lu, inverses = count_lu_solves(monkeypatch), count_inverses(monkeypatch)
+        column, square = (1, 16, 1), (16, 16)
+        for form in forms:
+            solve(assemble(state, form, constants), state)
+        solve(assemble(state, forms, constants), state)
+        assert lu == [(square, column)] and inverses == [(square,)]
+        held = state._operator
+        assert np.array_equal(held.inverse, np.linalg.inv(held.operator))
+        other = dataclasses.replace(basis)
+        for tol, at in ((1e-6, basis), (1e-10, basis), (1e-10, other)):
+            for form in forms[:3]:
+                solve(assemble(state, form, constants), state, tol, at)
+            record = state._operator
+            assert record is not held and (record.tol, record.basis) == (
+                tol, at)
+            assert np.array_equal(record.inverse,
+                                  np.linalg.inv(record.operator))
+            held = record
+        assert lu == [(square, column)] * 4
+        assert inverses == [(square,)] * 4
+
+    def test_system_from_another_state_solves_by_fallback(self,
+                                                          monkeypatch):
         rng = np.random.default_rng(32)
         basis = build_basis(4)
         constants = compute_structure_constants(basis)
@@ -477,8 +550,19 @@ class TestPerStateReuse:
         twin = DensityState.from_matrix(state.matrix, basis)
         form = tangent_from_generator(random_hermitian(4, rng), state, basis)
         system = assemble(state, form, constants)
-        assert_same_solution(solve(system, twin),
+        moved = solve(system, twin)
+        assert_same_solution(moved,
                              solve(assemble(twin, form, constants), twin))
+        # the twin's second solve holds its inverse; the other state's
+        # system still takes a gesv of its own and leaves that inverse be
+        solve(assemble(twin, form, constants), twin)
+        held, inverse = twin._operator, twin._operator.inverse
+        assert inverse is not None
+        lu, inverses = count_lu_solves(monkeypatch), count_inverses(monkeypatch)
+        for _ in range(2):
+            assert_same_bits(solve(system, twin), moved)
+        assert len(lu) == 2 and inverses == []
+        assert twin._operator is held and held.inverse is inverse
         # a full-rank system solved with another full-rank state, whose own
         # M is held: L comes from the system's M, as at its own state (the
         # residual is measured against the state passed in)
@@ -537,6 +621,20 @@ class TestLUSolve:
             (np.eye(4), np.ones((4, 4)), np.eye(4)))
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             sld_solver._lu_solve(operator, np.ones((stack or 1, 4, 2)))
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_inverse_bits_of_np_linalg_inv(self, n):
+        # the shape the held path inverts: one (N, N) scaled operator
+        rng = np.random.default_rng(95 + n)
+        size = n * n
+        operator = rng.normal(size=(size, size)) + size * np.eye(size)
+        inverse = sld_solver._inverse(operator)
+        assert inverse.shape == (size, size)
+        assert inverse.tobytes() == np.linalg.inv(operator).tobytes()
+
+    def test_singular_inverse_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            sld_solver._inverse(np.ones((4, 4)))
 
 
 def _kernel_coupling(state, rng, scale=1e-3):
@@ -613,19 +711,25 @@ class TestStackedForms:
 
     @pytest.mark.parametrize("rank", [4, 2])
     def test_one_element_sequence_is_the_single_form_bit_for_bit(self, rank):
+        # at the same place in each state's calls: the first solve (gesv),
+        # then the second (the held inverse)
         rng = np.random.default_rng(60 + rank)
         basis = build_basis(4)
         constants = compute_structure_constants(basis)
         state = _random_state(4, rank, rng, basis)
-        form = orbit_form(state, rng, basis)
-        single = solve(assemble(state, form, constants), state)
-        assert isinstance(single, sld_solver.SLDSolution)
-        (alone,) = solve(assemble(state, (form,), constants), state)
-        assert alone.coeff_identity == single.coeff_identity
-        assert alone.residual == single.residual
-        assert alone.coeffs.tobytes() == single.coeffs.tobytes()
-        assert alone.matrix.tobytes() == single.matrix.tobytes()
-        assert alone.gauge_basis == single.gauge_basis
+        twin = DensityState.from_matrix(state.matrix, basis)
+        for form in [orbit_form(state, rng, basis) for _ in range(2)]:
+            single = solve(assemble(state, form, constants), state)
+            assert isinstance(single, sld_solver.SLDSolution)
+            (alone,) = solve(assemble(twin, (form,), constants), twin)
+            assert alone.coeff_identity == single.coeff_identity
+            assert alone.residual == single.residual
+            assert alone.coeffs.tobytes() == single.coeffs.tobytes()
+            assert alone.matrix.tobytes() == single.matrix.tobytes()
+            assert [g.tobytes() for g in alone.gauge_basis] == [
+                g.tobytes() for g in single.gauge_basis]
+        assert state._operator.inverse is not None
+        assert twin._operator.inverse is not None
 
     def test_forms_may_be_any_iterable(self):
         rng = np.random.default_rng(61)
@@ -633,8 +737,10 @@ class TestStackedForms:
         constants = compute_structure_constants(basis)
         state = _random_state(3, 3, rng, basis)
         forms = [orbit_form(state, rng, basis) for _ in range(3)]
+        twin = DensityState.from_matrix(state.matrix, basis)
+        # each the first solve at its state
         from_list = solve(assemble(state, forms, constants), state)
-        from_generator = solve(assemble(state, iter(forms), constants), state)
+        from_generator = solve(assemble(twin, iter(forms), constants), twin)
         for a, b in zip(from_list, from_generator):
             assert a.matrix.tobytes() == b.matrix.tobytes()
         assert solve(assemble(state, [], constants), state) == ()
